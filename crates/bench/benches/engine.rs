@@ -1,13 +1,16 @@
 //! Simulator-engine ablations: event-queue implementations, raw simulation
-//! throughput, and the engine comparison that feeds `BENCH_engine.json`.
+//! throughput, and the shard-count comparison that feeds
+//! `BENCH_engine.json`.
 //!
-//! Running this bench always measures events/sec for every [`EngineSpec`]
-//! on the Table-I mesh workload (ρ = 0.8) and on table-free hypercube
-//! shuffles (ρ = 0.5, up to 2¹⁶ nodes), asserts the engines agree bit
-//! for bit, and writes a schema-versioned JSON report to
-//! `$ENGINE_BENCH_OUT` (default `BENCH_engine.json`) — the first point of
-//! the perf trajectory CI archives. Pass `-- --smoke` for the reduced CI
-//! variant that skips the criterion timing groups.
+//! Running this bench always measures events/sec for `auto`, `sharded:1`
+//! and `sharded:4` on the Table-I mesh workload (ρ = 0.8) and on
+//! hypercube shuffles (ρ = 0.5, up to 2¹⁶ nodes), asserts that `auto` and
+//! `sharded:1` agree bit for bit, and writes a schema-versioned JSON
+//! report to `$ENGINE_BENCH_OUT` (default `BENCH_engine.json`) — the point
+//! of the perf trajectory CI archives. Pass `-- --smoke` for the reduced
+//! CI variant that skips the criterion timing groups. End-to-end wall
+//! time per workload is the job of the `wallbench` benchmark
+//! (`BENCHMARK.json`).
 
 use criterion::{BatchSize, Criterion, Throughput};
 use meshbound::sim::events::{CalendarQueue, EventQueue, HeapQueue};
@@ -21,7 +24,11 @@ use serde::Serialize;
 /// the comparison (`sharded:1`, `sharded:4`), with a sharded headline.
 /// v4: the report gained a `router_comparison` block measuring greedy vs
 /// odd-even adaptive events/sec on the mesh transpose workload.
-const SCHEMA: &str = "meshbound.engine-bench/v4";
+/// v5: the heap and calendar engines are gone (one engine, `auto` = one
+/// shard): rows are `auto`, `sharded:1` and `sharded:4`, each row's
+/// `speedup_vs_heap` became `speedup_vs_auto`, and the
+/// `speedup_auto_vs_heap` headline was dropped.
+const SCHEMA: &str = "meshbound.engine-bench/v5";
 
 #[derive(Serialize)]
 struct EngineBenchReport {
@@ -35,20 +42,18 @@ struct EngineBenchReport {
     host_cores: usize,
     /// One row per (workload size, engine).
     rows: Vec<Row>,
-    /// Headline number: `Auto` vs `Heap` events/sec at the largest size.
-    speedup_auto_vs_heap: f64,
     /// Parallel headline: `sharded:4` vs `sharded:1` events/sec at the
     /// largest size. Only meaningful on a multi-core host — a 1-core
     /// runner reports ~1.0 or below (barrier overhead, no parallelism).
     speedup_sharded4_vs_sharded1: f64,
     /// Routing-layer overhead probe: the per-hop adaptive path (odd-even,
     /// queue-aware `next_hop` at every dequeue) against the oblivious
-    /// route-table path (greedy) on the same workload.
+    /// path (greedy) on the same workload.
     router_comparison: RouterComparison,
 }
 
 /// Greedy vs odd-even simulator throughput on one transpose workload —
-/// the cost of per-hop adaptive decisions relative to table lookups.
+/// the cost of per-hop adaptive decisions relative to oblivious ones.
 #[derive(Serialize)]
 struct RouterComparison {
     /// Human description of the measured workload.
@@ -60,11 +65,11 @@ struct RouterComparison {
 #[derive(Serialize, Clone)]
 struct Row {
     engine: String,
-    /// Worker threads the engine runs on: 1 for the single-core engines,
-    /// the shard count for `sharded:<N>`.
+    /// Worker threads the engine runs on: 1 for `auto`, the shard count
+    /// for `sharded:<N>`.
     cores: usize,
     /// Topology family: `"mesh"` (Table-I uniform) or `"hypercube"`
-    /// (shuffle permutation, table-free above the route-table gate).
+    /// (shuffle permutation).
     topo: String,
     /// Size parameter: mesh side or hypercube dimension.
     n: usize,
@@ -72,12 +77,13 @@ struct Row {
     nodes: usize,
     rho: f64,
     horizon: f64,
-    /// Deterministic event count (identical across engines by contract).
+    /// Deterministic event count (identical for `auto` and `sharded:1`;
+    /// `sharded:4` adds handoff events).
     events_processed: u64,
     /// Best-of-reps simulator throughput.
     events_per_sec: f64,
-    /// This row's events/sec over the heap row's at the same size.
-    speedup_vs_heap: f64,
+    /// This row's events/sec over the `auto` row's at the same size.
+    speedup_vs_auto: f64,
 }
 
 /// One measured point on the (topology, nodes) grid.
@@ -100,8 +106,8 @@ impl Workload {
         }
     }
 
-    /// Hypercube shuffle above the route-table gate: exercises the
-    /// table-free routing path the million-node scenarios rely on.
+    /// Hypercube shuffle: the workload family the million-node scenarios
+    /// run.
     fn cube_shuffle(dim: usize, horizon: f64) -> Self {
         Workload {
             topo: "hypercube",
@@ -160,8 +166,8 @@ fn router_comparison(smoke: bool) -> RouterComparison {
     }
 }
 
-/// The cross-engine comparison: measures all engines at several sizes,
-/// asserts bit-identity, and assembles the JSON report.
+/// The shard-count comparison: measures every engine row at several
+/// sizes, asserts `auto` ≡ `sharded:1`, and assembles the JSON report.
 ///
 /// Reps are *interleaved* — every round measures each engine once — so
 /// machine-noise phases (a busy neighbor, a thermal dip) hit all engines
@@ -189,24 +195,20 @@ fn engine_comparison(smoke: bool) -> EngineBenchReport {
             Workload::cube_shuffle(16, 50.0),
         ]
     };
-    // Slots 0..=3 (heap, calendar, auto, sharded:1) must agree bit for
-    // bit; sharded:4 replicates the per-shard ticks and adds handoff
+    // Slots 0 and 1 (auto, sharded:1) are the same run and must agree bit
+    // for bit; sharded:4 replicates the per-shard ticks and adds handoff
     // events, so its fingerprint is only required to be *rep-stable*.
     let engines = [
-        EngineSpec::Heap,
-        EngineSpec::Calendar,
         EngineSpec::Auto,
         EngineSpec::Sharded { shards: 1 },
         EngineSpec::Sharded { shards: 4 },
     ];
-    const BIT_IDENTICAL_SLOTS: usize = 4;
     let reps = if smoke { 3 } else { 5 };
     let mut rows = Vec::new();
-    let mut headline = 0.0;
     let mut sharded_headline = 0.0;
     for w in &sizes {
-        let mut best = [0.0f64; 5];
-        let mut fingerprint: [Option<(u64, u64)>; 5] = [None; 5];
+        let mut best = [0.0f64; 3];
+        let mut fingerprint: [Option<(u64, u64)>; 3] = [None; 3];
         for _ in 0..reps {
             for (slot, &engine) in engines.iter().enumerate() {
                 let res = w.scenario(engine).run();
@@ -222,19 +224,12 @@ fn engine_comparison(smoke: bool) -> EngineBenchReport {
                 }
             }
         }
-        for slot in 1..BIT_IDENTICAL_SLOTS {
-            assert_eq!(
-                fingerprint[slot], fingerprint[0],
-                "engine {} diverged from heap on {} n={}",
-                engines[slot], w.topo, w.n
-            );
-        }
-        let heap_eps = best[0];
+        assert_eq!(
+            fingerprint[1], fingerprint[0],
+            "sharded:1 diverged from auto on {} n={}",
+            w.topo, w.n
+        );
         for (slot, &engine) in engines.iter().enumerate() {
-            let speedup = best[slot] / heap_eps;
-            if engine == EngineSpec::Auto {
-                headline = speedup; // last size wins: the headline scale
-            }
             let cores = match engine {
                 EngineSpec::Sharded { shards } => shards,
                 _ => 1,
@@ -249,10 +244,10 @@ fn engine_comparison(smoke: bool) -> EngineBenchReport {
                 horizon: w.horizon,
                 events_processed: fingerprint[slot].expect("measured above").0,
                 events_per_sec: best[slot],
-                speedup_vs_heap: speedup,
+                speedup_vs_auto: best[slot] / best[0],
             });
         }
-        sharded_headline = best[4] / best[3]; // last size wins here too
+        sharded_headline = best[2] / best[1]; // last size wins: the headline scale
     }
     EngineBenchReport {
         schema: SCHEMA.to_string(),
@@ -260,7 +255,6 @@ fn engine_comparison(smoke: bool) -> EngineBenchReport {
             .to_string(),
         host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         rows,
-        speedup_auto_vs_heap: headline,
         speedup_sharded4_vs_sharded1: sharded_headline,
         router_comparison: router_comparison(smoke),
     }
@@ -306,19 +300,16 @@ fn criterion_groups(c: &mut Criterion) {
     let mut group = c.benchmark_group("network_sim_throughput");
     group.sample_size(10);
     for n in [5usize, 10, 20] {
-        for engine in EngineSpec::ALL {
-            group.bench_function(format!("mesh_n{n}_rho0.8_{engine}"), |b| {
-                b.iter(|| {
-                    Scenario::mesh(n)
-                        .load(Load::TableRho(0.8))
-                        .horizon(500.0)
-                        .warmup(100.0)
-                        .seed(13)
-                        .engine(engine)
-                        .run()
-                });
+        group.bench_function(format!("mesh_n{n}_rho0.8_auto"), |b| {
+            b.iter(|| {
+                Scenario::mesh(n)
+                    .load(Load::TableRho(0.8))
+                    .horizon(500.0)
+                    .warmup(100.0)
+                    .seed(13)
+                    .run()
             });
-        }
+        });
     }
     group.finish();
 }
@@ -330,20 +321,20 @@ fn main() {
     for row in &report.rows {
         println!(
             "  {:<9} n={:<3} ({:>6} nodes) {:<9} cores={} {:>10.0} events/s  \
-             ({:.2}x vs heap, {} events)",
+             ({:.2}x vs auto, {} events)",
             row.topo,
             row.n,
             row.nodes,
             row.engine,
             row.cores,
             row.events_per_sec,
-            row.speedup_vs_heap,
+            row.speedup_vs_auto,
             row.events_processed
         );
     }
     println!(
-        "headline: auto vs heap {:.2}x, sharded:4 vs sharded:1 {:.2}x at the largest size",
-        report.speedup_auto_vs_heap, report.speedup_sharded4_vs_sharded1
+        "headline: sharded:4 vs sharded:1 {:.2}x at the largest size",
+        report.speedup_sharded4_vs_sharded1
     );
     println!(
         "routers ({}): greedy {:.0} events/s, oddeven {:.0} events/s",

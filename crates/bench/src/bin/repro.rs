@@ -5,7 +5,7 @@
 //! repro [--quick] [table1|table2|table3|fig1|fig2|bounds|stability|
 //!        capacity|hypercube|butterfly|randomized|torus|kd|slotted|
 //!        nonuniform|dominance|report|all]
-//! repro [--engine auto|heap|calendar|sharded:<N>] scenario <spec> [<spec>…]
+//! repro [--engine auto|sharded:<N>] scenario <spec> [<spec>…]
 //! repro [--shards N] scenario <spec> [<spec>…]
 //! repro [--quick] [--engine E] sweep <spec> [--out FILE] [--jobs N] [--check]
 //! ```
@@ -19,13 +19,12 @@
 //! [`BoundsReport`] next to the simulated result. Unknown artifact names
 //! and unknown flags exit nonzero with a usage message.
 //!
-//! `--engine` forces a hot-path engine (`EngineSpec`) on every scenario or
-//! sweep cell named on the command line — results are bit-identical across
-//! the single-core engines, so the flag is a wall-clock ablation knob.
-//! `--shards N` is shorthand for `--engine sharded:N`: the conservative
-//! parallel engine partitions the topology across `N` threads (requires
+//! `--engine` sets the engine's shard count (`EngineSpec`) on every
+//! scenario or sweep cell named on the command line: `auto` is one shard,
+//! `sharded:<N>` partitions the topology across `N` threads (requires
 //! deterministic service times when `N >= 2`; deterministic per
-//! `(seed, shards)` pair).
+//! `(seed, shards)` pair). `--shards N` is shorthand for
+//! `--engine sharded:N`.
 //!
 //! `repro sweep` runs a whole scenario grid in parallel and emits the
 //! machine-readable JSON report (`meshbound::sweep`). The spec is either a
@@ -70,7 +69,7 @@ const ARTIFACTS: &[&str] = &[
 fn usage() -> String {
     format!(
         "usage: repro [--quick] [{}]\n\
-         \x20      repro [--quick] [--engine auto|heap|calendar|sharded:<N>] scenario <spec> [<spec>…]\n\
+         \x20      repro [--quick] [--engine auto|sharded:<N>] scenario <spec> [<spec>…]\n\
          \x20      repro [--quick] [--shards N] scenario <spec> [<spec>…]\n\
          \x20      repro [--progress] [--telemetry FILE] scenario <spec>\n\
          \x20      repro [--progress] timeline <spec> [<spec>…]\n\
@@ -84,7 +83,7 @@ fn usage() -> String {
          options (router=greedy|randomized|westfirst|oddeven, traffic,\n\
          src, lambda/rho/util or\n\
          load=<convention>:<value>, horizon, warmup, seed, service, slot,\n\
-         sample, self, saturated, quantiles, queues, engine, faults).\n\
+         self, saturated, quantiles, queues, engine, faults).\n\
          \n\
          faults= injects a deterministic failure schedule: none,\n\
          links:<rate>, nodes:<rate>, link:<id>, node:<id>, joined with\n\
@@ -97,11 +96,10 @@ fn usage() -> String {
          hotspot:<frac>[:<node>] (dest= is the legacy alias); src= names\n\
          the source model: uniform or hotspot:<weight>[:<node>].\n\
          \n\
-         --engine overrides the hot-path engine of every scenario or sweep\n\
-         cell (bit-identical results across the single-core engines,\n\
-         different wall clock); --shards N is shorthand for\n\
-         --engine sharded:N, the conservative parallel engine (N >= 2\n\
-         needs service=det).\n\
+         --engine auto|sharded:<N> sets the engine's shard count for every\n\
+         scenario or sweep cell (auto is one shard; sharded:N runs the\n\
+         conservative parallel engine on N threads, and N >= 2 needs\n\
+         service=det); --shards N is shorthand for --engine sharded:N.\n\
          \n\
          probes=<series>[@<dt>] turns on telemetry: deterministic\n\
          sim-clock sampling of nsys, maxq, drops, delivered and/or\n\
@@ -136,7 +134,7 @@ fn extract_engine(args: &mut Vec<String>) -> Result<Option<EngineSpec>, String> 
         return Ok(None);
     };
     let Some(name) = args.get(pos + 1) else {
-        return Err("`--engine` needs a value (auto, heap or calendar)".into());
+        return Err("`--engine` needs a value (auto or sharded:<N>)".into());
     };
     let engine = EngineSpec::parse_str(name)?;
     args.drain(pos..=pos + 1);
@@ -266,8 +264,8 @@ fn sweep_command(
         Jobs::Parallel
     };
     let scale = if quick { Scale::quick() } else { Scale::full() };
-    // An engine override re-engines every cell; seeds and results are
-    // unchanged (engines are bit-identical), only the wall clock moves.
+    // An engine override re-engines every cell; seeds are unchanged (the
+    // cell seed ignores the engine), and `auto` ≡ `sharded:1`.
     let re_engine = |cells: Vec<Scenario>| -> Vec<Scenario> {
         match engine {
             Some(e) => cells.into_iter().map(|c| c.engine(e)).collect(),

@@ -75,9 +75,9 @@ fn deterministic_lines(out: &Output) -> String {
 #[test]
 fn faulted_reruns_are_bit_identical_on_both_engines() {
     // The acceptance scenario: same seed + same fault spec → identical
-    // simulated output, on the calendar engine and on the two-shard
-    // engine alike (only the events/s wall-clock figure may move).
-    for engine in ["calendar", "sharded:2"] {
+    // simulated output, on one shard (`auto`) and on two shards alike
+    // (only the events/s wall-clock figure may move).
+    for engine in ["auto", "sharded:2"] {
         let spec = format!(
             "mesh:16 traffic=transpose load=rho:0.5 faults=links:0.05 \
              horizon=400 warmup=40 seed=11 engine={engine}"

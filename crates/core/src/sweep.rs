@@ -43,8 +43,9 @@ use std::time::Instant;
 /// added the shared `probes=` telemetry clause and the optional per-cell
 /// `telemetry` flight-recorder report (schema `meshbound.telemetry/v1`) —
 /// unprobed sweeps serialize byte-identically to v6 apart from this
-/// schema tag.
-pub const SCHEMA: &str = "meshbound.sweep/v7";
+/// schema tag; v8 dropped `sample_every` from each cell's `scenario`
+/// object (the `probes=nsys` series is the one `N(t)` sampler).
+pub const SCHEMA: &str = "meshbound.sweep/v8";
 
 /// Tolerance for judging a simulated mean delay against analytic bounds.
 ///
@@ -629,11 +630,10 @@ mod tests {
             Jobs::Sequential,
         )
         .unwrap();
-        // An unprobed report carries no telemetry key at all — the v7
-        // JSON is byte-identical to v6 apart from the schema tag.
+        // An unprobed report carries no telemetry key at all.
         let plain_json = plain.to_json();
         assert!(!plain_json.contains("telemetry"));
-        assert!(plain_json.starts_with("{\"schema\":\"meshbound.sweep/v7\""));
+        assert!(plain_json.starts_with("{\"schema\":\"meshbound.sweep/v8\""));
         assert!(plain.cells[0].telemetry.is_none());
         // The probed twin shares the cell seed and every simulated number
         // bit for bit; only the telemetry section differs.
@@ -648,7 +648,14 @@ mod tests {
             .expect("probed cell lost its telemetry");
         assert_eq!(telemetry.schema, meshbound_sim::TELEMETRY_SCHEMA);
         let names: Vec<&str> = telemetry.series.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, ["nsys", "shard0:events", "shard0:qmass"]);
+        // An `auto` cell is one shard: its `shards` series carry the one
+        // shard's counters, with an all-zero cut-handoff series.
+        assert_eq!(
+            names,
+            ["nsys", "shard0:events", "shard0:qmass", "shard0:cut"]
+        );
+        let cut = &telemetry.series[3];
+        assert!(cut.samples.iter().all(|&(_, v)| v == 0.0));
         assert!(telemetry.series.iter().all(|s| !s.samples.is_empty()));
         assert!(probed.to_json().contains("\"telemetry\":{\"schema\":"));
     }

@@ -101,8 +101,8 @@ pub trait RoutingPolicy<T: Topology> {
     /// Whether `dst` is a valid destination for this policy.
     fn routes_to(&self, topo: &T, dst: NodeId) -> bool;
 
-    /// Whether routes depend only on `(current node, destination)` — the
-    /// gate for the packed [`crate::RouteTable`] fast path. Adaptive
+    /// Whether routes depend only on `(current node, destination)`, so
+    /// that a packed [`crate::RouteTable`] can replay them. Adaptive
     /// policies must report `false`.
     fn is_route_deterministic(&self) -> bool;
 }

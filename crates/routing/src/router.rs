@@ -46,9 +46,8 @@ pub trait Router<T: Topology> {
     /// `None` if it has arrived.
     fn next_edge(&self, topo: &T, cur: NodeId, dst: NodeId, state: Self::State) -> Option<EdgeId>;
 
-    /// The per-hop decision with a live congestion view — the method the
-    /// simulation engines call at every dequeue (via
-    /// [`crate::RoutingPolicy`]).
+    /// The per-hop decision with a live congestion view, which
+    /// [`Router::route_outcome`] consults at every hop of a simulation.
     ///
     /// The default ignores the view and forwards to [`Router::next_edge`],
     /// which keeps every oblivious router bit-identical to the
@@ -79,6 +78,7 @@ pub trait Router<T: Topology> {
     /// productive one the packet is at a [`RouteOutcome::LocalMinimum`];
     /// with no live out-edge at all (or no `next_hop` despite
     /// `here != dst`) it is at a [`RouteOutcome::DeadEnd`].
+    #[inline]
     fn route_outcome(
         &self,
         topo: &T,
@@ -139,9 +139,9 @@ pub trait Router<T: Topology> {
     /// [`Router::init_state`] draws nothing from its RNG.
     ///
     /// Routers that uphold this contract can be compiled into a
-    /// precomputed [`crate::RouteTable`] (the simulator's fast path);
-    /// the conservative default is `false`, which keeps the on-the-fly
-    /// routing path.
+    /// precomputed [`crate::RouteTable`]. The simulator itself always
+    /// routes on the fly, so the flag gates no engine path; the
+    /// conservative default is `false`.
     fn is_route_deterministic(&self) -> bool {
         false
     }

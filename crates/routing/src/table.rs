@@ -3,14 +3,14 @@
 //! Greedy routing is Markovian (Corollary 4): the next hop is a pure
 //! function of `(current node, destination)` for every deterministic router
 //! in this crate. A [`RouteTable`] materializes that function — plus route
-//! lengths and edge targets — into flat arrays, turning the simulator's
-//! per-hop router dispatch, `route_len` and saturated-hop counting into
-//! single array reads on the hot path.
+//! lengths and edge targets — into flat arrays, so a route step or a route
+//! length is a single array read. The simulator routes on the fly and does
+//! not build tables; they serve analysis code and per-hop cost
+//! measurements.
 //!
 //! Tables are only valid for routers whose
 //! [`Router::is_route_deterministic`] contract holds (per-packet state and
-//! RNG never influence the path); randomized routers keep the on-the-fly
-//! path.
+//! RNG never influence the path).
 
 use crate::router::Router;
 use meshbound_topology::{EdgeId, NodeId, Topology};
@@ -27,9 +27,8 @@ const NO_EDGE: u32 = 0xFFFF;
 /// in the low 16 bits, route length in the high 16 — plus one `u32` per
 /// edge, so a 20×20 mesh's full table is ~640 KiB and an injection fetches
 /// next hop *and* distance with a single load. Build cost is `O(nodes²)`
-/// router queries, done once per simulation run. The 16-bit packing caps
-/// eligible topologies at 65534 edges (`RouteTable::fits` checks; the
-/// simulator's node gate stays far below it).
+/// router queries. The 16-bit packing caps eligible topologies at 65534
+/// edges (`RouteTable::fits` checks).
 ///
 /// # Examples
 ///
@@ -125,8 +124,10 @@ impl RouteTable {
                             cur = topo.edge_target(e);
                         }
                         None => {
-                            // Dead end: a pair no real route visits (see
-                            // `saturated_counts` on partial routers).
+                            // Dead end: a pair no real route visits (a
+                            // partial router like the butterfly routes
+                            // correctly only from cells reachable off
+                            // level-0 sources).
                             cells[cur.index() * nodes + di] = NO_EDGE;
                             break;
                         }
@@ -201,59 +202,6 @@ impl RouteTable {
     pub fn edge_target(&self, e: EdgeId) -> NodeId {
         NodeId(self.edge_target[e.index()])
     }
-
-    /// For every `(src, dst)` pair, the number of saturated edges
-    /// (`sat_edge[edge] == true`) on the route — the per-packet `R_s`
-    /// contribution of Table III, as one flat array read at injection.
-    ///
-    /// Computed by memoized route walking in `O(nodes²)` amortized: each
-    /// cell's count is one edge indicator plus the already-known count at
-    /// the next node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sat_edge` is shorter than the edge count.
-    #[must_use]
-    pub fn saturated_counts(&self, sat_edge: &[bool]) -> Vec<u32> {
-        let n = self.nodes;
-        const UNKNOWN: u32 = u32::MAX;
-        let mut counts = vec![UNKNOWN; n * n];
-        for d in 0..n {
-            counts[d * n + d] = 0;
-        }
-        let mut stack: Vec<usize> = Vec::new();
-        for dst in 0..n {
-            for src in 0..n {
-                if counts[src * n + dst] != UNKNOWN {
-                    continue;
-                }
-                let mut cur = src;
-                while counts[cur * n + dst] == UNKNOWN {
-                    let e = self.cells[cur * n + dst] & 0xFFFF;
-                    if e == NO_EDGE {
-                        // Dead end: an invalid destination, or a pair no
-                        // real route visits (a partial router like the
-                        // butterfly routes correctly only from cells
-                        // reachable off level-0 sources). Terminal with
-                        // count 0 — the simulator never queries such
-                        // pairs, and reachable pairs never share a path
-                        // with them.
-                        counts[cur * n + dst] = 0;
-                        break;
-                    }
-                    stack.push(cur);
-                    cur = self.edge_target[e as usize] as usize;
-                }
-                let mut acc = counts[cur * n + dst];
-                while let Some(c) = stack.pop() {
-                    let e = (self.cells[c * n + dst] & 0xFFFF) as usize;
-                    acc += u32::from(sat_edge[e]);
-                    counts[c * n + dst] = acc;
-                }
-            }
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
@@ -318,36 +266,6 @@ mod tests {
                     assert_eq!(Some(e), ButterflyRouter.next_edge(&b, cur, dst, ()));
                     cur = table.edge_target(e);
                 }
-            }
-        }
-        // Saturated counting copes with the invalid destination columns.
-        let sat = vec![true; b.num_edges()];
-        let counts = table.saturated_counts(&sat);
-        assert_eq!(
-            counts[b.node(0, 0).index() * b.num_nodes() + b.node(3, 1).index()],
-            3
-        );
-    }
-
-    #[test]
-    fn saturated_counts_match_route_walks() {
-        let mesh = Mesh2D::square(5);
-        let table = RouteTable::build(&mesh, &GreedyXY);
-        // Mark an arbitrary deterministic subset of edges saturated.
-        let sat: Vec<bool> = (0..mesh.num_edges()).map(|e| e % 3 == 0).collect();
-        let counts = table.saturated_counts(&sat);
-        for src in mesh.nodes() {
-            for dst in mesh.nodes() {
-                let want: u32 = GreedyXY
-                    .route(&mesh, src, dst, ())
-                    .iter()
-                    .map(|e| u32::from(sat[e.index()]))
-                    .sum();
-                assert_eq!(
-                    counts[src.index() * mesh.num_nodes() + dst.index()],
-                    want,
-                    "{src}->{dst}"
-                );
             }
         }
     }

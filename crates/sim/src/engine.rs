@@ -1,26 +1,26 @@
-//! Hot-path engine selection for [`NetworkSim::run`](crate::NetworkSim::run).
+//! Engine selection for [`NetworkSim::run`](crate::NetworkSim::run).
 //!
-//! Every single-core engine produces **bit-identical**
-//! [`SimResult`](crate::SimResult)s for the same scenario and seed — the
-//! engine choice moves wall-clock time, never a single reported number.
-//! The cross-engine equivalence suite (`tests/engine_equivalence.rs`) pins
-//! that guarantee across all topologies and both time modes.
+//! The simulator has one engine, the shard loop in `crate::shard`;
+//! [`EngineSpec`] only says how many node shards it runs on. `auto` is one
+//! shard, so `auto` and `sharded:1` are the same run by construction.
 //!
-//! The parallel engine ([`EngineSpec::Sharded`]) has a weaker but still
-//! hard contract: for a fixed `(seed, shard_count)` it is bit-identical
-//! across reruns and thread schedules, and the single-core engines remain
-//! its statistical oracle (delay, throughput and conservation-law ratios
-//! agree within replication noise; see `crate::shard`).
+//! More shards ([`EngineSpec::Sharded`]) carry a weaker but still hard
+//! contract: for a fixed `(seed, shard_count)` a run is bit-identical
+//! across reruns and thread schedules, and the one-shard run is its
+//! statistical oracle (delay, throughput and conservation-law ratios agree
+//! within replication noise). `tests/engine_equivalence.rs` pins both.
 
 use serde::{Deserialize, Serialize};
 
-/// Node-count gate above which [`EngineSpec::Auto`] skips the precomputed
-/// route tables. A table stores one packed `u32` per `(node, destination)`
-/// pair, so the gate caps table memory at 512² × 4 B = 1 MiB — sized to
-/// stay L2-resident on current hardware; beyond that a cache-missing
-/// lookup costs more than the coordinate arithmetic it replaces, so the
-/// on-the-fly router walk is kept. (Measured on the Table-I mesh workload,
-/// where the 20×20 mesh's 640 KiB table is still a clear win.)
+/// Node-count gate for the precomputed [`RouteTable`]: a table stores one
+/// packed `u32` per `(node, destination)` pair, so the gate caps table
+/// memory at 512² × 4 B = 1 MiB. The engine no longer reads route tables —
+/// it routes every hop through [`Router::route_outcome`] — so the gate now
+/// only sizes the sparse-rates threshold below and callers that build
+/// tables of their own.
+///
+/// [`RouteTable`]: meshbound_routing::RouteTable
+/// [`Router::route_outcome`]: meshbound_routing::Router::route_outcome
 pub const ROUTE_TABLE_MAX_NODES: usize = 512;
 
 /// Node-count gate above which `Scenario::edge_rates` tries the
@@ -43,22 +43,19 @@ pub const SPARSE_RATES_MIN_NODES: usize = ROUTE_TABLE_MAX_NODES;
 /// published small-scale results are untouched bit-for-bit.
 pub const STREAMING_STATS_MAX_EDGES: usize = 1 << 16;
 
-/// Which engine drives the simulator's hot loop.
+/// How many node shards the simulator's one engine runs on.
 ///
-/// * [`EngineSpec::Auto`] (the default) — calendar-queue future-event list
-///   plus precomputed route tables when the topology fits under
-///   [`ROUTE_TABLE_MAX_NODES`] and the router is deterministic (randomized
-///   routers carry per-packet state, so they keep the on-the-fly path).
-/// * [`EngineSpec::Heap`] — the binary-heap future-event list with
-///   on-the-fly routing: the pre-overhaul baseline, kept as the reference
-///   implementation and the benchmark yardstick.
-/// * [`EngineSpec::Calendar`] — calendar queue with on-the-fly routing
-///   (isolates the event-queue contribution in ablations).
+/// * [`EngineSpec::Auto`] (the default) — one shard on the calling thread:
+///   a calendar-queue future-event list, per-hop routing, no windows and
+///   no exchange.
 /// * [`EngineSpec::Sharded`] — conservative parallel DES: the topology is
-///   partitioned into `shards` node blocks, each runs its own calendar
-///   queue on its own thread, and cross-shard packets are exchanged at
-///   epoch boundaries (see `crate::shard`). Requires deterministic
-///   service times (the lookahead is the minimum cut-edge service time).
+///   partitioned into `shards` node blocks, each runs the same loop on its
+///   own thread, and cross-shard packets are exchanged at epoch
+///   boundaries (see `crate::shard`). More than one shard requires
+///   deterministic service times (the lookahead is the minimum cut-edge
+///   service time).
+///
+/// `sharded:1` is `auto`: the same run, bit for bit.
 ///
 /// # Examples
 ///
@@ -67,26 +64,23 @@ pub const STREAMING_STATS_MAX_EDGES: usize = 1 << 16;
 /// ```
 /// use meshbound_sim::{EngineSpec, Load, Scenario};
 ///
-/// let fast = Scenario::mesh(5).load(Load::TableRho(0.5)).seed(3);
-/// let slow = fast.clone().engine(EngineSpec::Heap);
-/// let a = fast.run();
-/// let b = slow.run();
-/// // Different engines, bit-identical physics:
+/// let auto = Scenario::mesh(5).load(Load::TableRho(0.5)).seed(3);
+/// let one = auto.clone().engine(EngineSpec::Sharded { shards: 1 });
+/// let a = auto.run();
+/// let b = one.run();
+/// // One shard is the auto engine, bit for bit:
 /// assert_eq!(a.avg_delay.to_bits(), b.avg_delay.to_bits());
 /// assert_eq!(a.events_processed, b.events_processed);
 ///
 /// // Spec strings round-trip the engine choice:
-/// let sc = Scenario::parse("mesh:5,rho=0.5,engine=calendar").unwrap();
-/// assert_eq!(sc.engine, EngineSpec::Calendar);
+/// let sc = Scenario::parse("mesh:5,rho=0.5,engine=sharded:2").unwrap();
+/// assert_eq!(sc.engine, EngineSpec::Sharded { shards: 2 });
+/// assert!(Scenario::parse("mesh:5,rho=0.5,engine=calendar").is_err());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EngineSpec {
-    /// Calendar queue + route tables where eligible (the default).
+    /// One shard (the default).
     Auto,
-    /// Binary-heap event list, on-the-fly routing (the baseline).
-    Heap,
-    /// Calendar queue, on-the-fly routing.
-    Calendar,
     /// Conservative parallel DES over `shards` node shards, one thread
     /// per shard (spec form `sharded:<N>`, or the `shards=<N>` key).
     Sharded {
@@ -107,51 +101,38 @@ impl Default for EngineSpec {
 }
 
 impl EngineSpec {
-    /// The single-core engines, in the order benchmarks and sweeps
-    /// enumerate them. These are the bit-identical family; the sharded
-    /// engine is excluded because its contract is per-(seed, shards)
-    /// determinism, not cross-engine bit-identity.
-    pub const ALL: [EngineSpec; 3] = [EngineSpec::Auto, EngineSpec::Heap, EngineSpec::Calendar];
-
-    /// The spec-string family name (`"auto"`, `"heap"`, `"calendar"`,
-    /// `"sharded"` — the shard count is carried by [`std::fmt::Display`]
-    /// and the `shards=` spec key).
+    /// The spec-string family name (`"auto"` or `"sharded"` — the shard
+    /// count is carried by [`std::fmt::Display`] and the `shards=` spec
+    /// key).
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
             EngineSpec::Auto => "auto",
-            EngineSpec::Heap => "heap",
-            EngineSpec::Calendar => "calendar",
             EngineSpec::Sharded { .. } => "sharded",
         }
     }
 
-    /// Parses a spec-string name: `auto`, `heap`, `calendar` or
-    /// `sharded:<N>` (N ≥ 1).
+    /// Parses a spec-string name: `auto` or `sharded:<N>` (N ≥ 1).
     ///
     /// # Errors
     ///
     /// Returns a message naming the offending input when it is not one of
     /// the forms above.
     pub fn parse_str(s: &str) -> Result<Self, String> {
-        match s {
-            "auto" => Ok(EngineSpec::Auto),
-            "heap" => Ok(EngineSpec::Heap),
-            "calendar" => Ok(EngineSpec::Calendar),
-            other => {
-                if let Some(count) = other.strip_prefix("sharded:") {
-                    return match count.parse::<usize>() {
-                        Ok(shards) if shards >= 1 => Ok(EngineSpec::Sharded { shards }),
-                        _ => Err(format!(
-                            "engine `sharded:` needs a shard count >= 1, got `{count}`"
-                        )),
-                    };
-                }
-                Err(format!(
-                    "unknown engine `{other}` (expected auto, heap, calendar or sharded:<N>)"
-                ))
-            }
+        if s == "auto" {
+            return Ok(EngineSpec::Auto);
         }
+        if let Some(count) = s.strip_prefix("sharded:") {
+            return match count.parse::<usize>() {
+                Ok(shards) if shards >= 1 => Ok(EngineSpec::Sharded { shards }),
+                _ => Err(format!(
+                    "engine `sharded:` needs a shard count >= 1, got `{count}`"
+                )),
+            };
+        }
+        Err(format!(
+            "unknown engine `{s}` (expected auto or sharded:<N>)"
+        ))
     }
 }
 
@@ -170,11 +151,14 @@ mod tests {
 
     #[test]
     fn names_round_trip() {
-        for e in EngineSpec::ALL {
-            assert_eq!(EngineSpec::parse_str(e.as_str()), Ok(e));
-            assert_eq!(format!("{e}"), e.as_str());
+        let auto = EngineSpec::Auto;
+        assert_eq!(EngineSpec::parse_str(auto.as_str()), Ok(auto));
+        assert_eq!(format!("{auto}"), auto.as_str());
+        // The retired single-core engine names fail like any unknown one.
+        for gone in ["quantum", "heap", "calendar"] {
+            let err = EngineSpec::parse_str(gone).unwrap_err();
+            assert!(err.contains(gone) && !err.contains('\n'), "{err}");
         }
-        assert!(EngineSpec::parse_str("quantum").is_err());
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //! [`Load`] convention, runs single simulations ([`Scenario::run`]) or
 //! Rayon-parallel replications ([`Scenario::run_replicated`]), and parses
 //! compact command-line specs ([`Scenario::parse`]). Simulations are
-//! deterministic given a seed; the conservative parallel engine in
-//! [`shard`] runs one scenario across threads with per-`(seed, shards)`
-//! determinism.
+//! deterministic given a seed. The one engine, in [`shard`], runs a
+//! scenario on one node shard (`engine=auto`) or, as a conservative
+//! parallel DES, across `N` threads (`sharded:<N>`) with
+//! per-`(seed, shards)` determinism.
 //!
 //! # Quickstart
 //!

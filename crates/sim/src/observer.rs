@@ -10,13 +10,7 @@
 //! (used to verify Theorem 6's arrival rates empirically).
 
 use crate::fault::{DropCause, DropCounts};
-use meshbound_stats::{DecimatingSeries, Reservoir, TimeWeighted, Welford};
-
-/// Retention capacity of the sampled `N(t)` trajectory. The sampler
-/// offers every `sample_every` tick but the series keeps at most this
-/// many points, decimating by powers of two — a million-node,
-/// long-horizon run holds the same `O(1)` memory as a toy one.
-pub const N_SAMPLE_CAPACITY: usize = 4096;
+use meshbound_stats::{Reservoir, TimeWeighted, Welford};
 
 /// Live statistics of one simulation run.
 #[derive(Debug, Clone)]
@@ -42,11 +36,6 @@ pub struct Observer {
     pub dropped: DropCounts,
     /// Warmup time after which statistics accumulate.
     pub warmup: f64,
-    /// Sampled trajectory of `N(t)` for stability diagnostics, on a
-    /// bounded flight-recorder buffer (empty unless `sample_every` ticks
-    /// fire). Decimation is a pure function of the tick count, so
-    /// per-shard trajectories stay mergeable sample-by-sample.
-    pub n_samples: DecimatingSeries,
     /// Optional reservoir of delays for quantile estimation.
     pub delay_sample: Option<Reservoir>,
 }
@@ -66,7 +55,6 @@ impl Observer {
             completed: 0,
             dropped: DropCounts::default(),
             warmup,
-            n_samples: DecimatingSeries::new(N_SAMPLE_CAPACITY),
             delay_sample: None,
         }
     }
@@ -178,13 +166,6 @@ impl Observer {
             self.generated += 1;
         }
     }
-
-    /// Takes an `N(t)` sample for trajectory diagnostics. The sampling
-    /// clock stays fixed (other consumers schedule by `sample_every`), so
-    /// the series counts every offer and stores each `stride`-th one.
-    pub fn sample_n(&mut self, now: f64) {
-        self.n_samples.offer(now, self.n_sys.value());
-    }
 }
 
 #[cfg(test)]
@@ -236,22 +217,6 @@ mod tests {
         // The packet entered with 4 remaining services but was dropped
         // with only 2 left: R unwinds by the 2 still undone.
         assert!((obs.r_total.value() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn n_sampling_stays_bounded_at_million_node_horizons() {
-        // A `hypercube:20`-scale run offers millions of `N(t)` samples;
-        // the unbounded Vec this replaced grew linearly with the horizon.
-        let mut obs = Observer::new(1, 0.0);
-        for k in 1..=2_000_000u64 {
-            obs.sample_n(k as f64);
-        }
-        assert!(obs.n_samples.len() <= N_SAMPLE_CAPACITY);
-        assert_eq!(obs.n_samples.offered(), 2_000_000);
-        assert!(obs.n_samples.stride().is_power_of_two());
-        // The newest retained tick is within one stride of the last offer.
-        let last = obs.n_samples.samples().last().unwrap().0 as u64;
-        assert!(2_000_000 - last < obs.n_samples.stride());
     }
 
     #[test]

@@ -279,8 +279,7 @@ impl RouterSpec {
 
     /// Whether the router picks hops adaptively from local queue state.
     /// Adaptive routers have no enumerable path set, so their edge rates
-    /// come from the fixed-point solver, and they stay off the packed
-    /// route-table fast path.
+    /// come from the fixed-point solver.
     #[must_use]
     pub fn is_adaptive(self) -> bool {
         matches!(self, RouterSpec::WestFirst | RouterSpec::OddEven)
@@ -572,8 +571,6 @@ pub struct Scenario {
     pub service_rates: Option<Vec<f64>>,
     /// Slotted-time width τ (§5.2); `None` = continuous time.
     pub slot: Option<f64>,
-    /// Optional `N(t)` sampling interval.
-    pub sample_every: Option<f64>,
     /// Track delay quantiles (median / p95 / p99) via reservoir sampling.
     pub delay_quantiles: bool,
     /// Track per-edge time-averaged queue lengths.
@@ -589,8 +586,9 @@ pub struct Scenario {
     /// probe events at all, and probed runs are bit-identical to
     /// unprobed ones apart from the attached report.
     pub probes: Option<ProbeSpec>,
-    /// Hot-path engine ([`EngineSpec::Auto`] by default). Engines only
-    /// move wall-clock time; results are bit-identical across them.
+    /// Engine shard count ([`EngineSpec::Auto`], one shard, by default).
+    /// `auto` and `sharded:1` are the same run; more shards are
+    /// bit-identical per `(seed, shards)` pair.
     pub engine: EngineSpec,
 }
 
@@ -612,7 +610,6 @@ impl Serialize for Scenario {
         w.field("track_saturated", &self.track_saturated);
         w.field("service_rates", &self.service_rates);
         w.field("slot", &self.slot);
-        w.field("sample_every", &self.sample_every);
         w.field("delay_quantiles", &self.delay_quantiles);
         w.field("track_edge_queues", &self.track_edge_queues);
         w.field("faults", &self.faults);
@@ -646,7 +643,6 @@ impl Scenario {
             track_saturated: false,
             service_rates: None,
             slot: None,
-            sample_every: None,
             delay_quantiles: false,
             track_edge_queues: false,
             faults: None,
@@ -785,13 +781,6 @@ impl Scenario {
         self
     }
 
-    /// Samples `N(t)` every `dt` time units.
-    #[must_use]
-    pub fn sample_every(mut self, dt: f64) -> Self {
-        self.sample_every = Some(dt);
-        self
-    }
-
     /// Enables delay-quantile tracking.
     #[must_use]
     pub fn delay_quantiles(mut self, yes: bool) -> Self {
@@ -825,8 +814,7 @@ impl Scenario {
         self
     }
 
-    /// Selects the hot-path engine (see [`EngineSpec`]). Results are
-    /// bit-identical whichever engine runs the scenario.
+    /// Selects the engine's shard count (see [`EngineSpec`]).
     #[must_use]
     pub fn engine(mut self, engine: EngineSpec) -> Self {
         self.engine = engine;
@@ -1430,11 +1418,6 @@ impl Scenario {
                 return bad(format!("slot width {tau} must be positive and finite"));
             }
         }
-        if let Some(dt) = self.sample_every {
-            if !(dt > 0.0 && dt.is_finite()) {
-                return bad(format!("sample interval {dt} must be positive and finite"));
-            }
-        }
         if self.track_edge_queues && self.topology.num_edges() > STREAMING_STATS_MAX_EDGES {
             return bad(format!(
                 "per-edge queue tracking materializes a vector per edge; {} has {} edges, \
@@ -1659,7 +1642,6 @@ impl Scenario {
             service: self.service,
             include_self_packets: self.include_self_packets,
             slot: self.slot,
-            sample_every: self.sample_every,
             delay_quantiles: self.delay_quantiles,
             track_edge_queues: self.track_edge_queues,
             probes: self.probes,
@@ -1724,12 +1706,12 @@ impl Scenario {
     /// pre-PR-5 alias), `src=uniform|hotspot:<weight>[:<node>]`, exactly
     /// one of `lambda=`/`rho=`/`util=` (or the explicit spelling
     /// `load=lambda:<v>|rho:<v>|util:<v>`), and `horizon=`, `warmup=`,
-    /// `seed=`, `service=det|exp`, `slot=`, `sample=`, `self=`,
+    /// `seed=`, `service=det|exp`, `slot=`, `self=`,
     /// `saturated=`, `quantiles=`, `queues=` (booleans take
     /// `true`/`false`), `faults=…|none`,
     /// `probes=<series>[,<series>…][@<dt>]|none` (series from `nsys`,
     /// `maxq`, `drops`, `delivered`, `shards` — see
-    /// [`ProbeSpec::parse_token`]), `engine=auto|heap|calendar|sharded:<N>`
+    /// [`ProbeSpec::parse_token`]), `engine=auto|sharded:<N>`
     /// and `shards=<N>` (shorthand for the sharded engine). Per-edge
     /// `service_rates`, per-source rate vectors and traffic matrices have
     /// no spec syntax — set them on the builder.
@@ -1862,7 +1844,6 @@ impl Scenario {
                     };
                 }
                 "slot" => sc.slot = Some(f64_of(key, value)?),
-                "sample" => sc.sample_every = Some(f64_of(key, value)?),
                 "self" => sc.include_self_packets = bool_of(key, value)?,
                 "saturated" => sc.track_saturated = bool_of(key, value)?,
                 "quantiles" => sc.delay_quantiles = bool_of(key, value)?,
@@ -1942,9 +1923,6 @@ impl Scenario {
         if let Some(tau) = self.slot {
             s.push_str(&format!(",slot={tau}"));
         }
-        if let Some(dt) = self.sample_every {
-            s.push_str(&format!(",sample={dt}"));
-        }
         if !self.include_self_packets {
             s.push_str(",self=false");
         }
@@ -1963,10 +1941,8 @@ impl Scenario {
         if let Some(probes) = &self.probes {
             s.push_str(&format!(",probes={}", probes.spec_token()));
         }
-        match self.engine {
-            EngineSpec::Auto => {}
-            EngineSpec::Sharded { shards } => s.push_str(&format!(",shards={shards}")),
-            other => s.push_str(&format!(",engine={}", other.as_str())),
+        if let EngineSpec::Sharded { shards } = self.engine {
+            s.push_str(&format!(",shards={shards}"));
         }
         s
     }
@@ -2373,10 +2349,10 @@ mod tests {
                 .load(Load::Utilization(0.3)),
             Scenario::mesh(6)
                 .load(Load::TableRho(0.4))
-                .engine(EngineSpec::Heap),
+                .engine(EngineSpec::Sharded { shards: 1 }),
             Scenario::torus(5)
                 .load(Load::Utilization(0.3))
-                .engine(EngineSpec::Calendar),
+                .engine(EngineSpec::Sharded { shards: 3 }),
             Scenario::mesh(6)
                 .router(RouterSpec::WestFirst)
                 .load(Load::Lambda(0.05)),
@@ -2412,6 +2388,9 @@ mod tests {
             "mesh:4,router=eastlast",
             "mesh:4,seed=-1",
             "mesh:4,engine=quantum",
+            "mesh:4,engine=heap",
+            "mesh:4,engine=calendar",
+            "mesh:4,sample=5",
             "mesh:4,traffic=warp",
             "mesh:4,traffic=hotspot",
             "mesh:3x5,traffic=transpose",

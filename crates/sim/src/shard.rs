@@ -1,14 +1,33 @@
-//! Conservative parallel discrete-event engine: one scenario sharded
-//! across threads ([`EngineSpec::Sharded`](crate::EngineSpec::Sharded)).
+//! The simulation engine: one event loop over `k` node shards
+//! ([`EngineSpec`](crate::EngineSpec)). `engine=auto` runs `k = 1`;
+//! `sharded:<N>` asks for `N` shards, one thread each.
 //!
-//! # Protocol
+//! # The loop
 //!
 //! The topology is partitioned into contiguous node blocks
 //! ([`Partition::contiguous`]); each directed edge belongs to the shard of
 //! its **source** node, so every enqueue a shard performs is on an edge it
-//! owns. Each shard runs the same hot loop as the single-core engines on
-//! its own calendar queue, its own RNG stream (`derive_rng(seed, shard)`)
-//! and its own [`Observer`], so threads share nothing mutable.
+//! owns. A shard has its own calendar-queue future-event list, its own RNG
+//! stream (`derive_rng(seed, shard)`) and its own [`Observer`], so threads
+//! share nothing mutable. Within a shard:
+//!
+//! * **edge queues** are intrusive linked lists threaded through one
+//!   shared slab (`qnext[pid]`), so an edge's state is two `u32` cursors
+//!   and the shard's queue storage is a single allocation;
+//! * packet records live in a free-list slab;
+//! * **routing** makes one [`Router::route_outcome`] call at injection and
+//!   after every hop, with a live [`LocalView`] of the switch's output
+//!   queues and link liveness. A packet that cannot move is a
+//!   cause-tallied drop under a fault plan and a
+//!   [`SimError::RouterStalled`] on a healthy topology;
+//! * deterministic service times are precomputed once per run and shared
+//!   read-only by every shard.
+//!
+//! With `k = 1` there are no cut edges, so the run is one unbounded window
+//! with no channels and no handoffs: `sharded:1` and `auto` are the same
+//! run by construction.
+//!
+//! # Protocol
 //!
 //! Time is divided into epochs of length Δ, the **conservative lookahead**:
 //! the minimum service time over cut edges (edges whose source and target
@@ -35,20 +54,17 @@
 //! For a fixed `(seed, shard_count)` the result is **bit-identical across
 //! reruns and thread schedules**: all cross-thread data flows through the
 //! barrier exchange, whose merge order is deterministic, and everything
-//! else is shard-local. With `shards = 1` there are no cut edges and the
-//! single shard runs the calendar-queue hot loop verbatim, reproducing
-//! [`EngineSpec::Calendar`](crate::EngineSpec::Calendar) bit for bit
-//! (pinned in `tests/engine_equivalence.rs`). With `shards > 1` the RNG
-//! streams decompose differently, so the single-core engines act as the
-//! *statistical* oracle instead: delay, throughput and the conservation
-//! ratios agree within replication noise.
+//! else is shard-local. With `shards > 1` the RNG streams decompose
+//! differently from `k = 1`, so the single-shard run acts as the
+//! *statistical* oracle: delay, throughput and the conservation ratios
+//! agree within replication noise.
 //!
 //! # Statistics merge
 //!
 //! Per-shard observers are merged in shard order after the join. Sums
 //! (generated, completed, events), time integrals (`E[N]`, `E[R]`,
 //! `E[R_s]` — the integral of a sum is the sum of integrals) and the
-//! per-edge busy/service scatters are exact. Delay mean/variance merge via
+//! per-edge busy/service tallies are exact. Delay mean/variance merge via
 //! [`Welford::merge`] (exact). Two quantities are approximations at
 //! `shards > 1` and exact at `shards = 1`: `peak_n` reports the **sum of
 //! per-shard peaks**, an upper bound on the true global peak (shards need
@@ -59,10 +75,7 @@
 use crate::engine::STREAMING_STATS_MAX_EDGES;
 use crate::events::{CalendarQueue, EventQueue};
 use crate::fault::{ttl_budget, DropCause, DropCounts, FaultPlan};
-use crate::network::{
-    q_pop, q_push, qtick, stall, EdgeState, EdgeThroughputStats, NetworkSim, Packet, QTrack,
-    SimError, SimResult, NIL,
-};
+use crate::network::{stall, EdgeThroughputStats, NetworkSim, SimError, SimResult};
 use crate::observer::Observer;
 use crate::rng::{derive_rng, exp_sample, poisson_sample};
 use crate::service::ServiceKind;
@@ -75,7 +88,7 @@ use rand::rngs::SmallRng;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::Instant;
 
-/// Size of the delay-quantile reservoir (matches the single-core engines).
+/// Size of the delay-quantile reservoir.
 const RESERVOIR_CAPACITY: usize = 1 << 16;
 
 /// Per-peer channel depth. One in-flight batch plus one being composed is
@@ -83,6 +96,19 @@ const RESERVOIR_CAPACITY: usize = 1 << 16;
 /// peer, then receives from every peer, in fixed order each epoch), so no
 /// sender can ever run more than one epoch ahead of a receiver.
 const CHANNEL_DEPTH: usize = 2;
+
+/// Sentinel for "no packet" in the intrusive edge-queue lists.
+const NIL: u32 = u32::MAX;
+
+#[derive(Debug, Clone, Copy)]
+struct Packet<S> {
+    dst: NodeId,
+    state: S,
+    gen_time: f64,
+    /// Remaining misroute budget ([`ttl_budget`] of the route length),
+    /// decremented per hop.
+    ttl: u32,
+}
 
 /// A packet in flight between shards: everything the receiving shard needs
 /// to resume it at the cut edge's target node.
@@ -92,11 +118,7 @@ struct Msg<S> {
     time: f64,
     /// The cut edge's target node (where routing resumes).
     node: NodeId,
-    dst: NodeId,
-    gen_time: f64,
-    state: S,
-    /// Remaining misroute budget, carried across the shard boundary.
-    ttl: u32,
+    packet: Packet<S>,
 }
 
 type Batch<S> = Vec<Msg<S>>;
@@ -109,13 +131,12 @@ type TxRow<S> = Vec<Option<SyncSender<Batch<S>>>>;
 /// (`None` on the diagonal).
 type RxRow<S> = Vec<Option<Receiver<Batch<S>>>>;
 
-/// Shard-local event kinds. The single-core `Ev` plus `Handoff` for
-/// packets arriving from other shards. `Departure` carries the **global**
-/// edge id (service rates and the saturated-edge set are indexed
-/// globally); `Arrival` indexes the shard's own source list.
+/// Event kinds. `Departure` carries the **global** edge id (service rates
+/// and the saturated-edge set are indexed globally); `Arrival` carries the
+/// global source index, so per-source rates stay positional.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum SEv {
-    /// Next external arrival at the shard-local source `idx`.
+enum Ev {
+    /// Next external arrival at source `idx`.
     Arrival(u32),
     /// Service completion at a (globally indexed) owned edge.
     Departure(u32),
@@ -125,61 +146,124 @@ enum SEv {
     Slot,
     /// Warmup boundary.
     Warmup,
-    /// `N(t)` sampling tick.
-    Sample,
-    /// Liveness transition `k` of the run's fault plan. Every shard
-    /// replays the full (global) timeline so the shared liveness mask
-    /// agrees everywhere; only the owning shard flushes an edge's queue.
+    /// Liveness transition `k` of the run's fault plan. Scheduled only
+    /// when a plan is installed, so fault-free runs process the exact
+    /// pre-fault event sequence. Every shard replays the full (global)
+    /// timeline so the liveness mask agrees everywhere; only the owning
+    /// shard flushes an edge's queue.
     Fault(u32),
-    /// Telemetry probe tick. Every shard runs the identical tick
-    /// schedule (same base interval, same decimation — decimation is a
-    /// pure function of tick count), so per-shard recorders merge
-    /// sample-by-sample after the join. Scheduled only when probes are
-    /// configured; the handler reads shard state and mutates nothing.
+    /// Telemetry probe tick. Scheduled only when probes are configured;
+    /// every shard runs the identical tick schedule, so per-shard
+    /// recorders merge sample-by-sample after the join. The handler reads
+    /// shard state, draws no randomness and mutates nothing, and its ticks
+    /// are subtracted from the event count, so probed runs stay
+    /// bit-identical to unprobed ones.
     Probe,
 }
 
-/// What one shard thread returns: its observer, its event count, and its
-/// queue-length integrals (closed at the horizon) when tracked.
-struct ShardOut {
-    obs: Observer,
-    events: u64,
-    queue_integrals: Option<Vec<f64>>,
-    /// This shard's telemetry recorder, when probes are configured.
-    recorder: Option<Recorder>,
+/// One directed edge's server state — the hot 24 bytes touched on every
+/// enqueue/departure. The FIFO queue is an intrusive linked list threaded
+/// through the shard's `qnext` slab (indexed by packet id), so an edge owns
+/// no heap allocation — just head/tail cursors. The optional
+/// queue-length-integral tracking lives in a separate cold array
+/// ([`QTrack`]) so the default configuration keeps the edge array compact.
+#[derive(Debug)]
+struct EdgeState {
+    /// Packet in service (when busy) and head of the waiting line.
+    head: u32,
+    /// Last packet in the line (`NIL` when empty).
+    tail: u32,
+    /// Queue length including the packet in service.
+    qlen: u32,
+    busy: bool,
+    /// Whether the edge's target node belongs to another shard.
+    cut: bool,
+    service_start: f64,
 }
 
-/// A shard's mutable world. Everything in here is owned by exactly one
-/// thread; the only data leaving it mid-run are the outbox batches.
-struct Local<S> {
-    rng: SmallRng,
-    obs: Observer,
-    /// Owned edges, indexed by the shard-local dense edge index.
-    edges: Vec<EdgeState>,
-    qtrack: Vec<QTrack>,
-    packets: Vec<Packet<S>>,
-    /// Resume node for packets delivered by `SEv::Handoff`, parallel to
-    /// `packets`.
-    hand_node: Vec<NodeId>,
-    qnext: Vec<u32>,
-    free: Vec<u32>,
-    queue: CalendarQueue<SEv>,
-    /// Per-peer outgoing packets, flushed at each epoch boundary.
-    outboxes: Vec<Batch<S>>,
-    /// Whether each owned (local-indexed) edge crosses into another shard.
-    is_cut: Vec<bool>,
-    /// For cut edges: the target node and the shard that owns it.
-    cut_to: Vec<(NodeId, u32)>,
-    /// Per-edge liveness (**global** indexing) under the run's fault
-    /// plan; empty on healthy runs, keeping the hot loop on the exact
-    /// pre-fault path.
-    live: Vec<bool>,
+impl Default for EdgeState {
+    fn default() -> Self {
+        Self {
+            head: NIL,
+            tail: NIL,
+            qlen: 0,
+            busy: false,
+            cut: false,
+            service_start: 0.0,
+        }
+    }
 }
 
-/// [`LocalView`] over one shard's owned edges. Out-edges belong to their
-/// source's shard, so every edge an adaptive router inspects at a node this
-/// shard owns is in the shard's dense `edges` slab — `edge_local` maps the
-/// global id down to it.
+impl EdgeState {
+    /// Appends `pid` to the FIFO (`qnext` is the shared slab).
+    #[inline]
+    fn push(&mut self, qnext: &mut Vec<u32>, pid: u32) {
+        let i = pid as usize;
+        if qnext.len() <= i {
+            qnext.resize(i + 1, NIL);
+        }
+        qnext[i] = NIL;
+        if self.tail == NIL {
+            self.head = pid;
+        } else {
+            qnext[self.tail as usize] = pid;
+        }
+        self.tail = pid;
+        self.qlen += 1;
+    }
+
+    /// Removes and returns the head-of-line packet.
+    #[inline]
+    fn pop(&mut self, qnext: &[u32]) -> u32 {
+        debug_assert!(self.head != NIL, "departure from empty edge");
+        let pid = self.head;
+        self.head = qnext[pid as usize];
+        if self.head == NIL {
+            self.tail = NIL;
+        }
+        self.qlen -= 1;
+        pid
+    }
+
+    /// Cuts the waiting line off behind the packet in service (if any) and
+    /// returns its first packet, still chained through `qnext`.
+    fn detach_waiting(&mut self, qnext: &mut [u32]) -> u32 {
+        if self.busy {
+            let waiting = qnext[self.head as usize];
+            qnext[self.head as usize] = NIL;
+            self.tail = self.head;
+            self.qlen = 1;
+            waiting
+        } else {
+            let waiting = self.head;
+            self.head = NIL;
+            self.tail = NIL;
+            self.qlen = 0;
+            waiting
+        }
+    }
+}
+
+/// Cold per-edge tracking state: time-weighted queue-length integral and
+/// its last update time (allocated only under `track_edge_queues`).
+#[derive(Debug, Clone, Copy, Default)]
+struct QTrack {
+    integral: f64,
+    last: f64,
+}
+
+/// Accumulates an edge's queue-length integral up to `now` (post-warmup
+/// clipping happens at extraction time via the warmup reset).
+#[inline]
+fn qtick(t: &mut QTrack, qlen: u32, now: f64) {
+    t.integral += f64::from(qlen) * (now - t.last);
+    t.last = now;
+}
+
+/// The engine's live [`LocalView`]: per-output-port queue occupancy read
+/// straight off the shard's edge slab, and link liveness under the fault
+/// plan. Out-edges belong to their source's shard, so every edge a router
+/// inspects at a node this shard owns is in the slab.
 struct ShardView<'a> {
     edges: &'a [EdgeState],
     part: &'a Partition,
@@ -199,10 +283,245 @@ impl LocalView for ShardView<'_> {
     }
 }
 
-impl<S: Copy> Local<S> {
-    /// Allocates a packet slot from the free list (or grows the slab),
-    /// mirroring the single-core allocator; `hand_node` grows in lockstep.
-    fn alloc(&mut self, pk: Packet<S>) -> u32 {
+/// A packet that cannot move on a healthy topology: stuck at `at`, heading
+/// for `dst`. Kept to two words so the hot path returns it in registers;
+/// the run reports it as a [`SimError::RouterStalled`].
+#[derive(Debug, Clone, Copy)]
+struct Stalled {
+    at: NodeId,
+    dst: NodeId,
+}
+
+/// What one shard returns: its observer, its event count, and its
+/// queue-length integrals (closed at the horizon) when tracked.
+struct ShardOut {
+    obs: Observer,
+    events: u64,
+    queue_integrals: Option<Vec<f64>>,
+    /// This shard's telemetry recorder, when probes are configured.
+    recorder: Option<Recorder>,
+}
+
+/// One shard's world. Everything mutable in here is owned by exactly one
+/// thread; the only data leaving it mid-run are the outbox batches.
+struct Shard<'a, T, R, D>
+where
+    T: Topology,
+    R: Router<T>,
+    D: DestSampler<T>,
+{
+    sim: &'a NetworkSim<T, R, D>,
+    part: &'a Partition,
+    /// Per-edge deterministic service times (global indexing), when the
+    /// service distribution is deterministic: saves a division per
+    /// service start.
+    det: Option<&'a [f64]>,
+    me: usize,
+    /// This shard's sources as `(global source index, node)`, in global
+    /// order.
+    sources: &'a [(u32, NodeId)],
+    rng: SmallRng,
+    obs: Observer,
+    /// Owned edges, indexed by the shard-local dense edge index.
+    edges: Vec<EdgeState>,
+    qtrack: Vec<QTrack>,
+    packets: Vec<Packet<R::State>>,
+    /// Resume node for packets delivered by `Ev::Handoff`, parallel to
+    /// `packets`.
+    hand_node: Vec<NodeId>,
+    qnext: Vec<u32>,
+    free: Vec<u32>,
+    queue: CalendarQueue<Ev>,
+    /// Per-peer outgoing packets, flushed at each epoch boundary.
+    outboxes: Vec<Batch<R::State>>,
+    /// Per-edge liveness (**global** indexing) under the run's fault plan;
+    /// empty on healthy runs.
+    live: Vec<bool>,
+    events: u64,
+    cut_handoffs: u64,
+    recorder: Option<Recorder>,
+}
+
+impl<'a, T, R, D> Shard<'a, T, R, D>
+where
+    T: Topology + Sync,
+    R: Router<T> + Sync,
+    D: DestSampler<T> + Sync,
+{
+    /// Allocates shard `me`'s state and primes its event list.
+    fn new(
+        sim: &'a NetworkSim<T, R, D>,
+        part: &'a Partition,
+        det: Option<&'a [f64]>,
+        me: usize,
+        sources: &'a [(u32, NodeId)],
+    ) -> Self {
+        let cfg = &sim.cfg;
+        let local_edges = part.shard_edge_count(me);
+        let mut edges: Vec<EdgeState> = (0..local_edges).map(|_| EdgeState::default()).collect();
+        for &e in part.cut_edges() {
+            if part.edge_shard(e) == me {
+                edges[part.edge_local(e)].cut = true;
+            }
+        }
+        let mut obs = Observer::new(local_edges, cfg.warmup);
+        if cfg.delay_quantiles {
+            obs.enable_delay_quantiles(RESERVOIR_CAPACITY, cfg.seed ^ 0x5EED);
+        }
+        let mut shard = Shard {
+            sim,
+            part,
+            det,
+            me,
+            sources,
+            rng: derive_rng(cfg.seed, me as u64),
+            obs,
+            edges,
+            qtrack: if cfg.track_edge_queues {
+                vec![QTrack::default(); local_edges]
+            } else {
+                Vec::new()
+            },
+            packets: Vec::with_capacity(1024),
+            hand_node: Vec::with_capacity(1024),
+            qnext: Vec::with_capacity(1024),
+            free: Vec::new(),
+            queue: CalendarQueue::for_simulation(4 * sources.len().max(1)),
+            outboxes: (0..part.shards()).map(|_| Vec::new()).collect(),
+            live: if sim.fault_plan.is_empty() {
+                Vec::new()
+            } else {
+                vec![true; sim.topo.num_edges()]
+            },
+            events: 0,
+            cut_handoffs: 0,
+            recorder: None,
+        };
+
+        // Prime the event list. Zero-rate sources never get an arrival
+        // event; every positive-rate source draws in list order.
+        match cfg.slot {
+            None => {
+                for &(gi, _) in sources {
+                    let rate = sim.source_rate(gi as usize);
+                    if rate > 0.0 {
+                        let dt = exp_sample(&mut shard.rng, rate);
+                        shard.queue.schedule(dt, Ev::Arrival(gi));
+                    }
+                }
+            }
+            Some(tau) => shard.queue.schedule(tau, Ev::Slot),
+        }
+        if cfg.warmup > 0.0 {
+            shard.queue.schedule(cfg.warmup, Ev::Warmup);
+        }
+        for (k, fe) in sim.fault_plan.events.iter().enumerate() {
+            if fe.time <= cfg.horizon {
+                shard.queue.schedule(fe.time, Ev::Fault(k as u32));
+            }
+        }
+        // Probe priming comes last, after everything an unprobed run
+        // schedules, so probes shift no other event's sequence number.
+        if let Some(spec) = &cfg.probes {
+            let rec = Recorder::for_shard(spec, cfg.horizon, me);
+            shard.queue.schedule(rec.base(), Ev::Probe);
+            shard.recorder = Some(rec);
+        }
+        shard
+    }
+
+    /// Runs the shard through every window, exchanging handoffs at each
+    /// window boundary. Returns `Err(None)` when a peer disappears mid-run
+    /// (its own error is reported from its thread) and `Err(Some(_))` for
+    /// this shard's own structural failures.
+    fn run(
+        mut self,
+        windows: &[f64],
+        tx_row: &[Option<SyncSender<Batch<R::State>>>],
+        rx_row: &[Option<Receiver<Batch<R::State>>>],
+    ) -> Result<ShardOut, Option<SimError>> {
+        for (wi, &end) in windows.iter().enumerate() {
+            let last = wi + 1 == windows.len();
+            // A window runs the events strictly before its end; the last
+            // one runs everything up to and including the horizon.
+            let stop = if last {
+                self.sim.cfg.horizon.next_up()
+            } else {
+                end
+            };
+            while let Some((t, ev)) = self.queue.next() {
+                if t >= stop {
+                    self.defer(t, ev);
+                    break;
+                }
+                self.events += 1;
+                self.step(t, ev)
+                    .map_err(|Stalled { at, dst }| Some(stall::<R>(at, dst)))?;
+            }
+            if last {
+                break;
+            }
+            self.exchange(tx_row, rx_row)?;
+        }
+        Ok(self.finish())
+    }
+
+    /// Defers the first event popped past a window's end to the next
+    /// window. It re-enters the queue with a fresh sequence number, behind
+    /// any same-time peer — a deterministic tie-break every sharded
+    /// fingerprint depends on. A probe tick must not decide which event
+    /// that is (probes never perturb a run), so when the tick comes first
+    /// the event behind it is re-sequenced too, as in an unprobed run.
+    fn defer(&mut self, t: f64, ev: Ev) {
+        if ev == Ev::Probe {
+            if let Some((t2, ev2)) = self.queue.next() {
+                self.queue.schedule(t2, ev2);
+            }
+        }
+        self.queue.schedule(t, ev);
+    }
+
+    /// Handles one event at time `now`.
+    #[inline]
+    fn step(&mut self, now: f64, ev: Ev) -> Result<(), Stalled> {
+        match ev {
+            Ev::Arrival(gi) => {
+                self.inject(now, self.sim.sources[gi as usize])?;
+                let dt = exp_sample(&mut self.rng, self.sim.source_rate(gi as usize));
+                self.queue.schedule(now + dt, Ev::Arrival(gi));
+            }
+            Ev::Departure(ge) => self.depart(now, ge)?,
+            Ev::Handoff(pid) => {
+                self.cut_handoffs += 1;
+                self.forward(now, self.hand_node[pid as usize], pid)?;
+            }
+            Ev::Slot => {
+                let tau = self.sim.cfg.slot.expect("slot event without a slot width");
+                for &(gi, src) in self.sources {
+                    let mean = self.sim.source_rate(gi as usize) * tau;
+                    for _ in 0..poisson_sample(&mut self.rng, mean) {
+                        self.inject(now, src)?;
+                    }
+                }
+                self.queue.schedule(now + tau, Ev::Slot);
+            }
+            Ev::Warmup => {
+                self.obs.reset_at_warmup();
+                let warmup = self.sim.cfg.warmup;
+                for (edge, tq) in self.edges.iter().zip(self.qtrack.iter_mut()) {
+                    qtick(tq, edge.qlen, warmup);
+                    tq.integral = 0.0;
+                }
+            }
+            Ev::Fault(k) => self.fault(now, k),
+            Ev::Probe => self.probe(now),
+        }
+        Ok(())
+    }
+
+    /// Allocates a packet slot from the free list (or grows the slab);
+    /// `hand_node` grows in lockstep.
+    fn alloc(&mut self, pk: Packet<R::State>) -> u32 {
         match self.free.pop() {
             Some(id) => {
                 self.packets[id as usize] = pk;
@@ -216,106 +535,86 @@ impl<S: Copy> Local<S> {
         }
     }
 
+    #[inline]
+    fn is_live(&self, ei: usize) -> bool {
+        self.live.is_empty() || self.live[ei]
+    }
+
     /// Starts service on owned edge `le` (global id `ge`). If the edge is
     /// a cut edge, the packet's handoff is emitted to the target shard's
     /// outbox *now* — its completion time is already determined, and it
     /// is `≥` the next epoch boundary by the lookahead invariant.
-    fn start_service<T, R, D>(&mut self, sim: &NetworkSim<T, R, D>, le: usize, ge: u32, now: f64)
-    where
-        T: Topology + Sync,
-        R: Router<T, State = S> + Sync,
-        D: DestSampler<T> + Sync,
-    {
+    #[inline]
+    fn start_service(&mut self, le: usize, ge: u32, now: f64) {
+        let dur = match self.det {
+            Some(d) => d[ge as usize],
+            None => self
+                .sim
+                .cfg
+                .service
+                .sample(self.sim.service_rates[ge as usize], &mut self.rng),
+        };
         let edge = &mut self.edges[le];
         debug_assert!(!edge.busy && edge.qlen > 0);
         edge.busy = true;
         edge.service_start = now;
-        let dur = sim
-            .cfg
-            .service
-            .sample(sim.service_rates[ge as usize], &mut self.rng);
+        let (head, cut) = (edge.head, edge.cut);
         let done = now + dur;
-        self.queue.schedule(done, SEv::Departure(ge));
-        if self.is_cut[le] {
-            let pid = self.edges[le].head;
-            let pk = self.packets[pid as usize];
-            let (node, to) = self.cut_to[le];
-            self.outboxes[to as usize].push(Msg {
+        self.queue.schedule(done, Ev::Departure(ge));
+        if cut {
+            let node = self.sim.topo.edge_target(EdgeId(ge));
+            self.outboxes[self.part.node_shard(node)].push(Msg {
                 time: done,
                 node,
-                dst: pk.dst,
-                gen_time: pk.gen_time,
-                state: pk.state,
-                ttl: pk.ttl,
+                packet: self.packets[head as usize],
             });
         }
     }
 
-    /// Appends `pid` to owned edge `le`'s FIFO and starts service if idle
-    /// (the single-core `enqueue`, with local edge indexing).
-    fn enqueue<T, R, D>(
-        &mut self,
-        sim: &NetworkSim<T, R, D>,
-        le: usize,
-        ge: u32,
-        pid: u32,
-        now: f64,
-    ) where
-        T: Topology + Sync,
-        R: Router<T, State = S> + Sync,
-        D: DestSampler<T> + Sync,
-    {
-        if sim.cfg.track_edge_queues {
+    /// Appends `pid` to edge `e`'s FIFO and starts service if idle.
+    #[inline]
+    fn enqueue(&mut self, e: EdgeId, pid: u32, now: f64) {
+        let le = self.part.edge_local(e);
+        if self.sim.cfg.track_edge_queues {
             qtick(&mut self.qtrack[le], self.edges[le].qlen, now);
         }
-        q_push(&mut self.edges[le], &mut self.qnext, pid);
+        self.edges[le].push(&mut self.qnext, pid);
         if !self.edges[le].busy {
-            self.start_service(sim, le, ge, now);
+            self.start_service(le, e.0, now);
         }
     }
 
-    /// Drops the packet in slot `pid` at node `at` (the single-core drop
-    /// accounting: unwind the integrals by the remaining work, tally the
-    /// cause, recycle the slot).
-    fn drop_packet<T, R, D>(
-        &mut self,
-        sim: &NetworkSim<T, R, D>,
-        now: f64,
-        at: NodeId,
-        pid: u32,
-        cause: DropCause,
-    ) where
-        T: Topology + Sync,
-        R: Router<T, State = S> + Sync,
-        D: DestSampler<T> + Sync,
-    {
-        let pk = self.packets[pid as usize];
-        let remaining = sim.router.remaining_hops(&sim.topo, at, pk.dst, pk.state);
-        let sat = if sim.track_saturated {
-            sim.count_saturated_on_route(at, pk.dst, pk.state)
-        } else {
-            0
-        };
+    /// Completes the service in progress on edge `ge` and moves its packet
+    /// onward.
+    fn depart(&mut self, now: f64, ge: u32) -> Result<(), Stalled> {
+        let ei = ge as usize;
+        let le = self.part.edge_local(EdgeId(ge));
+        if self.sim.cfg.track_edge_queues {
+            qtick(&mut self.qtrack[le], self.edges[le].qlen, now);
+        }
+        let edge = &mut self.edges[le];
+        let pid = edge.pop(&self.qnext);
+        let duration = now - edge.service_start;
+        edge.busy = false;
+        let (waiting, cut) = (edge.qlen > 0, edge.cut);
         self.obs
-            .packet_dropped(now, remaining as f64, sat as f64, pk.gen_time, cause);
-        self.free.push(pid);
+            .service_done(now, le, duration, self.sim.sat_edge[ei]);
+        if waiting && self.is_live(ei) {
+            self.start_service(le, ge, now);
+        }
+        if cut {
+            // The packet was already emitted to the target shard at
+            // service start; its slot is free again.
+            self.free.push(pid);
+            Ok(())
+        } else {
+            self.forward(now, self.sim.topo.edge_target(EdgeId(ge)), pid)
+        }
     }
 
-    /// Generates one packet at `src` (the single-core `inject`, with the
-    /// on-the-fly routing path — the sharded engine never uses route
-    /// tables, so the RNG draw order matches the table-free engines).
-    fn inject<T, R, D>(
-        &mut self,
-        sim: &NetworkSim<T, R, D>,
-        part: &Partition,
-        now: f64,
-        src: NodeId,
-    ) -> Result<(), SimError>
-    where
-        T: Topology + Sync,
-        R: Router<T, State = S> + Sync,
-        D: DestSampler<T> + Sync,
-    {
+    /// Generates one packet at `src` and sends it on its first hop.
+    fn inject(&mut self, now: f64, src: NodeId) -> Result<(), Stalled> {
+        let sim = self.sim;
         let dst = sim.dest.sample(&sim.topo, src, &mut self.rng);
         if src == dst {
             if sim.cfg.include_self_packets {
@@ -338,103 +637,213 @@ impl<S: Copy> Local<S> {
             gen_time: now,
             ttl: ttl_budget(hops),
         });
-        let view = ShardView {
-            edges: &self.edges,
-            part,
-            live: &self.live,
-        };
-        let first = if self.live.is_empty() {
-            match sim.router.next_hop(&sim.topo, src, dst, state, &view) {
-                Some(e) => e,
-                None => return Err(stall::<R>(src, dst)),
-            }
-        } else {
-            // Fault-aware first hop: a walled-in source drops its fresh
-            // packet instead of aborting the run.
-            match sim.router.route_outcome(&sim.topo, src, dst, state, &view) {
-                RouteOutcome::Forward(e) => {
-                    self.packets[pid as usize].ttl -= 1;
-                    e
-                }
-                outcome => {
-                    let cause = if outcome == RouteOutcome::DeadEnd {
-                        DropCause::DeadEnd
-                    } else {
-                        DropCause::LocalMinimum
-                    };
-                    self.drop_packet(sim, now, src, pid, cause);
-                    return Ok(());
-                }
-            }
-        };
-        self.enqueue(sim, part.edge_local(first), first.index() as u32, pid, now);
-        Ok(())
+        self.route(now, src, pid)
     }
 
-    /// Moves a packet onward from `cur`: exit if delivered, otherwise
-    /// enqueue on the next edge. The next edge is always shard-local —
-    /// out-edges belong to their source's shard, and `cur` is on this
-    /// shard whenever this is called.
-    fn forward<T, R, D>(
-        &mut self,
-        sim: &NetworkSim<T, R, D>,
-        part: &Partition,
-        now: f64,
-        cur: NodeId,
-        pid: u32,
-    ) -> Result<(), SimError>
-    where
-        T: Topology + Sync,
-        R: Router<T, State = S> + Sync,
-        D: DestSampler<T> + Sync,
-    {
+    /// Moves the packet in slot `pid` onward from `at`: exit if delivered,
+    /// otherwise route it. The next edge is always shard-local — out-edges
+    /// belong to their source's shard, and `at` is on this shard whenever
+    /// this is called.
+    #[inline]
+    fn forward(&mut self, now: f64, at: NodeId, pid: u32) -> Result<(), Stalled> {
         let pk = self.packets[pid as usize];
-        if cur == pk.dst {
+        if at == pk.dst {
             self.obs.packet_exits(now, pk.gen_time, true);
             self.free.push(pid);
             return Ok(());
         }
-        let view = ShardView {
-            edges: &self.edges,
-            part,
-            live: &self.live,
-        };
-        let next = if self.live.is_empty() {
-            match sim.router.next_hop(&sim.topo, cur, pk.dst, pk.state, &view) {
-                Some(e) => e,
-                None => return Err(stall::<R>(cur, pk.dst)),
-            }
-        } else if pk.ttl == 0 {
-            self.drop_packet(sim, now, cur, pid, DropCause::TtlExceeded);
-            return Ok(());
+        self.route(now, at, pid)
+    }
+
+    /// The one forwarding decision, made at injection and after every hop:
+    /// the router picks the next edge out of `at` under the live view, and
+    /// the packet joins its queue. A packet that cannot move — a dead end,
+    /// a local minimum or an exhausted misroute budget — is a
+    /// cause-tallied drop under a fault plan. On a healthy topology it is
+    /// a [`SimError::RouterStalled`]: greedy routers are total there and
+    /// their routes minimal, so the budget never runs out.
+    #[inline]
+    fn route(&mut self, now: f64, at: NodeId, pid: u32) -> Result<(), Stalled> {
+        let pk = self.packets[pid as usize];
+        let decision = if pk.ttl == 0 {
+            Err(DropCause::TtlExceeded)
         } else {
-            match sim
+            let view = ShardView {
+                edges: &self.edges,
+                part: self.part,
+                live: &self.live,
+            };
+            match self
+                .sim
                 .router
-                .route_outcome(&sim.topo, cur, pk.dst, pk.state, &view)
+                .route_outcome(&self.sim.topo, at, pk.dst, pk.state, &view)
             {
-                RouteOutcome::Forward(e) => {
-                    self.packets[pid as usize].ttl -= 1;
-                    e
-                }
-                outcome => {
-                    let cause = if outcome == RouteOutcome::DeadEnd {
-                        DropCause::DeadEnd
-                    } else {
-                        DropCause::LocalMinimum
-                    };
-                    self.drop_packet(sim, now, cur, pid, cause);
-                    return Ok(());
-                }
+                RouteOutcome::Forward(next) => Ok(next),
+                RouteOutcome::DeadEnd => Err(DropCause::DeadEnd),
+                RouteOutcome::LocalMinimum => Err(DropCause::LocalMinimum),
             }
         };
-        self.enqueue(sim, part.edge_local(next), next.index() as u32, pid, now);
+        match decision {
+            Ok(next) => {
+                self.packets[pid as usize].ttl -= 1;
+                self.enqueue(next, pid, now);
+                Ok(())
+            }
+            Err(_) if self.live.is_empty() => Err(Stalled { at, dst: pk.dst }),
+            Err(cause) => {
+                self.drop_packet(now, at, pid, cause);
+                Ok(())
+            }
+        }
+    }
+
+    /// Drops the packet in slot `pid` at node `at`: unwind the integrals
+    /// by its remaining work, tally the cause, recycle the slot.
+    fn drop_packet(&mut self, now: f64, at: NodeId, pid: u32, cause: DropCause) {
+        let sim = self.sim;
+        let pk = self.packets[pid as usize];
+        let remaining = sim.router.remaining_hops(&sim.topo, at, pk.dst, pk.state);
+        let sat = if sim.track_saturated {
+            sim.count_saturated_on_route(at, pk.dst, pk.state)
+        } else {
+            0
+        };
+        self.obs
+            .packet_dropped(now, remaining as f64, sat as f64, pk.gen_time, cause);
+        self.free.push(pid);
+    }
+
+    /// Applies liveness transition `k` of the fault plan.
+    fn fault(&mut self, now: f64, k: u32) {
+        let fe = self.sim.fault_plan.events[k as usize];
+        self.live[fe.edge.index()] = fe.up;
+        if self.part.edge_shard(fe.edge) != self.me {
+            return;
+        }
+        let le = self.part.edge_local(fe.edge);
+        if fe.up {
+            // Defensive: the flush below leaves at most the in-flight head
+            // queued on a dead edge, but if a packet is waiting, service
+            // must restart.
+            if self.edges[le].qlen > 0 && !self.edges[le].busy {
+                self.start_service(le, fe.edge.0, now);
+            }
+            return;
+        }
+        if self.sim.cfg.track_edge_queues {
+            qtick(&mut self.qtrack[le], self.edges[le].qlen, now);
+        }
+        // The in-flight transmission (if any) finishes; everything waiting
+        // behind it drops on the spot.
+        let mut pid = self.edges[le].detach_waiting(&mut self.qnext);
+        let at = self.sim.topo.edge_source(fe.edge);
+        while pid != NIL {
+            let next_waiting = self.qnext[pid as usize];
+            self.drop_packet(now, at, pid, DropCause::LinkDown);
+            pid = next_waiting;
+        }
+    }
+
+    /// Records one telemetry tick and schedules the next.
+    fn probe(&mut self, now: f64) {
+        let rec = self
+            .recorder
+            .as_mut()
+            .expect("probe event without recorder");
+        let spec = *rec.spec();
+        let mut sample = ProbeSample {
+            nsys: self.obs.n_sys.value(),
+            drops: self.obs.dropped.total() as f64,
+            delivered: self.obs.completed as f64,
+            // Events excluding probe ticks: this event is already counted
+            // and `rec.ticks()` holds the prior ones, so the series matches
+            // what an unprobed shard counts at `now`.
+            events: (self.events - rec.ticks() - 1) as f64,
+            cut: self.cut_handoffs as f64,
+            ..ProbeSample::default()
+        };
+        if spec.maxq || spec.shards {
+            let mut maxq = 0u32;
+            let mut qmass = 0u64;
+            for e in &self.edges {
+                maxq = maxq.max(e.qlen);
+                qmass += u64::from(e.qlen);
+            }
+            sample.maxq = f64::from(maxq);
+            sample.qmass = qmass as f64;
+        }
+        rec.record(now, &sample);
+        if self.me == 0 {
+            // One writer only: shard 0 speaks for the run (its event
+            // count, the shared clock).
+            crate::telemetry::emit_progress(now, self.sim.cfg.horizon, sample.events as u64);
+        }
+        let next = now + rec.interval();
+        self.queue.schedule(next, Ev::Probe);
+    }
+
+    /// The epoch barrier: flush every outbox, then drain every peer, in
+    /// fixed order, and schedule the received packets as handoffs. A
+    /// closed channel means a peer died on its own error — bail with the
+    /// sentinel so the join loop reports theirs.
+    fn exchange(
+        &mut self,
+        tx_row: &[Option<SyncSender<Batch<R::State>>>],
+        rx_row: &[Option<Receiver<Batch<R::State>>>],
+    ) -> Result<(), Option<SimError>> {
+        for (to, tx) in tx_row.iter().enumerate() {
+            if let Some(tx) = tx {
+                let batch = std::mem::take(&mut self.outboxes[to]);
+                tx.send(batch).map_err(|_| None)?;
+            }
+        }
+        let mut incoming: Batch<R::State> = Vec::new();
+        for rx in rx_row.iter().flatten() {
+            incoming.extend(rx.recv().map_err(|_| None)?);
+        }
+        // Stable sort on time: ties keep (sender, emission) order, which
+        // is identical on every rerun.
+        incoming.sort_by(|a, b| a.time.total_cmp(&b.time));
+        for m in incoming {
+            let pid = self.alloc(m.packet);
+            self.hand_node[pid as usize] = m.node;
+            self.queue.schedule(m.time, Ev::Handoff(pid));
+        }
         Ok(())
+    }
+
+    /// Closes the queue integrals at the horizon and hands back what the
+    /// merge needs.
+    fn finish(mut self) -> ShardOut {
+        let horizon = self.sim.cfg.horizon;
+        let queue_integrals = self.sim.cfg.track_edge_queues.then(|| {
+            self.edges
+                .iter()
+                .zip(self.qtrack.iter_mut())
+                .map(|(e, tq)| {
+                    qtick(tq, e.qlen, horizon);
+                    tq.integral
+                })
+                .collect()
+        });
+        // Probe ticks rode the event list but are not engine work:
+        // subtracting keeps the event count bit-identical to probes-off.
+        if let Some(rec) = &self.recorder {
+            self.events -= rec.ticks();
+        }
+        ShardOut {
+            obs: self.obs,
+            events: self.events,
+            queue_integrals,
+            recorder: self.recorder,
+        }
     }
 }
 
-/// Entry point for [`EngineSpec::Sharded`](crate::EngineSpec::Sharded):
-/// partitions the topology, spawns one thread per shard, and merges the
-/// per-shard statistics into one [`SimResult`].
+/// Runs `sim` on `shards` node shards (clamped to `[1, num_nodes]`):
+/// partitions the topology, runs shard 0 on the calling thread and every
+/// other shard on a thread of its own, and merges the per-shard statistics
+/// into one [`SimResult`].
 ///
 /// # Errors
 ///
@@ -445,9 +854,8 @@ impl<S: Copy> Local<S> {
 ///
 /// # Panics
 ///
-/// Panics only when a shard thread itself panics (the panic is
-/// propagated).
-pub(crate) fn run_sharded<T, R, D>(
+/// Panics only when a shard itself panics (the panic is propagated).
+pub(crate) fn run<T, R, D>(
     sim: NetworkSim<T, R, D>,
     wall: Instant,
     shards: usize,
@@ -469,12 +877,11 @@ where
     }
     // Epoch `j` covers event times `[w_j, w_{j+1})` where the window ends
     // come from the fault-aware lookahead schedule; the final epoch is
-    // unbounded and terminates on the horizon like the single-core loop.
-    // All handoffs emitted during the final epoch would land past the
-    // horizon (their send time is within Δ of it), so it needs no
-    // exchange.
+    // unbounded and terminates on the horizon. All handoffs emitted during
+    // the final epoch would land past the horizon (their send time is
+    // within Δ of it), so it needs no exchange.
     let windows = if part.cut_edges().is_empty() {
-        // No cross-shard traffic (shards = 1): one unbounded epoch, no
+        // No cross-shard traffic (one shard): one unbounded epoch, no
         // barriers, whatever the fault plan says.
         vec![f64::INFINITY]
     } else {
@@ -485,10 +892,11 @@ where
             sim.cfg.horizon,
         )
     };
+    let det: Option<Vec<f64>> = (sim.cfg.service == ServiceKind::Deterministic)
+        .then(|| sim.service_rates.iter().map(|r| 1.0 / r).collect());
 
-    // Shard-local source lists, preserving global order (and hence, for a
-    // single shard, the exact single-core RNG priming order). The global
-    // index rides along for positional per-source rate lookup.
+    // Shard-local source lists, preserving global order. The global index
+    // rides along for positional per-source rate lookup.
     let mut source_lists: Vec<Vec<(u32, NodeId)>> = vec![Vec::new(); k];
     for (i, &src) in sim.sources.iter().enumerate() {
         source_lists[part.node_shard(src)].push((i as u32, src));
@@ -508,37 +916,31 @@ where
         }
     }
 
-    let sim_ref = &sim;
-    let part_ref = &part;
-    let sources_ref = &source_lists;
-    let windows_ref = &windows;
+    let (sim_ref, part_ref, det_ref) = (&sim, &part, det.as_deref());
+    let (sources_ref, windows_ref) = (&source_lists, &windows);
+    let shard = move |me: usize, tx_row: TxRow<R::State>, rx_row: RxRow<R::State>| {
+        Shard::new(sim_ref, part_ref, det_ref, me, &sources_ref[me]).run(
+            windows_ref,
+            &tx_row,
+            &rx_row,
+        )
+    };
     let results: Vec<Result<ShardOut, Option<SimError>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = txs
-            .into_iter()
-            .zip(rxs)
+        let mut rows = txs.into_iter().zip(rxs);
+        let (tx0, rx0) = rows.next().expect("a partition has at least one shard");
+        let peers: Vec<_> = rows
             .enumerate()
-            .map(|(me, (tx_row, rx_row))| {
-                scope.spawn(move || {
-                    shard_loop(
-                        sim_ref,
-                        part_ref,
-                        me,
-                        &sources_ref[me],
-                        windows_ref,
-                        &tx_row,
-                        &rx_row,
-                    )
-                })
-            })
+            .map(|(i, (tx_row, rx_row))| scope.spawn(move || shard(i + 1, tx_row, rx_row)))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
+        // Shard 0 runs here, so a single-shard run spawns no thread.
+        let first = shard(0, tx0, rx0);
+        std::iter::once(first)
+            .chain(peers.into_iter().map(|h| match h.join() {
                 Ok(r) => r,
                 // A shard panicked; its channels dropped on unwind, so the
                 // peers have already bailed out. Re-raise the panic.
                 Err(payload) => std::panic::resume_unwind(payload),
-            })
+            }))
             .collect()
     });
 
@@ -606,333 +1008,10 @@ fn window_ends(cut: &[EdgeId], service_rates: &[f64], plan: &FaultPlan, horizon:
     }
 }
 
-/// One shard's run: the single-core hot loop windowed into epochs, with a
-/// batch exchange at each epoch boundary. Returns `Err(None)` when a peer
-/// disappears mid-run (its own error is reported from its thread) and
-/// `Err(Some(_))` for this shard's own structural failures.
-#[allow(clippy::too_many_arguments)]
-fn shard_loop<T, R, D>(
-    sim: &NetworkSim<T, R, D>,
-    part: &Partition,
-    me: usize,
-    sources: &[(u32, NodeId)],
-    windows: &[f64],
-    tx_row: &[Option<SyncSender<Batch<R::State>>>],
-    rx_row: &[Option<Receiver<Batch<R::State>>>],
-) -> Result<ShardOut, Option<SimError>>
-where
-    T: Topology + Sync,
-    R: Router<T> + Sync,
-    D: DestSampler<T> + Sync,
-{
-    let cfg = &sim.cfg;
-    let k = part.shards();
-    let local_edges = part.shard_edge_count(me);
-
-    let mut is_cut = vec![false; local_edges];
-    let mut cut_to = vec![(NodeId(0), 0u32); local_edges];
-    for &e in part.cut_edges() {
-        if part.edge_shard(e) == me {
-            let le = part.edge_local(e);
-            let tgt = sim.topo.edge_target(e);
-            is_cut[le] = true;
-            cut_to[le] = (tgt, part.node_shard(tgt) as u32);
-        }
-    }
-
-    let mut obs = Observer::new(local_edges, cfg.warmup);
-    if cfg.delay_quantiles {
-        obs.enable_delay_quantiles(RESERVOIR_CAPACITY, cfg.seed ^ 0x5EED);
-    }
-    let mut local = Local {
-        rng: derive_rng(cfg.seed, me as u64),
-        obs,
-        edges: (0..local_edges).map(|_| EdgeState::default()).collect(),
-        qtrack: if cfg.track_edge_queues {
-            vec![QTrack::default(); local_edges]
-        } else {
-            Vec::new()
-        },
-        packets: Vec::with_capacity(1024),
-        hand_node: Vec::with_capacity(1024),
-        qnext: Vec::with_capacity(1024),
-        free: Vec::new(),
-        queue: CalendarQueue::for_simulation(4 * sources.len().max(1)),
-        outboxes: (0..k).map(|_| Vec::new()).collect(),
-        is_cut,
-        cut_to,
-        live: if sim.fault_plan.is_empty() {
-            Vec::new()
-        } else {
-            vec![true; sim.topo.num_edges()]
-        },
-    };
-
-    // Prime the event list exactly like the single-core loop, restricted
-    // to this shard's sources.
-    match cfg.slot {
-        None => {
-            for &(gi, _) in sources {
-                let rate = sim.source_rate(gi as usize);
-                if rate > 0.0 {
-                    let dt = exp_sample(&mut local.rng, rate);
-                    local.queue.schedule(dt, SEv::Arrival(gi));
-                }
-            }
-        }
-        Some(tau) => {
-            assert!(tau > 0.0, "slot width must be positive");
-            local.queue.schedule(tau, SEv::Slot);
-        }
-    }
-    if cfg.warmup > 0.0 {
-        local.queue.schedule(cfg.warmup, SEv::Warmup);
-    }
-    if let Some(dt) = cfg.sample_every {
-        assert!(dt > 0.0);
-        local.queue.schedule(dt, SEv::Sample);
-    }
-    for (fk, fe) in sim.fault_plan.events.iter().enumerate() {
-        if fe.time <= cfg.horizon {
-            local.queue.schedule(fe.time, SEv::Fault(fk as u32));
-        }
-    }
-    // Probe priming comes last so `probes=None` leaves the schedule call
-    // sequence exactly as a pre-telemetry build produced it.
-    let mut recorder = cfg.probes.as_ref().map(|spec| {
-        let rec = Recorder::for_shard(spec, cfg.horizon, me);
-        local.queue.schedule(rec.base(), SEv::Probe);
-        rec
-    });
-
-    // `Arrival` carries the *global* source index (so rates stay
-    // positional); map it back to the packed list position only for
-    // clarity in the prime above — the handler needs the node and rate.
-    let node_of = |gi: u32| sim.sources[gi as usize];
-
-    let mut events: u64 = 0;
-    let mut cut_handoffs: u64 = 0;
-    'run: for (wi, &cutoff) in windows.iter().enumerate() {
-        let last = wi + 1 == windows.len();
-        while let Some((t, ev)) = local.queue.next() {
-            if t >= cutoff {
-                // Not ours to run yet: push it back (it re-enters the
-                // queue with a fresh sequence number, which is fine — any
-                // same-time peer it could tie with is also past the
-                // cutoff) and close the epoch.
-                local.queue.schedule(t, ev);
-                break;
-            }
-            if t > cfg.horizon {
-                break 'run;
-            }
-            events += 1;
-            let now = t;
-            match ev {
-                SEv::Warmup => {
-                    local.obs.reset_at_warmup();
-                    if cfg.track_edge_queues {
-                        for (edge, tq) in local.edges.iter().zip(local.qtrack.iter_mut()) {
-                            qtick(tq, edge.qlen, cfg.warmup);
-                            tq.integral = 0.0;
-                        }
-                    }
-                }
-                SEv::Sample => {
-                    local.obs.sample_n(now);
-                    local
-                        .queue
-                        .schedule(now + cfg.sample_every.unwrap(), SEv::Sample);
-                }
-                SEv::Arrival(gi) => {
-                    local.inject(sim, part, now, node_of(gi)).map_err(Some)?;
-                    let dt = exp_sample(&mut local.rng, sim.source_rate(gi as usize));
-                    local.queue.schedule(now + dt, SEv::Arrival(gi));
-                }
-                SEv::Slot => {
-                    let tau = cfg.slot.unwrap();
-                    for &(gi, src) in sources {
-                        let mean = sim.source_rate(gi as usize) * tau;
-                        let batch = poisson_sample(&mut local.rng, mean);
-                        for _ in 0..batch {
-                            local.inject(sim, part, now, src).map_err(Some)?;
-                        }
-                    }
-                    local.queue.schedule(now + tau, SEv::Slot);
-                }
-                SEv::Departure(ge) => {
-                    let ei = ge as usize;
-                    let le = part.edge_local(EdgeId(ge));
-                    if cfg.track_edge_queues {
-                        qtick(&mut local.qtrack[le], local.edges[le].qlen, now);
-                    }
-                    let edge = &mut local.edges[le];
-                    let pid = q_pop(edge, &local.qnext);
-                    let duration = now - edge.service_start;
-                    local.obs.service_done(now, le, duration, sim.sat_edge[ei]);
-                    local.edges[le].busy = false;
-                    if local.edges[le].qlen > 0 && (local.live.is_empty() || local.live[ei]) {
-                        local.start_service(sim, le, ge, now);
-                    }
-                    if local.is_cut[le] {
-                        // The packet was already emitted to the target
-                        // shard at service start; its slot is free again.
-                        local.free.push(pid);
-                    } else {
-                        let cur = sim.topo.edge_target(EdgeId(ge));
-                        local.forward(sim, part, now, cur, pid).map_err(Some)?;
-                    }
-                }
-                SEv::Handoff(pid) => {
-                    cut_handoffs += 1;
-                    let cur = local.hand_node[pid as usize];
-                    local.forward(sim, part, now, cur, pid).map_err(Some)?;
-                }
-                SEv::Fault(fk) => {
-                    let fe = sim.fault_plan.events[fk as usize];
-                    let gi = fe.edge.index();
-                    if fe.up {
-                        local.live[gi] = true;
-                        if part.edge_shard(fe.edge) == me {
-                            let le = part.edge_local(fe.edge);
-                            // Defensive restart, mirroring the single-core
-                            // engine (the flush leaves at most the
-                            // in-flight head on a dead edge).
-                            if local.edges[le].qlen > 0 && !local.edges[le].busy {
-                                local.start_service(sim, le, gi as u32, now);
-                            }
-                        }
-                    } else {
-                        local.live[gi] = false;
-                        if part.edge_shard(fe.edge) == me {
-                            let le = part.edge_local(fe.edge);
-                            if cfg.track_edge_queues {
-                                qtick(&mut local.qtrack[le], local.edges[le].qlen, now);
-                            }
-                            // The in-flight transmission (if any) finishes;
-                            // everything waiting behind it drops here.
-                            let edge = &mut local.edges[le];
-                            let mut pid = if edge.busy {
-                                let waiting = local.qnext[edge.head as usize];
-                                local.qnext[edge.head as usize] = NIL;
-                                edge.tail = edge.head;
-                                edge.qlen = 1;
-                                waiting
-                            } else {
-                                let waiting = edge.head;
-                                edge.head = NIL;
-                                edge.tail = NIL;
-                                edge.qlen = 0;
-                                waiting
-                            };
-                            let at = sim.topo.edge_source(fe.edge);
-                            while pid != NIL {
-                                let next_waiting = local.qnext[pid as usize];
-                                local.drop_packet(sim, now, at, pid, DropCause::LinkDown);
-                                pid = next_waiting;
-                            }
-                        }
-                    }
-                }
-                SEv::Probe => {
-                    let rec = recorder.as_mut().expect("probe event without recorder");
-                    let spec = *rec.spec();
-                    let mut sample = ProbeSample {
-                        nsys: local.obs.n_sys.value(),
-                        drops: local.obs.dropped.total() as f64,
-                        delivered: local.obs.completed as f64,
-                        // Engine events excluding probe ticks: this event
-                        // is counted and `rec.ticks()` holds the prior
-                        // ones, matching what a probes-off shard counts.
-                        events: (events - rec.ticks() - 1) as f64,
-                        cut: cut_handoffs as f64,
-                        ..ProbeSample::default()
-                    };
-                    if spec.maxq || spec.shards {
-                        let mut maxq = 0u32;
-                        let mut qmass = 0u64;
-                        for e in &local.edges {
-                            maxq = maxq.max(e.qlen);
-                            qmass += u64::from(e.qlen);
-                        }
-                        sample.maxq = f64::from(maxq);
-                        sample.qmass = qmass as f64;
-                    }
-                    rec.record(now, &sample);
-                    if me == 0 {
-                        // One writer only: shard 0 speaks for the run (its
-                        // event count, the shared clock).
-                        crate::telemetry::emit_progress(now, cfg.horizon, sample.events as u64);
-                    }
-                    local.queue.schedule(now + rec.interval(), SEv::Probe);
-                }
-            }
-        }
-        if last {
-            break;
-        }
-
-        // Barrier: flush every outbox, then drain every peer, in fixed
-        // order. A closed channel means a peer died on its own error —
-        // bail with the sentinel so the join loop reports theirs.
-        for (to, tx) in tx_row.iter().enumerate() {
-            if let Some(tx) = tx {
-                let batch = std::mem::take(&mut local.outboxes[to]);
-                if tx.send(batch).is_err() {
-                    return Err(None);
-                }
-            }
-        }
-        let mut incoming: Batch<R::State> = Vec::new();
-        for rx in rx_row.iter().flatten() {
-            match rx.recv() {
-                Ok(batch) => incoming.extend(batch),
-                Err(_) => return Err(None),
-            }
-        }
-        // Stable sort on time: ties keep (sender, emission) order, which
-        // is identical on every rerun.
-        incoming.sort_by(|a, b| a.time.partial_cmp(&b.time).expect("no NaN handoff times"));
-        for m in incoming {
-            let pid = local.alloc(Packet {
-                dst: m.dst,
-                state: m.state,
-                gen_time: m.gen_time,
-                ttl: m.ttl,
-            });
-            local.hand_node[pid as usize] = m.node;
-            local.queue.schedule(m.time, SEv::Handoff(pid));
-        }
-    }
-
-    let queue_integrals = cfg.track_edge_queues.then(|| {
-        local
-            .edges
-            .iter()
-            .zip(local.qtrack.iter_mut())
-            .map(|(e, tq)| {
-                qtick(tq, e.qlen, cfg.horizon);
-                tq.integral
-            })
-            .collect()
-    });
-    // Probe ticks rode this shard's event list but are not engine work:
-    // subtracting keeps the event count bit-identical to probes-off.
-    if let Some(rec) = &recorder {
-        events -= rec.ticks();
-    }
-    Ok(ShardOut {
-        obs: local.obs,
-        events,
-        queue_integrals,
-        recorder,
-    })
-}
-
-/// Merges per-shard outputs into one [`SimResult`], using the exact
-/// formulas of the single-core result assembly so that `shards = 1`
-/// reproduces [`EngineSpec::Calendar`](crate::EngineSpec::Calendar) bit
-/// for bit.
+/// Merges per-shard outputs into one [`SimResult`] — the run's one result
+/// assembly. Per-edge figures are read in global edge order from each
+/// edge's owning shard, so no global per-edge vector is materialized
+/// beyond what the result itself carries.
 fn merge<T, R, D>(
     sim: &NetworkSim<T, R, D>,
     part: &Partition,
@@ -981,28 +1060,27 @@ where
     let time_avg_rs = rs_integral / measure_time;
     let throughput = completed as f64 / measure_time;
 
-    // Scatter the shard-local per-edge tallies back to global indexing.
+    // Per-edge tallies by global edge index, from the owning shard.
     let num_edges = sim.topo.num_edges();
-    let mut edge_busy = vec![0.0f64; num_edges];
-    let mut edge_services = vec![0u64; num_edges];
-    for ei in 0..num_edges {
+    let owner = |ei: usize| {
         let e = EdgeId(ei as u32);
-        let o = &outs[part.edge_shard(e)];
-        let le = part.edge_local(e);
-        edge_busy[ei] = o.obs.edge_busy[le];
-        edge_services[ei] = o.obs.edge_services[le];
+        (&outs[part.edge_shard(e)], part.edge_local(e))
+    };
+    let edge_rate = |ei: usize| {
+        let (o, le) = owner(ei);
+        o.obs.edge_services[le] as f64 / measure_time
+    };
+    let max_util = (0..num_edges)
+        .map(|ei| {
+            let (o, le) = owner(ei);
+            o.obs.edge_busy[le]
+        })
+        .fold(0.0f64, f64::max)
+        / measure_time;
+    let mut rates = Welford::new();
+    for ei in 0..num_edges {
+        rates.push(edge_rate(ei));
     }
-    let max_util = edge_busy.iter().cloned().fold(0.0f64, f64::max) / measure_time;
-
-    // `N(t)` sampling ticks fire at identical times on every shard, and
-    // the flight-recorder decimation is a pure function of the tick
-    // count, so every shard retains the identical tick set and the
-    // trajectories zip elementwise.
-    let mut n_series = outs[0].obs.n_samples.clone();
-    for o in &outs[1..] {
-        n_series.combine_values(&o.obs.n_samples, |a, b| a + b);
-    }
-    let n_samples = n_series.into_samples();
 
     let quantiles = cfg.delay_quantiles.then(|| {
         let mut merged = Reservoir::new(RESERVOIR_CAPACITY, cfg.seed ^ 0x5EED);
@@ -1019,12 +1097,12 @@ where
     let edge_mean_queue = cfg.track_edge_queues.then(|| {
         (0..num_edges)
             .map(|ei| {
-                let e = EdgeId(ei as u32);
-                let integrals = outs[part.edge_shard(e)]
+                let (o, le) = owner(ei);
+                let integrals = o
                     .queue_integrals
                     .as_ref()
                     .expect("queue integrals tracked on every shard");
-                integrals[part.edge_local(e)] / measure_time
+                integrals[le] / measure_time
             })
             .collect()
     });
@@ -1060,24 +1138,15 @@ where
         },
         max_edge_utilization: max_util,
         edge_throughput: if num_edges <= STREAMING_STATS_MAX_EDGES {
-            edge_services
-                .iter()
-                .map(|&c| c as f64 / measure_time)
-                .collect()
+            (0..num_edges).map(edge_rate).collect()
         } else {
             Vec::new()
         },
-        edge_throughput_stats: {
-            let mut w = Welford::new();
-            for &c in &edge_services {
-                w.push(c as f64 / measure_time);
-            }
-            EdgeThroughputStats {
-                edges: num_edges,
-                mean: w.mean(),
-                max: w.max(),
-                std_dev: w.sample_variance().sqrt(),
-            }
+        edge_throughput_stats: EdgeThroughputStats {
+            edges: num_edges,
+            mean: rates.mean(),
+            max: rates.max(),
+            std_dev: rates.sample_variance().sqrt(),
         },
         final_n,
         peak_n,
@@ -1088,7 +1157,6 @@ where
         delay_p95: quantiles.as_ref().and_then(|r| r.quantile(0.95)),
         delay_p99: quantiles.as_ref().and_then(|r| r.quantile(0.99)),
         edge_mean_queue,
-        n_samples,
         telemetry,
     }
 }
@@ -1110,7 +1178,6 @@ mod tests {
             seed: 9,
             delay_quantiles: true,
             track_edge_queues: true,
-            sample_every: Some(40.0),
             engine,
             ..NetConfig::default()
         };
@@ -1131,14 +1198,15 @@ mod tests {
         assert_eq!(a.delay_p99, b.delay_p99);
         assert_eq!(a.edge_mean_queue, b.edge_mean_queue);
         assert_eq!(a.edge_throughput, b.edge_throughput);
-        assert_eq!(a.n_samples, b.n_samples);
     }
 
+    /// `auto` is the calendar-queue engine at `k = 1`; `sharded:1` must be
+    /// the same run.
     #[test]
     fn one_shard_reproduces_the_calendar_engine_bit_for_bit() {
-        let calendar = run(EngineSpec::Calendar);
+        let auto = run(EngineSpec::Auto);
         let sharded = run(EngineSpec::Sharded { shards: 1 });
-        assert_bits(&calendar, &sharded);
+        assert_bits(&auto, &sharded);
     }
 
     #[test]
@@ -1152,7 +1220,7 @@ mod tests {
 
     #[test]
     fn sharded_runs_agree_statistically_with_the_oracle() {
-        let oracle = run(EngineSpec::Calendar);
+        let oracle = run(EngineSpec::Auto);
         let sharded = run(EngineSpec::Sharded { shards: 4 });
         // Different RNG decomposition ⇒ different sample path; physics
         // must still match within loose Monte-Carlo noise.
@@ -1219,17 +1287,17 @@ mod tests {
 
     #[test]
     fn faulted_one_shard_matches_the_calendar_engine_bit_for_bit() {
-        let calendar = run_faulted(EngineSpec::Calendar);
+        let auto = run_faulted(EngineSpec::Auto);
         let sharded = run_faulted(EngineSpec::Sharded { shards: 1 });
-        assert_eq!(calendar.avg_delay.to_bits(), sharded.avg_delay.to_bits());
-        assert_eq!(calendar.generated, sharded.generated);
-        assert_eq!(calendar.completed, sharded.completed);
-        assert_eq!(calendar.dropped, sharded.dropped);
+        assert_eq!(auto.avg_delay.to_bits(), sharded.avg_delay.to_bits());
+        assert_eq!(auto.generated, sharded.generated);
+        assert_eq!(auto.completed, sharded.completed);
+        assert_eq!(auto.dropped, sharded.dropped);
     }
 
     #[test]
     fn faulted_sharded_runs_agree_statistically_with_the_oracle() {
-        let oracle = run_faulted(EngineSpec::Calendar);
+        let oracle = run_faulted(EngineSpec::Auto);
         let sharded = run_faulted(EngineSpec::Sharded { shards: 2 });
         assert!(sharded.dropped.total() > 0);
         let rel = (sharded.delivered_fraction - oracle.delivered_fraction).abs()

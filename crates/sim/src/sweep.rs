@@ -135,9 +135,10 @@ pub struct SweepSpec {
     /// string, and therefore every derived cell seed, byte-identical to
     /// a pre-telemetry sweep.
     pub probes: Option<ProbeSpec>,
-    /// Engine axis (defaults to `[Auto]`). Engines produce bit-identical
-    /// results and share per-cell seeds, so an `engine=` axis measures
-    /// pure wall-clock differences — the perf-ablation use case.
+    /// Engine axis (defaults to `[Auto]`). Cells differing only in engine
+    /// share per-cell seeds, so an `engine=` axis compares shard counts on
+    /// the same sample-path seed — the perf-ablation use case (`auto` and
+    /// `sharded:1` are the same run).
     pub engines: Vec<EngineSpec>,
     /// Transmission-time distribution shared by every cell.
     pub service: ServiceKind,
@@ -379,9 +380,9 @@ impl SweepSpec {
     /// streams.
     ///
     /// Only the cell's *physical* parameters feed the hash — its `seed`
-    /// field is ignored, and so are its `engine` (engines are bit-identical,
-    /// so cells differing only in engine share a seed and therefore produce
-    /// identical results: an `engine=` axis is a pure wall-clock ablation)
+    /// field is ignored, and so are its `engine` (cells differing only in
+    /// shard count share a seed: an `engine=` axis is a wall-clock
+    /// ablation)
     /// and its `probes` (telemetry reads state without perturbing it, so a
     /// probed sweep replays the exact sample paths of its unprobed twin).
     /// Re-deriving the seed of an already-expanded cell (e.g. one parsed
@@ -427,11 +428,10 @@ impl SweepSpec {
     ///                                  as links:<rate>, nodes:<rate>,
     ///                                  link:<id>, node:<id>, joined with
     ///                                  `+`, plus at:<t> and repair:<dt>)
-    /// engine=auto|heap|calendar|sharded:<N> (default auto; a perf
-    ///                                  ablation axis — single-core engines
-    ///                                  are bit-identical, `sharded:<N>`
-    ///                                  is the conservative parallel
-    ///                                  engine)
+    /// engine=auto|sharded:<N>          (default auto; a perf ablation
+    ///                                  axis — `sharded:<N>` runs the
+    ///                                  engine on N node shards, and
+    ///                                  `auto` is one shard)
     /// probes=nsys,maxq@10              (default none; shared telemetry
     ///                                  clause, not an axis — a comma-joined
     ///                                  subset of nsys, maxq, drops,
@@ -845,16 +845,15 @@ mod tests {
 
     #[test]
     fn engine_axis_cells_share_seeds_and_parameters() {
-        let sweep = small().engines(vec![EngineSpec::Auto, EngineSpec::Heap]);
+        let sweep = small().engines(vec![EngineSpec::Auto, EngineSpec::Sharded { shards: 2 }]);
         assert_eq!(sweep.num_cells(), 8);
         let cells = sweep.expand().unwrap();
         assert_eq!(cells.len(), 8);
         // Engine is the innermost axis; each adjacent pair differs only in
-        // engine and shares the derived seed (engines are bit-identical, so
-        // the axis is a pure wall-clock ablation).
+        // engine and shares the derived seed.
         for pair in cells.chunks(2) {
             assert_eq!(pair[0].engine, EngineSpec::Auto);
-            assert_eq!(pair[1].engine, EngineSpec::Heap);
+            assert_eq!(pair[1].engine, EngineSpec::Sharded { shards: 2 });
             assert_eq!(pair[0].seed, pair[1].seed, "{}", pair[0].spec_string());
             let mut a = pair[0].clone();
             a.engine = pair[1].engine;
@@ -866,7 +865,7 @@ mod tests {
     fn grammar_round_trips() {
         let sweeps = [
             small(),
-            small().engines(vec![EngineSpec::Heap, EngineSpec::Calendar]),
+            small().engines(vec![EngineSpec::Auto, EngineSpec::Sharded { shards: 2 }]),
             // The sharded engine's count must survive the round trip
             // (`engine=sharded:4`, not a bare `engine=sharded`).
             small().engines(vec![
@@ -938,7 +937,8 @@ mod tests {
             "topo=mesh:5 load=rho:0.5 jobs=4",
             "topo=mesh:5 load=rho:0.5 reps=none",
             "topo=mesh:5 load=rho:0.5 engine=quantum",
-            "topo=mesh:5 load=rho:0.5 engine=heap|",
+            "topo=mesh:5 load=rho:0.5 engine=heap",
+            "topo=mesh:5 load=rho:0.5 engine=auto|",
             "topo=mesh:5 load=rho:0.5 traffic=warp",
             "topo=mesh:5 load=rho:0.5 traffic=uniform dest=uniform",
             "topo=mesh:5 load=rho:0.5 src=rates",

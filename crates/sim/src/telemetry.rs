@@ -12,11 +12,11 @@
 //! [`DecimatingSeries`]. When the buffer fills, the sampling stride
 //! doubles and the retained samples decimate in place, so a probed run
 //! costs `O(capacity)` memory at any horizon. Decimation depends only on
-//! tick counts, so the per-shard recorders of the sharded engine stay in
+//! tick counts, so the per-shard recorders of a sharded run stay in
 //! lockstep and merge deterministically.
 //!
 //! Probes read engine state but never mutate it — simulation results with
-//! probes on are bit-identical to probes off, on every engine.
+//! probes on are bit-identical to probes off, at every shard count.
 
 use meshbound_stats::{DecimatingSeries, Welford};
 use serde::{Deserialize, Serialize};
@@ -45,7 +45,7 @@ static PROGRESS_SINK: Mutex<Option<ProgressFn>> = Mutex::new(None);
 /// Installs (or, with `None`, clears) the process-wide progress sink.
 /// While installed, probed runs call it at every telemetry tick with the
 /// current sim time, the run horizon, and the events processed so far
-/// (shard 0's count under the sharded engine). The sink rides the probe
+/// (shard 0's count on a sharded run). The sink rides the probe
 /// schedule: a run without a `probes=` clause never fires it.
 pub fn set_progress_sink(sink: Option<ProgressFn>) {
     *PROGRESS_SINK.lock().unwrap() = sink;
@@ -83,8 +83,8 @@ pub struct ProbeSpec {
     pub delivered: bool,
     /// Sample per-shard engine counters (events processed, queue mass,
     /// cut-edge handoffs), one series per shard — load-balance
-    /// observability for the sharded engine. Single-core engines emit the
-    /// same series for their one implicit shard.
+    /// observability for sharded runs. A one-shard run reports
+    /// `shard0:*`, with an all-zero `shard0:cut`.
     pub shards: bool,
     /// Base sampling interval Δ; `None` picks `horizon / 256`.
     pub every: Option<f64>,
@@ -202,7 +202,7 @@ impl ProbeSpec {
     }
 }
 
-/// How a series combines across shards of the sharded engine.
+/// How a series combines across the shards of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MergeOp {
     /// Shard values add (counts, packets in system).
@@ -248,7 +248,7 @@ pub struct ProbeSample {
     pub events: f64,
     /// Total queued packets over (owned) edges.
     pub qmass: f64,
-    /// Cumulative cut-edge handoffs received (sharded engine only).
+    /// Cumulative cut-edge handoffs received (zero on a one-shard run).
     pub cut: f64,
 }
 
@@ -268,38 +268,13 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    /// Recorder for a single-core engine run of the given horizon. The
-    /// `shards` selector maps to the engine's one implicit shard
-    /// (`shard0:events`, `shard0:qmass`).
-    #[must_use]
-    pub fn new(spec: &ProbeSpec, horizon: f64) -> Self {
-        let mut r = Self::shared(spec, horizon);
-        if spec.shards {
-            r.series.push(Series::new("shard0:events", MergeOp::Keep));
-            r.series.push(Series::new("shard0:qmass", MergeOp::Keep));
-        }
-        r
-    }
-
-    /// Recorder for shard `shard` of the sharded engine. Shared series
-    /// (nsys, maxq, drops, delivered) carry shard-local values combined by
-    /// [`Recorder::merge`]; the `shards` selector adds this shard's own
-    /// `shard<k>:events` / `shard<k>:qmass` / `shard<k>:cut` series.
+    /// Recorder for shard `shard` of a run of the given horizon. Shared
+    /// series (nsys, maxq, drops, delivered) carry shard-local values
+    /// combined by [`Recorder::merge`]; the `shards` selector adds this
+    /// shard's own `shard<k>:events` / `shard<k>:qmass` / `shard<k>:cut`
+    /// series.
     #[must_use]
     pub fn for_shard(spec: &ProbeSpec, horizon: f64, shard: usize) -> Self {
-        let mut r = Self::shared(spec, horizon);
-        if spec.shards {
-            r.series
-                .push(Series::new(format!("shard{shard}:events"), MergeOp::Keep));
-            r.series
-                .push(Series::new(format!("shard{shard}:qmass"), MergeOp::Keep));
-            r.series
-                .push(Series::new(format!("shard{shard}:cut"), MergeOp::Keep));
-        }
-        r
-    }
-
-    fn shared(spec: &ProbeSpec, horizon: f64) -> Self {
         let mut series = Vec::new();
         if spec.nsys {
             series.push(Series::new("nsys", MergeOp::Sum));
@@ -312,6 +287,11 @@ impl Recorder {
         }
         if spec.delivered {
             series.push(Series::new("delivered", MergeOp::Sum));
+        }
+        if spec.shards {
+            for name in ["events", "qmass", "cut"] {
+                series.push(Series::new(format!("shard{shard}:{name}"), MergeOp::Keep));
+            }
         }
         Self {
             spec: *spec,
@@ -379,7 +359,7 @@ impl Recorder {
     /// # Panics
     ///
     /// Panics if the parts disagree on series layout or tick counts —
-    /// impossible for recorders driven by the sharded engine's common
+    /// impossible for recorders driven by the engine's common
     /// probe schedule.
     #[must_use]
     pub fn merge(mut parts: Vec<Recorder>) -> Recorder {
@@ -574,7 +554,7 @@ mod tests {
     #[test]
     fn recorder_decimates_and_reports() {
         let spec = ProbeSpec::parse_token("nsys,maxq@1").unwrap().unwrap();
-        let mut rec = Recorder::new(&spec, 1e9);
+        let mut rec = Recorder::for_shard(&spec, 1e9, 0);
         let mut t = 0.0;
         for _ in 0..10_000 {
             t += rec.interval();

@@ -22,6 +22,8 @@ use crate::traits::Topology;
 #[derive(Debug, Clone)]
 pub struct Partition {
     shards: usize,
+    /// The three lookup maps are empty when `shards == 1`; the accessors
+    /// answer the identity directly.
     node_shard: Vec<u32>,
     edge_shard: Vec<u32>,
     /// Dense per-shard edge index: `edge_local[e]` is `e`'s position
@@ -40,6 +42,20 @@ impl Partition {
     pub fn contiguous<T: Topology + ?Sized>(topo: &T, shards: usize) -> Self {
         let n = topo.num_nodes();
         let k = shards.clamp(1, n.max(1));
+        if k == 1 {
+            // One block: every lookup below is the identity, so store no
+            // per-node or per-edge maps (they would cost 8 bytes per edge
+            // on single-shard runs at million-node scale).
+            return Partition {
+                shards: 1,
+                node_shard: Vec::new(),
+                edge_shard: Vec::new(),
+                edge_local: Vec::new(),
+                shard_edge_counts: vec![topo.num_edges()],
+                shard_nodes: vec![topo.nodes().collect()],
+                cut_edges: Vec::new(),
+            };
+        }
         let node_shard: Vec<u32> = (0..n).map(|i| ((i * k) / n.max(1)) as u32).collect();
         let mut edge_shard = vec![0u32; topo.num_edges()];
         let mut edge_local = vec![0u32; topo.num_edges()];
@@ -79,6 +95,9 @@ impl Partition {
     #[inline]
     #[must_use]
     pub fn node_shard(&self, v: NodeId) -> usize {
+        if self.shards == 1 {
+            return 0;
+        }
         self.node_shard[v.index()] as usize
     }
 
@@ -86,6 +105,9 @@ impl Partition {
     #[inline]
     #[must_use]
     pub fn edge_shard(&self, e: EdgeId) -> usize {
+        if self.shards == 1 {
+            return 0;
+        }
         self.edge_shard[e.index()] as usize
     }
 
@@ -93,6 +115,9 @@ impl Partition {
     #[inline]
     #[must_use]
     pub fn edge_local(&self, e: EdgeId) -> usize {
+        if self.shards == 1 {
+            return e.index();
+        }
         self.edge_local[e.index()] as usize
     }
 

@@ -1,11 +1,11 @@
-//! Cross-engine equivalence: the hot-path engine (`EngineSpec`) must never
-//! change a reported number. Heap, calendar and route-table paths are run
-//! side by side over every topology family, both time modes, and random
+//! Engine equivalence: the simulator has one engine, and `EngineSpec` only
+//! picks its shard count. `auto` (one shard) and `sharded:1` are run side
+//! by side over every topology family, both time modes, and random
 //! loads/seeds, and every deterministic `SimResult` field is compared bit
-//! for bit. The conservative parallel engine joins at three levels:
-//! `sharded:1` is bit-identical to the calendar oracle, `sharded:{2,4}`
-//! agree with it statistically, and every `(seed, shards)` pair reruns
-//! bit-identically.
+//! for bit. Golden pins fix the one-shard physics, every tracked field of
+//! the all-options run, and the `sharded:{2,4}` fingerprints;
+//! `sharded:{2,4}` also agree with one shard statistically, and every
+//! `(seed, shards)` pair reruns bit-identically.
 
 use meshbound::sim::SimResult;
 use meshbound::{EngineSpec, Load, RouterSpec, Scenario, TrafficSpec};
@@ -36,7 +36,6 @@ fn assert_bit_identical(label: &str, a: &SimResult, b: &SimResult) {
         a.events_processed, b.events_processed,
         "{label}: events_processed"
     );
-    assert_eq!(a.n_samples, b.n_samples, "{label}: n_samples");
     assert_eq!(a.delay_p50, b.delay_p50, "{label}: delay_p50");
     assert_eq!(a.delay_p99, b.delay_p99, "{label}: delay_p99");
     assert_eq!(a.edge_mean_queue, b.edge_mean_queue, "{label}: edge queues");
@@ -45,15 +44,13 @@ fn assert_bit_identical(label: &str, a: &SimResult, b: &SimResult) {
     }
 }
 
-/// Runs one scenario under all three engines and cross-checks.
+/// Runs one scenario on `auto` and on `sharded:1` and cross-checks.
 fn check_all_engines(sc: Scenario) {
     let label = sc.spec_string();
-    let heap = sc.clone().engine(EngineSpec::Heap).run();
-    let calendar = sc.clone().engine(EngineSpec::Calendar).run();
-    let auto = sc.engine(EngineSpec::Auto).run();
-    assert_bit_identical(&format!("{label} calendar-vs-heap"), &heap, &calendar);
-    assert_bit_identical(&format!("{label} auto-vs-heap"), &heap, &auto);
-    assert!(heap.events_processed > 0, "{label}: no events simulated");
+    let auto = sc.clone().engine(EngineSpec::Auto).run();
+    let one = sc.engine(EngineSpec::Sharded { shards: 1 }).run();
+    assert_bit_identical(&format!("{label} sharded:1-vs-auto"), &auto, &one);
+    assert!(auto.events_processed > 0, "{label}: no events simulated");
 }
 
 /// The five topology families at a fixed operating point.
@@ -69,8 +66,7 @@ fn family(idx: usize) -> Scenario {
 
 proptest! {
     /// All five `TopologySpec` families × slotted/continuous × random
-    /// load and seed: heap, calendar and route-table engines must agree
-    /// bit for bit.
+    /// load and seed: `auto` and `sharded:1` must agree bit for bit.
     #[test]
     fn engines_agree_across_topologies_and_modes(
         topo in 0usize..5,
@@ -92,10 +88,16 @@ proptest! {
 
 #[test]
 fn engines_agree_with_every_tracking_option_enabled() {
-    // Saturated-service tracking (route-table saturated counts), delay
-    // quantiles, per-edge queues and N(t) sampling all at once, plus the
-    // Jackson (exponential) service mode.
-    let sc = Scenario::mesh(5)
+    // Saturated-service tracking, delay quantiles and per-edge queues all
+    // at once, plus the Jackson (exponential) service mode.
+    let sc = tracking_scenario();
+    check_all_engines(sc.clone());
+    check_all_engines(sc.service(meshbound::sim::ServiceKind::Exponential));
+}
+
+/// The all-options scenario of `engines_agree_with_every_tracking_option_enabled`.
+fn tracking_scenario() -> Scenario {
+    Scenario::mesh(5)
         .load(Load::TableRho(0.7))
         .horizon(1_500.0)
         .warmup(150.0)
@@ -103,9 +105,175 @@ fn engines_agree_with_every_tracking_option_enabled() {
         .track_saturated(true)
         .delay_quantiles(true)
         .track_edge_queues(true)
-        .sample_every(100.0);
-    check_all_engines(sc.clone());
-    check_all_engines(sc.service(meshbound::sim::ServiceKind::Exponential));
+}
+
+/// FNV-1a over the bit patterns of `values`.
+fn bits_hash(values: &[f64]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in values {
+        for b in v.to_bits().to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    h
+}
+
+#[test]
+fn every_tracked_field_is_pinned_on_auto() {
+    // Golden pin, captured on the two-engine build that this single
+    // engine replaced (its route-table fast path counted saturated hops
+    // from a precomputed table): every field the tracking options add, on
+    // `auto`, for deterministic and exponential service. Bit patterns of
+    // the delay quantiles, peak N, the r and r_s ratios, and FNV-1a hashes
+    // of the per-edge throughput and mean-queue vectors.
+    struct Pin {
+        exponential: bool,
+        events: u64,
+        delay: u64,
+        p50: u64,
+        p95: u64,
+        p99: u64,
+        peak_n: u64,
+        r: u64,
+        rs: u64,
+        throughput: u64,
+        queues: u64,
+    }
+    let pins = [
+        Pin {
+            exponential: false,
+            events: 87044,
+            delay: 0x40137c7d1b9a6ee6,
+            p50: 0x4011dbd15328cf60,
+            p95: 0x4024eb1adb03e680,
+            p99: 0x402b54d48a884a20,
+            peak_n: 0x4058800000000000,
+            r: 0x4004970f8166f8b4,
+            rs: 0x3ff9d3ce877a15bb,
+            throughput: 0x42a953ec920f445d,
+            queues: 0x088ca4f333c2f540,
+        },
+        Pin {
+            exponential: true,
+            events: 87987,
+            delay: 0x4021436b708eaceb,
+            p50: 0x401d3ee44eca2580,
+            p95: 0x4035ac6e23b20b80,
+            p99: 0x403dc487dd63ce40,
+            peak_n: 0x4064e00000000000,
+            r: 0x400429440bb02257,
+            rs: 0x3ff9a1d833d05ed9,
+            throughput: 0xb6d49508966c3bf0,
+            queues: 0x5d8ee0146cf7f8d9,
+        },
+    ];
+    for pin in &pins {
+        let mut sc = tracking_scenario();
+        if pin.exponential {
+            sc = sc.service(meshbound::sim::ServiceKind::Exponential);
+        }
+        let label = sc.spec_string();
+        let r = sc.run();
+        let bits = |x: Option<f64>| x.expect("quantiles tracked").to_bits();
+        assert_eq!(r.events_processed, pin.events, "{label}: events_processed");
+        assert_eq!(r.avg_delay.to_bits(), pin.delay, "{label}: avg_delay");
+        assert_eq!(bits(r.delay_p50), pin.p50, "{label}: delay_p50");
+        assert_eq!(bits(r.delay_p95), pin.p95, "{label}: delay_p95");
+        assert_eq!(bits(r.delay_p99), pin.p99, "{label}: delay_p99");
+        assert_eq!(r.peak_n.to_bits(), pin.peak_n, "{label}: peak_n");
+        assert_eq!(r.r_ratio.to_bits(), pin.r, "{label}: r_ratio");
+        assert_eq!(r.rs_ratio.to_bits(), pin.rs, "{label}: rs_ratio");
+        assert_eq!(r.edge_throughput.len(), 80, "{label}: edge count");
+        assert_eq!(
+            bits_hash(&r.edge_throughput),
+            pin.throughput,
+            "{label}: edge_throughput"
+        );
+        let queues = r.edge_mean_queue.expect("queues tracked");
+        assert_eq!(bits_hash(&queues), pin.queues, "{label}: edge_mean_queue");
+    }
+}
+
+#[test]
+fn sharded_fingerprints_are_pinned() {
+    // Golden pin, captured on the two-engine build that this single
+    // engine replaced: `(events_processed, avg_delay bits, time_avg_n
+    // bits)` at two and four shards on the five topology families, a mesh
+    // with 5% of links down, and a slotted mesh.
+    let family = |idx: usize| -> Scenario {
+        let (sc, lambda) = match idx {
+            0 => (Scenario::mesh(4), 0.08),
+            1 => (Scenario::torus(4), 0.08),
+            2 => (Scenario::hypercube(4), 0.2),
+            3 => (Scenario::butterfly(3), 0.3),
+            _ => (Scenario::mesh_kd(&[3, 3, 3]), 0.06),
+        };
+        sc.load(Load::Lambda(lambda))
+            .horizon(400.0)
+            .warmup(40.0)
+            .seed(17)
+    };
+    let mut cases: Vec<Scenario> = (0..5).map(family).collect();
+    cases.push(
+        Scenario::parse("mesh:6,lambda=0.1,faults=links:0.05,horizon=400,warmup=40,seed=17")
+            .unwrap(),
+    );
+    cases.push(
+        Scenario::mesh(5)
+            .load(Load::Lambda(0.1))
+            .slot(1.0)
+            .horizon(400.0)
+            .warmup(40.0)
+            .seed(17),
+    );
+    // One `[sharded:2, sharded:4]` pair of `(events, delay, N)` per case.
+    let pins: [[(u64, u64, u64); 2]; 7] = [
+        [
+            (2091, 0x40043ade4061bd41, 0x400aa91c339ad6b0),
+            (2592, 0x4004bdd56daca2fa, 0x400b907fac1509c4),
+        ],
+        [
+            (1850, 0x400034338ecdf979, 0x40055cbab5a40fd2),
+            (2140, 0x400033cb981554b6, 0x400576720e908406),
+        ],
+        [
+            (4430, 0x40005bfdab369ada, 0x401a26e2045af736),
+            (5186, 0x4000779fa59b1151, 0x401a69c143a3417a),
+        ],
+        [
+            (4940, 0x40098a857354d1bd, 0x401f24b1257a6d28),
+            (6915, 0x40098a857354d1bd, 0x401f24b1257a6d28),
+        ],
+        [
+            (2975, 0x4005e683f7593dc8, 0x40125ac7ac522a24),
+            (3277, 0x4005d54c5c55d108, 0x4011e03a0a287b3b),
+        ],
+        [
+            (7296, 0x400f6fc5b6cc5dc4, 0x402b7e0fa77b1209),
+            (8254, 0x400f58d4a1470ede, 0x402b4513709e5906),
+        ],
+        [
+            (4451, 0x400a6e62a46756e9, 0x40202eeeeeeeeeef),
+            (6237, 0x4009fe52417806b5, 0x4020a4fa4fa4fa50),
+        ],
+    ];
+    for (sc, pair) in cases.iter().zip(&pins) {
+        for (shards, &(events, delay, n)) in [2, 4].into_iter().zip(pair) {
+            let engine = EngineSpec::Sharded { shards };
+            let label = format!("{} [{engine}]", sc.spec_string());
+            let r = sc.clone().engine(engine).run();
+            assert_eq!(r.events_processed, events, "{label}: events_processed");
+            assert_eq!(r.avg_delay.to_bits(), delay, "{label}: avg_delay");
+            assert_eq!(r.time_avg_n.to_bits(), n, "{label}: time_avg_n");
+        }
+    }
+    // The faulted case must actually exercise the drop path.
+    let faulted = cases[5]
+        .clone()
+        .engine(EngineSpec::Sharded { shards: 2 })
+        .run();
+    assert!(faulted.dropped.total() > 0, "{:?}", faulted.dropped);
 }
 
 #[test]
@@ -114,8 +282,8 @@ fn greedy_routing_policy_reproduces_the_pre_policy_fingerprints() {
     // `RoutingPolicy` refactor, when the engines consumed whole
     // `Router::route` paths. Greedy routing is oblivious — queue state
     // must never change its decisions — so routing hop by hop through
-    // `next_hop` has to reproduce the old trajectories bit for bit, on
-    // every engine. A mismatch means the adapter changed the physics.
+    // `route_outcome` has to reproduce the old trajectories bit for bit.
+    // A mismatch means the adapter changed the physics.
     struct Pin {
         sc: fn() -> Scenario,
         lambda: f64,
@@ -166,12 +334,7 @@ fn greedy_routing_policy_reproduces_the_pre_policy_fingerprints() {
             time_avg_n_bits: 0x401197309818a7c1,
         },
     ];
-    let engines = [
-        EngineSpec::Heap,
-        EngineSpec::Calendar,
-        EngineSpec::Auto,
-        EngineSpec::Sharded { shards: 1 },
-    ];
+    let engines = [EngineSpec::Auto, EngineSpec::Sharded { shards: 1 }];
     for pin in &pins {
         let sc = (pin.sc)()
             .load(Load::Lambda(pin.lambda))
@@ -205,10 +368,8 @@ fn greedy_routing_policy_reproduces_the_pre_policy_fingerprints() {
 
 #[test]
 fn engines_agree_for_adaptive_routers() {
-    // Adaptive routers are not table-eligible (`is_route_deterministic`
-    // is false), so every engine routes them per hop through `next_hop`
-    // with live queue views — heap, calendar, auto and sharded:1 must
-    // still agree bit for bit on mesh and torus.
+    // Adaptive routers read live queue views at every hop; auto and
+    // sharded:1 must still agree bit for bit on mesh and torus.
     for router in [RouterSpec::WestFirst, RouterSpec::OddEven] {
         for sc in [
             Scenario::mesh(5).load(Load::Lambda(0.12)),
@@ -217,24 +378,15 @@ fn engines_agree_for_adaptive_routers() {
                 .load(Load::Lambda(0.2)),
             Scenario::torus(4).load(Load::Lambda(0.12)),
         ] {
-            let sc = sc.router(router).horizon(600.0).warmup(60.0).seed(29);
-            let label = sc.spec_string();
-            check_all_engines(sc.clone());
-            let calendar = sc.clone().engine(EngineSpec::Calendar).run();
-            let sharded = sc.engine(EngineSpec::Sharded { shards: 1 }).run();
-            assert_bit_identical(
-                &format!("{label} sharded:1-vs-calendar"),
-                &calendar,
-                &sharded,
-            );
+            check_all_engines(sc.router(router).horizon(600.0).warmup(60.0).seed(29));
         }
     }
 }
 
 #[test]
 fn engines_agree_for_randomized_router_fallback() {
-    // The randomized router is not table-eligible: Auto must fall back to
-    // on-the-fly routing and still match the heap engine exactly.
+    // The randomized router draws per-packet state from the RNG: the
+    // draw order must not depend on the shard machinery.
     let sc = Scenario::mesh(5)
         .router(RouterSpec::Randomized)
         .load(Load::Lambda(0.1))
@@ -275,38 +427,29 @@ fn sharded_cases() -> Vec<Scenario> {
 
 #[test]
 fn one_shard_matches_the_calendar_engine_bit_for_bit() {
-    // `sharded:1` runs the full conservative machinery — epoch windows,
-    // outbox exchange, merge — on one thread, and must still reproduce
-    // the single-core calendar engine exactly.
+    // `auto` is the calendar-queue engine on one shard, and `sharded:1`
+    // names the same run: every tracked field must agree exactly.
     for sc in sharded_cases() {
         let sc = sc
             .horizon(600.0)
             .warmup(60.0)
             .seed(23)
             .delay_quantiles(true)
-            .track_edge_queues(true)
-            .sample_every(50.0);
-        let label = sc.spec_string();
-        let calendar = sc.clone().engine(EngineSpec::Calendar).run();
-        let sharded = sc.engine(EngineSpec::Sharded { shards: 1 }).run();
-        assert_bit_identical(
-            &format!("{label} sharded:1-vs-calendar"),
-            &calendar,
-            &sharded,
-        );
+            .track_edge_queues(true);
+        check_all_engines(sc);
     }
 }
 
 #[test]
 fn sharded_engine_agrees_statistically_with_the_oracle() {
     // At shards >= 2 the partition changes the per-shard RNG streams, so
-    // results differ bitwise from the single-core oracle — but they
+    // results differ bitwise from the one-shard oracle — but they
     // simulate the same system, so the summary statistics must agree
     // within sampling noise.
     for sc in sharded_cases() {
         let sc = sc.horizon(900.0).warmup(90.0).seed(41);
         let label = sc.spec_string();
-        let oracle = sc.clone().engine(EngineSpec::Calendar).run();
+        let oracle = sc.clone().engine(EngineSpec::Auto).run();
         for shards in [2, 4] {
             let res = sc.clone().engine(EngineSpec::Sharded { shards }).run();
             assert!(
@@ -349,14 +492,17 @@ fn sharded_engine_is_deterministic_at_every_shard_count() {
 
 #[test]
 fn replication_runner_is_engine_invariant() {
-    // run_replicated fans out over Rayon with derived seeds; the engine
-    // must be invisible there too.
+    // run_replicated fans out over Rayon with derived seeds; naming the
+    // one-shard run either way must be invisible there too.
     let base = Scenario::torus(5)
         .load(Load::Utilization(0.5))
         .horizon(500.0)
         .warmup(50.0)
         .seed(11);
-    let a = base.clone().engine(EngineSpec::Heap).run_replicated(3);
+    let a = base
+        .clone()
+        .engine(EngineSpec::Sharded { shards: 1 })
+        .run_replicated(3);
     let b = base.engine(EngineSpec::Auto).run_replicated(3);
     for (x, y) in a.runs.iter().zip(&b.runs) {
         assert_bit_identical("replicated torus", x, y);

@@ -186,14 +186,14 @@ fn faults_none_reproduces_the_pre_fault_fingerprints() {
 #[test]
 fn calendar_and_sharded_agree_on_faulted_delivery_statistically() {
     // Shards >= 2 re-stream the RNG, so faulted results differ bitwise
-    // from the calendar oracle — but both replay the *same* fault plan,
-    // so the delivered fraction and the drop mass must agree within
-    // sampling noise.
+    // from the one-shard (calendar-queue) `auto` oracle — but both replay
+    // the *same* fault plan, so the delivered fraction and the drop mass
+    // must agree within sampling noise.
     let sc = Scenario::parse(
         "mesh:8,lambda=0.12,faults=links:0.1+at:100,horizon=1200,warmup=120,seed=13",
     )
     .unwrap();
-    let oracle = sc.clone().engine(EngineSpec::Calendar).run();
+    let oracle = sc.clone().engine(EngineSpec::Auto).run();
     assert!(oracle.dropped.total() > 0, "oracle saw no drops");
     assert!(oracle.delivered_fraction < 1.0);
     let sharded = sc.engine(EngineSpec::Sharded { shards: 2 }).run();
@@ -221,13 +221,13 @@ fn acceptance_scenario_is_degraded_and_rerun_stable_on_both_engines() {
     // The PR acceptance gate: the 16×16 transpose mesh at ρ = 0.5 with 5%
     // of links down completes (no abort), reports a delivered fraction
     // below 1 with cause-tallied drops, and reruns bit-identically for a
-    // fixed seed on the calendar and two-shard engines alike.
+    // fixed seed on one shard and on two shards alike.
     let base = Scenario::parse(
         "mesh:16 traffic=transpose load=rho:0.5 faults=links:0.05 \
          horizon=400 warmup=40 seed=11",
     )
     .unwrap();
-    for engine in [EngineSpec::Calendar, EngineSpec::Sharded { shards: 2 }] {
+    for engine in [EngineSpec::Auto, EngineSpec::Sharded { shards: 2 }] {
         let sc = base.clone().engine(engine);
         let label = sc.spec_string();
         let a = sc.clone().try_run().expect("faulted run must not abort");

@@ -46,7 +46,6 @@ fn assert_unperturbed(label: &str, off: &SimResult, on: &SimResult) {
         off.events_processed, on.events_processed,
         "{label}: events_processed (probe ticks must not leak into the count)"
     );
-    assert_eq!(off.n_samples, on.n_samples, "{label}: n_samples");
     for (i, (x, y)) in off
         .edge_throughput
         .iter()
@@ -64,11 +63,11 @@ fn assert_unperturbed(label: &str, off: &SimResult, on: &SimResult) {
 
 #[test]
 fn probes_do_not_perturb_any_engine() {
-    // Three topology families × (calendar, sharded:2); sharded runs need
+    // Three topology families × (auto, sharded:2); sharded runs need
     // deterministic service, which is the default.
     for base in ["mesh:4", "torus:4", "hypercube:3"] {
-        let spec = format!("{base},util=0.6,horizon=300,warmup=30,sample=5");
-        for engine in [EngineSpec::Calendar, EngineSpec::Sharded { shards: 2 }] {
+        let spec = format!("{base},util=0.6,horizon=300,warmup=30");
+        for engine in [EngineSpec::Auto, EngineSpec::Sharded { shards: 2 }] {
             let sc = Scenario::parse(&spec).unwrap().engine(engine);
             let off = sc.clone().run();
             let on = sc
@@ -83,6 +82,7 @@ fn probes_do_not_perturb_any_engine() {
             assert!(names.contains(&"nsys"), "{label}: {names:?}");
             assert!(names.contains(&"maxq"), "{label}: {names:?}");
             assert!(names.contains(&"shard0:events"), "{label}: {names:?}");
+            assert!(names.contains(&"shard0:cut"), "{label}: {names:?}");
             if matches!(engine, EngineSpec::Sharded { .. }) {
                 // Per-shard load-balance series, one triple per shard.
                 assert!(names.contains(&"shard1:events"), "{label}: {names:?}");

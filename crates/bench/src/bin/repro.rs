@@ -38,6 +38,7 @@
 
 use meshbound::experiments::{extensions, fig1, fig2, table1, table2, table3, Scale};
 use meshbound::queueing::load::{mesh_stability_threshold, optimal_stability_threshold};
+use meshbound::sim::spec::{self, Form};
 use meshbound::sweep::{run_cells, run_sweep, Jobs};
 use meshbound::{
     set_progress_sink, BoundsReport, EngineSpec, Load, ProbeSpec, Scenario, SweepSpec,
@@ -78,46 +79,31 @@ fn usage() -> String {
          scenario specs look like `torus:8,util=0.9,horizon=5000`,\n\
          `mesh:8,traffic=transpose,util=0.5` or (quoted, whitespace and\n\
          commas both separate) `\"hypercube:20 traffic=shuffle\n\
-         load=rho:0.5\"` — topology head (mesh:N, mesh:RxC, torus:N,\n\
-         hypercube:D, butterfly:K, kd:AxBxC) followed by key=value\n\
-         options (router=greedy|randomized|westfirst|oddeven, traffic,\n\
-         src, lambda/rho/util or\n\
-         load=<convention>:<value>, horizon, warmup, seed, service, slot,\n\
-         self, saturated, quantiles, queues, engine, faults).\n\
+         load=rho:0.5\"`: a topology head ({}) followed by key=value\n\
+         options, each at most once:\n\
+         {}\
          \n\
-         faults= injects a deterministic failure schedule: none,\n\
-         links:<rate>, nodes:<rate>, link:<id>, node:<id>, joined with\n\
-         `+` and optionally extended with at:<t> and repair:<dt>, e.g.\n\
-         faults=links:0.05+at:100+repair:400. Unroutable packets become\n\
-         accounted drops and the output reports the delivered fraction.\n\
-         \n\
-         traffic= names the workload: uniform, nearby:<stop>,\n\
-         bernoulli:<p>, transpose, bitrev, bitcomp, shuffle or\n\
-         hotspot:<frac>[:<node>] (dest= is the legacy alias); src= names\n\
-         the source model: uniform or hotspot:<weight>[:<node>].\n\
+         sweep specs are either table1|table2|table3 (the paper grids at\n\
+         the current scale) or whitespace-separated scenario clauses such as\n\
+         `topo=mesh:5|torus:8 load=rho:0.2|rho:0.8 traffic=uniform|transpose\n\
+         reps=2 seed=7 horizon=auto:1500:12000`, where an axis takes\n\
+         `|`-separated alternatives. Sweep keys:\n\
+         {}\
          \n\
          --engine auto|sharded:<N> sets the engine's shard count for every\n\
          scenario or sweep cell (auto is one shard; sharded:N runs the\n\
          conservative parallel engine on N threads, and N >= 2 needs\n\
          service=det); --shards N is shorthand for --engine sharded:N.\n\
          \n\
-         probes=<series>[@<dt>] turns on telemetry: deterministic\n\
-         sim-clock sampling of nsys, maxq, drops, delivered and/or\n\
-         shards (or all; none = off, the default) onto a bounded\n\
-         flight-recorder buffer. `repro timeline <spec>` runs a spec\n\
-         (defaulting probes=all) and prints each series as an ASCII\n\
-         trajectory; `--telemetry FILE` writes the probed scenario's\n\
+         `repro timeline <spec>` runs a spec (defaulting probes=all) and\n\
+         prints each telemetry series as an ASCII trajectory;\n\
+         `--telemetry FILE` writes the probed scenario's\n\
          meshbound.telemetry/v1 JSON report; `--progress` streams a\n\
-         probe-tick progress line to stderr (TTY only).\n\
-         \n\
-         sweep specs are either table1|table2|table3 (the paper grids at\n\
-         the current scale) or an axis grammar like\n\
-         `topo=mesh:5|torus:8 load=rho:0.2|rho:0.8\n\
-         traffic=uniform|transpose reps=2 seed=7 horizon=auto:1500:12000`\n\
-         (axes: topo, load, router, traffic, faults, engine; shared\n\
-         knobs: src, service, reps, seed, horizon, warmup, saturated,\n\
-         probes).",
-        ARTIFACTS.join("|")
+         probe-tick progress line to stderr (TTY only).",
+        ARTIFACTS.join("|"),
+        spec::TOPO.syntax,
+        spec::usage(Form::Scenario),
+        spec::usage(Form::Sweep),
     )
 }
 
@@ -295,9 +281,11 @@ fn sweep_command(
             jobs_mode,
         ),
         grammar => {
-            let parsed = SweepSpec::parse(grammar).map(|sw| match engine {
-                Some(e) => sw.engines(vec![e]),
-                None => sw,
+            let parsed = SweepSpec::parse(grammar).and_then(|mut sw| {
+                if let Some(e) = engine {
+                    sw.set(&spec::ENGINE, &e.to_string())?;
+                }
+                Ok(sw)
             });
             match parsed.and_then(|sw| run_sweep(&sw, jobs_mode)) {
                 Ok(report) => report,

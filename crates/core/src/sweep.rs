@@ -474,20 +474,17 @@ fn run_cell(sc: &Scenario, reps: usize, check: BoundsCheck) -> SweepCellReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meshbound_queueing::load::Load;
-    use meshbound_sim::{HorizonPolicy, SweepSpec, TopologySpec};
+    use meshbound_sim::SweepSpec;
+
+    fn tiny_at(loads: &str) -> SweepSpec {
+        SweepSpec::parse(&format!(
+            "topo=mesh:4|torus:4 load={loads} horizon=500 warmup=50"
+        ))
+        .unwrap()
+    }
 
     fn tiny() -> SweepSpec {
-        SweepSpec::new()
-            .topologies(vec![
-                TopologySpec::Mesh { rows: 4, cols: 4 },
-                TopologySpec::Torus { n: 4 },
-            ])
-            .loads(vec![Load::TableRho(0.2), Load::TableRho(0.6)])
-            .horizon(HorizonPolicy::Fixed {
-                horizon: 500.0,
-                warmup: 50.0,
-            })
+        tiny_at("rho:0.2|rho:0.6")
     }
 
     #[test]
@@ -511,7 +508,7 @@ mod tests {
 
     #[test]
     fn perf_counters_are_populated_and_stripped_with_timings() {
-        let report = run_sweep(&tiny().loads(vec![Load::TableRho(0.2)]), Jobs::Sequential).unwrap();
+        let report = run_sweep(&tiny_at("rho:0.2"), Jobs::Sequential).unwrap();
         for cell in &report.cells {
             assert!(cell.events_processed > 0, "{}", cell.spec);
             assert!(cell.events_per_sec > 0.0, "{}", cell.spec);
@@ -553,7 +550,7 @@ mod tests {
 
     #[test]
     fn json_is_schema_versioned_and_machine_readable() {
-        let report = run_sweep(&tiny().loads(vec![Load::TableRho(0.2)]), Jobs::Sequential).unwrap();
+        let report = run_sweep(&tiny_at("rho:0.2"), Jobs::Sequential).unwrap();
         let json = report.to_json();
         assert!(json.starts_with(&format!("{{\"schema\":\"{SCHEMA}\"")));
         assert!(json.contains("\"within_bounds\":true"));
@@ -662,8 +659,7 @@ mod tests {
 
     #[test]
     fn text_rendering_flags_violations() {
-        let mut report =
-            run_sweep(&tiny().loads(vec![Load::TableRho(0.2)]), Jobs::Sequential).unwrap();
+        let mut report = run_sweep(&tiny_at("rho:0.2"), Jobs::Sequential).unwrap();
         assert!(report.to_text().contains("ok"));
         report.cells[0].within_bounds = false;
         assert!(report.to_text().contains("VIOLATED"));

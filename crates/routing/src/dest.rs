@@ -14,7 +14,6 @@
 use meshbound_topology::{Butterfly, Hypercube, Mesh2D, NodeId, Topology};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The sparse structure of a destination distribution at one source.
 ///
@@ -58,19 +57,6 @@ pub trait DestSampler<T: Topology> {
         let _ = (topo, src);
         DestSupport::Dense
     }
-}
-
-/// Convenience enum naming the built-in destination distributions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum DestDist {
-    /// Uniform over all nodes (the paper's standard model).
-    Uniform,
-    /// §5.2 stopping-walk distribution with the given per-node stop
-    /// probability (the paper's sketch uses 1/2).
-    Nearby {
-        /// Probability of stopping at each node (except forced boundary stops).
-        stop: f64,
-    },
 }
 
 /// Uniform destinations over all nodes, self-pairs included.

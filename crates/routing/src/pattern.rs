@@ -16,8 +16,11 @@
 //!
 //! All three implement [`DestSampler`] for every [`Topology`], so they
 //! plug into the simulator and the exact rate enumeration unchanged.
+//! [`GenericDest`] wraps them together with the uniform, nearby and
+//! Bernoulli distributions of [`crate::dest`], so one sampler type covers
+//! every destination model a scenario can name.
 
-use crate::dest::{DestSampler, DestSupport};
+use crate::dest::{BernoulliDest, DestSampler, DestSupport, NearbyWalk, UniformDest};
 use meshbound_topology::{Butterfly, Hypercube, Mesh2D, MeshKD, NodeId, Topology, Torus2D};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -139,6 +142,18 @@ pub trait PatternTopology: Topology {
     fn central_node(&self) -> NodeId {
         NodeId(self.num_nodes() as u32 / 2)
     }
+
+    /// This topology as a 2-D array, if it is one: the nearby walk is
+    /// defined only there.
+    fn as_mesh(&self) -> Option<&Mesh2D> {
+        None
+    }
+
+    /// This topology as a hypercube, if it is one: the Bernoulli
+    /// distribution is defined only there.
+    fn as_hypercube(&self) -> Option<&Hypercube> {
+        None
+    }
 }
 
 /// Shared array-shaped permutation logic for [`Mesh2D`] and [`Torus2D`]
@@ -217,6 +232,10 @@ impl PatternTopology for Mesh2D {
     fn central_node(&self) -> NodeId {
         self.node(self.rows() / 2, self.cols() / 2)
     }
+
+    fn as_mesh(&self) -> Option<&Mesh2D> {
+        Some(self)
+    }
 }
 
 impl PatternTopology for Torus2D {
@@ -265,6 +284,10 @@ impl PatternTopology for Hypercube {
             PermutationKind::Shuffle => rotl1(x, d),
         };
         NodeId(y)
+    }
+
+    fn as_hypercube(&self) -> Option<&Hypercube> {
+        Some(self)
     }
 }
 
@@ -589,11 +612,18 @@ impl<T: Topology> DestSampler<T> for MatrixDest {
     }
 }
 
-/// One sampler type covering every topology-generic pattern, so scenario
-/// dispatch needs a single extra arm per topology instead of one per
-/// pattern.
+/// One sampler type covering every destination model a scenario can
+/// name, so scenario dispatch needs one instantiation per topology and
+/// router instead of one per pattern. Each variant draws exactly the
+/// random values of the sampler it wraps.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GenericDest {
+    /// [`UniformDest`].
+    Uniform,
+    /// A [`NearbyWalk`] (2-D arrays only).
+    Nearby(NearbyWalk),
+    /// A [`BernoulliDest`] (hypercubes only).
+    Bernoulli(BernoulliDest),
     /// A [`PermutationDest`].
     Permutation(PermutationDest),
     /// A [`HotspotDest`].
@@ -602,9 +632,22 @@ pub enum GenericDest {
     Matrix(MatrixDest),
 }
 
+fn mesh_of<T: PatternTopology>(topo: &T) -> &Mesh2D {
+    topo.as_mesh()
+        .expect("the nearby walk is defined only on the 2-D array")
+}
+
+fn cube_of<T: PatternTopology>(topo: &T) -> &Hypercube {
+    topo.as_hypercube()
+        .expect("the Bernoulli distribution is defined only on the hypercube")
+}
+
 impl<T: PatternTopology> DestSampler<T> for GenericDest {
     fn sample(&self, topo: &T, src: NodeId, rng: &mut SmallRng) -> NodeId {
         match self {
+            GenericDest::Uniform => UniformDest.sample(topo, src, rng),
+            GenericDest::Nearby(w) => w.sample(mesh_of(topo), src, rng),
+            GenericDest::Bernoulli(b) => b.sample(cube_of(topo), src, rng),
             GenericDest::Permutation(p) => p.sample(topo, src, rng),
             GenericDest::Hotspot(h) => h.sample(topo, src, rng),
             GenericDest::Matrix(m) => m.sample(topo, src, rng),
@@ -613,6 +656,9 @@ impl<T: PatternTopology> DestSampler<T> for GenericDest {
 
     fn weight(&self, topo: &T, src: NodeId, dst: NodeId) -> f64 {
         match self {
+            GenericDest::Uniform => UniformDest.weight(topo, src, dst),
+            GenericDest::Nearby(w) => w.weight(mesh_of(topo), src, dst),
+            GenericDest::Bernoulli(b) => b.weight(cube_of(topo), src, dst),
             GenericDest::Permutation(p) => p.weight(topo, src, dst),
             GenericDest::Hotspot(h) => h.weight(topo, src, dst),
             GenericDest::Matrix(m) => m.weight(topo, src, dst),
@@ -621,6 +667,8 @@ impl<T: PatternTopology> DestSampler<T> for GenericDest {
 
     fn support(&self, topo: &T, src: NodeId) -> DestSupport {
         match self {
+            GenericDest::Uniform => UniformDest.support(topo, src),
+            GenericDest::Nearby(_) | GenericDest::Bernoulli(_) => DestSupport::Dense,
             GenericDest::Permutation(p) => p.support(topo, src),
             GenericDest::Hotspot(h) => h.support(topo, src),
             GenericDest::Matrix(m) => m.support(topo, src),
@@ -919,5 +967,37 @@ mod tests {
         // Silent sources fall back to self-packets.
         assert_eq!(mx.sample(&m, NodeId(2), &mut r), NodeId(2));
         assert_eq!(mx.weight(&m, NodeId(2), NodeId(0)), 0.0);
+    }
+
+    /// Draws `n` destinations per source from each sampler on one RNG
+    /// stream each, and compares draws and weights.
+    fn assert_same_stream<T, A, B>(topo: &T, a: &A, b: &B)
+    where
+        T: PatternTopology,
+        A: DestSampler<T>,
+        B: DestSampler<T>,
+    {
+        let (mut ra, mut rb) = (rng(), rng());
+        for src in topo.nodes() {
+            for _ in 0..8 {
+                assert_eq!(a.sample(topo, src, &mut ra), b.sample(topo, src, &mut rb));
+            }
+            for dst in topo.nodes() {
+                let (wa, wb) = (a.weight(topo, src, dst), b.weight(topo, src, dst));
+                assert_eq!(wa.to_bits(), wb.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn generic_variants_draw_the_wrapped_samplers_values() {
+        let mesh = Mesh2D::rect(4, 5);
+        let cube = Hypercube::new(5);
+        assert_same_stream(&mesh, &GenericDest::Uniform, &UniformDest);
+        assert_same_stream(&cube, &GenericDest::Uniform, &UniformDest);
+        let walk = NearbyWalk::new(0.4);
+        assert_same_stream(&mesh, &GenericDest::Nearby(walk), &walk);
+        let flips = BernoulliDest::new(0.3);
+        assert_same_stream(&cube, &GenericDest::Bernoulli(flips), &flips);
     }
 }

@@ -127,22 +127,6 @@ pub fn try_traffic_fixed_point(
     })
 }
 
-/// Panicking convenience wrapper around [`try_traffic_fixed_point`].
-///
-/// # Panics
-///
-/// Panics if iteration fails to converge — which cannot happen for
-/// substochastic routing with exit probability bounded away from zero.
-#[must_use]
-#[deprecated(
-    since = "0.8.0",
-    note = "panics on non-convergence; use `try_traffic_fixed_point` and \
-            surface the `TrafficConvergenceError`"
-)]
-pub fn traffic_fixed_point(routing: &MarkovRouting, tol: f64, max_iter: usize) -> Vec<f64> {
-    try_traffic_fixed_point(routing, tol, max_iter).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Steady-state per-edge arrival rates for a
 /// [`SplitRouting`](crate::SplitRouting) router — the
 /// rate computation for routers **without enumerable paths**.
@@ -432,16 +416,6 @@ mod tests {
         assert!(err.residual > err.tol, "residual {} stuck", err.residual);
         let msg = err.to_string();
         assert!(msg.contains("failed to converge in 50 iterations"), "{msg}");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn try_fixed_point_agrees_with_deprecated_wrapper() {
-        let mesh = Mesh2D::square(4);
-        let routing = mesh_markov_routing(&mesh, 0.5);
-        let a = traffic_fixed_point(&routing, 1e-13, 10_000);
-        let b = try_traffic_fixed_point(&routing, 1e-13, 10_000).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

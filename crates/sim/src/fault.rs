@@ -192,8 +192,7 @@ impl FaultSpec {
             return Ok(None);
         }
         let mut spec = FaultSpec::default();
-        let (mut saw_links, mut saw_nodes, mut saw_at, mut saw_repair) =
-            (false, false, false, false);
+        let mut seen = 0u8;
         let f64_of = |key: &str, v: &str| -> Result<f64, String> {
             match v.parse::<f64>() {
                 Ok(x) if x.is_finite() => Ok(x),
@@ -208,37 +207,23 @@ impl FaultSpec {
             let (key, v) = part.split_once(':').ok_or_else(|| {
                 format!("fault part `{part}` must be `<kind>:<value>` (or the whole clause `none`)")
             })?;
+            // Rates and times are single-valued; explicit ids may repeat.
+            if let Some(bit) = ["links", "nodes", "at", "repair"]
+                .iter()
+                .position(|k| *k == key)
+            {
+                if seen & (1 << bit) != 0 {
+                    return Err(format!("duplicate `{key}:` fault part"));
+                }
+                seen |= 1 << bit;
+            }
             match key {
-                "links" => {
-                    if saw_links {
-                        return Err("duplicate `links:` fault part".into());
-                    }
-                    saw_links = true;
-                    spec.link_rate = f64_of("links", v)?;
-                }
-                "nodes" => {
-                    if saw_nodes {
-                        return Err("duplicate `nodes:` fault part".into());
-                    }
-                    saw_nodes = true;
-                    spec.node_rate = f64_of("nodes", v)?;
-                }
-                "link" => spec.links.push(id_of("link", v)?),
-                "node" => spec.nodes.push(id_of("node", v)?),
-                "at" => {
-                    if saw_at {
-                        return Err("duplicate `at:` fault part".into());
-                    }
-                    saw_at = true;
-                    spec.at = f64_of("at", v)?;
-                }
-                "repair" => {
-                    if saw_repair {
-                        return Err("duplicate `repair:` fault part".into());
-                    }
-                    saw_repair = true;
-                    spec.repair = Some(f64_of("repair", v)?);
-                }
+                "links" => spec.link_rate = f64_of(key, v)?,
+                "nodes" => spec.node_rate = f64_of(key, v)?,
+                "link" => spec.links.push(id_of(key, v)?),
+                "node" => spec.nodes.push(id_of(key, v)?),
+                "at" => spec.at = f64_of(key, v)?,
+                "repair" => spec.repair = Some(f64_of(key, v)?),
                 other => {
                     return Err(format!(
                         "unknown fault part `{other}` (expected links, nodes, link, node, \

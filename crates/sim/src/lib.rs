@@ -19,7 +19,9 @@
 //! permutations, hotspots, explicit traffic matrices) and load in any
 //! [`Load`] convention, runs single simulations ([`Scenario::run`]) or
 //! Rayon-parallel replications ([`Scenario::run_replicated`]), and parses
-//! compact command-line specs ([`Scenario::parse`]). Simulations are
+//! compact command-line specs ([`Scenario::parse`]). One key table,
+//! [`spec::KEYS`], defines that grammar and the sweep grammar of
+//! [`SweepSpec`], whose values may list `a|b` alternatives. Simulations are
 //! deterministic given a seed. The one engine, in [`shard`], runs a
 //! scenario on one node shard (`engine=auto`) or, as a conservative
 //! parallel DES, across `N` threads (`sharded:<N>`) with
@@ -56,6 +58,7 @@ pub mod runner;
 pub mod scenario;
 pub mod service;
 pub mod shard;
+pub mod spec;
 pub mod sweep;
 pub mod telemetry;
 pub mod traffic;

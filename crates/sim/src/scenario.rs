@@ -35,18 +35,17 @@
 //! for the inverse).
 
 use crate::engine::{EngineSpec, SPARSE_RATES_MIN_NODES, STREAMING_STATS_MAX_EDGES};
-use crate::fault::{FaultPlan, FaultSpec};
+use crate::fault::{reachable_fraction, FaultPlan, FaultSpec};
 use crate::network::{NetConfig, NetworkSim, SimError, SimResult};
 use crate::rng::splitmix64;
 use crate::runner::ReplicatedResult;
 use crate::service::ServiceKind;
+use crate::spec::{self, Form};
 use crate::telemetry::ProbeSpec;
 use crate::traffic::{PatternSpec, SourceSpec, TrafficSpec};
 use meshbound_queueing::load::Load;
 use meshbound_queueing::remaining::saturated_edges;
-use meshbound_routing::dest::{
-    BernoulliDest, ButterflyOutput, DestSampler, NearbyWalk, UniformDest,
-};
+use meshbound_routing::dest::{BernoulliDest, ButterflyOutput, DestSampler, NearbyWalk};
 use meshbound_routing::pattern::{
     GenericDest, HotspotDest, MatrixDest, PatternTopology, PermutationDest, PermutationKind,
 };
@@ -59,7 +58,7 @@ use meshbound_routing::{
     RandomizedGreedy, Router, SplitRouting, TorusGreedy, TrafficConvergenceError, WestFirst,
 };
 use meshbound_topology::{
-    Butterfly, Direction, EdgeId, Hypercube, Mesh2D, MeshKD, NodeId, Topology, Torus2D,
+    Butterfly, Direction, Hypercube, Mesh2D, MeshKD, NodeId, Topology, Torus2D,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -111,28 +110,44 @@ impl TopologySpec {
         }
     }
 
-    /// Total node count.
+    /// Total node count (`usize::MAX` when it overflows, which
+    /// [`Scenario::validate`] rejects).
     #[must_use]
     pub fn num_nodes(&self) -> usize {
+        self.size().map_or(usize::MAX, |(nodes, _)| nodes)
+    }
+
+    /// Total directed-edge count (`usize::MAX` when it overflows, which
+    /// [`Scenario::validate`] rejects).
+    #[must_use]
+    pub fn num_edges(&self) -> usize {
+        self.size().map_or(usize::MAX, |(_, edges)| edges)
+    }
+
+    /// `(nodes, directed edges)` in checked arithmetic: `None` when either
+    /// overflows `usize`.
+    fn size(&self) -> Option<(usize, usize)> {
+        let pow2 = |k: usize| 1usize.checked_shl(u32::try_from(k).ok()?);
         match self {
-            TopologySpec::Mesh { rows, cols } => rows * cols,
-            TopologySpec::Torus { n } => n * n,
-            TopologySpec::Hypercube { dim } => 1 << dim,
-            TopologySpec::Butterfly { k } => (k + 1) << k,
-            TopologySpec::MeshKd { dims } => dims.iter().product(),
+            TopologySpec::Mesh { rows, cols } => grid_size([*rows, *cols]),
+            TopologySpec::Torus { n } => {
+                let nodes = n.checked_mul(*n)?;
+                Some((nodes, nodes.checked_mul(4)?))
+            }
+            // A hypercube is a k-d mesh with every extent 2.
+            TopologySpec::Hypercube { dim } => grid_size(std::iter::repeat_n(2, *dim)),
+            TopologySpec::Butterfly { k } => {
+                let rows = pow2(*k)?;
+                Some((rows.checked_mul(k + 1)?, rows.checked_mul(2 * k)?))
+            }
+            TopologySpec::MeshKd { dims } => grid_size(dims.iter().copied()),
         }
     }
 
-    /// Total directed-edge count.
-    #[must_use]
-    pub fn num_edges(&self) -> usize {
-        match self {
-            TopologySpec::Mesh { rows, cols } => Mesh2D::rect(*rows, *cols).num_edges(),
-            TopologySpec::Torus { n } => 4 * n * n,
-            TopologySpec::Hypercube { dim } => dim << dim,
-            TopologySpec::Butterfly { k } => k << (k + 1),
-            TopologySpec::MeshKd { dims } => MeshKD::new(dims).num_edges(),
-        }
+    /// Whether every edge id fits [`EdgeId`]'s `u32`.
+    fn fits_edge_ids(&self) -> bool {
+        self.size()
+            .is_some_and(|(_, edges)| edges <= u32::MAX as usize)
     }
 
     /// The maximum route length of the default greedy router.
@@ -163,51 +178,51 @@ impl TopologySpec {
         }
     }
 
-    pub(crate) fn parse_head(head: &str) -> Result<Self, ScenarioError> {
+    /// Parses a spec-string head such as `"torus:8"` or `"kd:3x3x3"`.
+    pub(crate) fn parse_head(head: &str) -> Result<Self, String> {
         let (name, size) = head.split_once(':').ok_or_else(|| {
-            ScenarioError::parse(format!(
-                "topology `{head}` needs a size, e.g. `mesh:8` or `kd:3x3x3`"
-            ))
+            format!("topology `{head}` needs a size, e.g. `mesh:8` or `kd:3x3x3`")
         })?;
-        let dims = |s: &str| -> Result<Vec<usize>, ScenarioError> {
-            s.split('x')
-                .map(|d| {
-                    d.parse::<usize>()
-                        .map_err(|_| ScenarioError::parse(format!("bad extent `{d}` in `{head}`")))
-                })
-                .collect()
-        };
-        let single = |s: &str| -> Result<usize, ScenarioError> {
-            match dims(s)?.as_slice() {
-                [n] => Ok(*n),
-                _ => Err(ScenarioError::parse(format!(
-                    "`{name}` takes a single size, got `{s}`"
-                ))),
+        let dims = size
+            .split('x')
+            .map(|d| {
+                d.parse()
+                    .map_err(|_| format!("bad extent `{d}` in `{head}`"))
+            })
+            .collect::<Result<Vec<usize>, _>>()?;
+        let topology = match (name, dims.as_slice()) {
+            ("mesh", &[n]) => TopologySpec::Mesh { rows: n, cols: n },
+            ("mesh", &[rows, cols]) => TopologySpec::Mesh { rows, cols },
+            ("torus", &[n]) => TopologySpec::Torus { n },
+            ("hypercube", &[dim]) => TopologySpec::Hypercube { dim },
+            ("butterfly", &[k]) => TopologySpec::Butterfly { k },
+            ("kd", _) => TopologySpec::MeshKd { dims },
+            ("mesh" | "torus" | "hypercube" | "butterfly", _) => {
+                return Err(format!(
+                    "`{name}` takes a single size (a mesh also `RxC`), got `{size}`"
+                ))
+            }
+            _ => {
+                return Err(format!(
+                    "unknown topology `{name}` (expected mesh, torus, hypercube, butterfly or kd)"
+                ))
             }
         };
-        match name {
-            "mesh" => {
-                let d = dims(size)?;
-                match d.as_slice() {
-                    [n] => Ok(TopologySpec::Mesh { rows: *n, cols: *n }),
-                    [r, c] => Ok(TopologySpec::Mesh { rows: *r, cols: *c }),
-                    _ => Err(ScenarioError::parse(format!(
-                        "mesh size `{size}` must be `n` or `RxC`"
-                    ))),
-                }
-            }
-            "torus" => Ok(TopologySpec::Torus { n: single(size)? }),
-            "hypercube" => Ok(TopologySpec::Hypercube { dim: single(size)? }),
-            "butterfly" => Ok(TopologySpec::Butterfly { k: single(size)? }),
-            "kd" => Ok(TopologySpec::MeshKd { dims: dims(size)? }),
-            other => Err(ScenarioError::parse(format!(
-                "unknown topology `{other}` (expected mesh, torus, hypercube, butterfly or kd)"
-            ))),
+        if !topology.fits_edge_ids() {
+            return Err(format!(
+                "topology `{head}` is too large: its edge count does not fit a 32-bit edge id"
+            ));
         }
+        Ok(topology)
     }
 
     fn validate(&self) -> Result<(), ScenarioError> {
         let bad = |msg: String| Err(ScenarioError::unsupported(msg));
+        if !self.fits_edge_ids() {
+            return bad(format!(
+                "{self:?} is too large: its edge count does not fit a 32-bit edge id"
+            ));
+        }
         match self {
             TopologySpec::Mesh { rows, cols } => {
                 if *rows < 2 || *cols < 2 {
@@ -243,6 +258,23 @@ impl TopologySpec {
         }
         Ok(())
     }
+}
+
+/// `(nodes, directed edges)` of a grid with the given extents, in checked
+/// arithmetic: along an axis of extent `d`, each of the `nodes / d` lines
+/// has `d − 1` links, one edge each way.
+fn grid_size<I>(dims: I) -> Option<(usize, usize)>
+where
+    I: IntoIterator<Item = usize>,
+    I::IntoIter: Clone,
+{
+    let mut dims = dims.into_iter();
+    let nodes = dims.clone().try_fold(1usize, |n, d| n.checked_mul(d))?;
+    let edges = dims.try_fold(0usize, |e, d| {
+        let lines = nodes.checked_div(d).unwrap_or(0);
+        e.checked_add(lines.checked_mul(d.saturating_sub(1))?.checked_mul(2)?)
+    })?;
+    Some((nodes, edges))
 }
 
 /// Which router a [`Scenario`] uses. Each topology has a canonical greedy
@@ -303,44 +335,45 @@ impl RouterSpec {
     }
 }
 
-/// Builds the topology-generic sampler for a permutation, hotspot or
-/// matrix pattern; `None` for the patterns each topology handles natively
-/// (uniform, nearby, Bernoulli).
+/// Builds the destination sampler of any pattern a [`PatternTopology`]
+/// carries: uniform, nearby (mesh), Bernoulli (hypercube) and the
+/// topology-generic patterns.
 ///
 /// # Panics
 ///
-/// Unreachable after [`Scenario::validate`], which rejects unsupported
-/// permutations and invalid matrices with a typed [`ScenarioError`] before
-/// any code path can reach here.
-fn generic_dest_for<T: PatternTopology>(topo: &T, pattern: &PatternSpec) -> Option<GenericDest> {
+/// Unreachable after [`Scenario::validate`], which rejects out-of-range
+/// parameters, unsupported permutations and invalid matrices with a typed
+/// [`ScenarioError`] before any code path can reach here.
+fn generic_dest_for<T: PatternTopology>(topo: &T, pattern: &PatternSpec) -> GenericDest {
     match pattern {
-        PatternSpec::Permutation { kind } => Some(GenericDest::Permutation(
-            PermutationDest::new(topo, *kind).unwrap_or_else(|e| {
+        PatternSpec::Uniform => GenericDest::Uniform,
+        PatternSpec::Nearby { stop } => GenericDest::Nearby(NearbyWalk::new(*stop)),
+        PatternSpec::Bernoulli { p } => GenericDest::Bernoulli(BernoulliDest::new(*p)),
+        PatternSpec::Permutation { kind } => {
+            GenericDest::Permutation(PermutationDest::new(topo, *kind).unwrap_or_else(|e| {
                 unreachable!("validate() rejects unsupported permutations: {e}")
-            }),
-        )),
+            }))
+        }
         PatternSpec::Hotspot { node, frac } => {
             let hot = node.map_or_else(|| topo.central_node(), |i| NodeId(i as u32));
-            Some(GenericDest::Hotspot(HotspotDest::new(hot, *frac)))
+            GenericDest::Hotspot(HotspotDest::new(hot, *frac))
         }
-        PatternSpec::Matrix { rows } => Some(GenericDest::Matrix(
+        PatternSpec::Matrix { rows } => GenericDest::Matrix(
             MatrixDest::from_rows(rows)
                 .unwrap_or_else(|e| unreachable!("validate() rejects invalid matrices: {e}")),
-        )),
-        PatternSpec::Uniform | PatternSpec::Nearby { .. } | PatternSpec::Bernoulli { .. } => None,
+        ),
     }
 }
 
-/// Weighted exact edge rates for any pattern a [`PatternTopology`] carries
-/// natively: uniform, nearby (mesh) and the topology-generic patterns.
+/// Weighted exact edge rates for any pattern a [`PatternTopology`] carries.
 ///
-/// Above [`SPARSE_RATES_MIN_NODES`] sources, sparse-support patterns
+/// Above [`SPARSE_RATES_MIN_NODES`] sources, the sparse-support patterns
 /// (permutation, hotspot, matrix) take the O(N · route) fast path of
 /// [`edge_rates_sparse`]; `uniform_unit` supplies the closed-form per-edge
 /// rates of the **same** `per_source` vector under uniform destinations
-/// (the hotspot remainder), or `None` when no closed form applies. At or
-/// below the gate every pattern runs through the same enumeration that
-/// produced all published ≤512-node numbers.
+/// (the hotspot remainder), or `None` when no closed form applies. Every
+/// other pattern, and every pattern at or below the gate, runs through the
+/// same enumeration that produced all published ≤512-node numbers.
 fn pattern_rates<T, R, F>(
     topo: &T,
     router: &R,
@@ -354,24 +387,21 @@ where
     R: ObliviousRouter<T>,
     F: FnOnce() -> Option<Vec<f64>>,
 {
-    match pattern {
-        PatternSpec::Uniform => {
-            edge_rates_weighted(topo, router, &UniformDest, per_source, sources)
+    let dest = generic_dest_for(topo, pattern);
+    // Uniform destinations report a sparse support too, but keep the
+    // enumeration their published rates came from.
+    let sparse = matches!(
+        pattern,
+        PatternSpec::Permutation { .. } | PatternSpec::Hotspot { .. } | PatternSpec::Matrix { .. }
+    );
+    if sparse && sources.len() > SPARSE_RATES_MIN_NODES {
+        if let Some(rates) =
+            edge_rates_sparse(topo, router, &dest, per_source, sources, uniform_unit)
+        {
+            return rates;
         }
-        other => match generic_dest_for(topo, other) {
-            Some(dest) => {
-                if sources.len() > SPARSE_RATES_MIN_NODES {
-                    if let Some(rates) =
-                        edge_rates_sparse(topo, router, &dest, per_source, sources, uniform_unit)
-                    {
-                        return rates;
-                    }
-                }
-                edge_rates_weighted(topo, router, &dest, per_source, sources)
-            }
-            None => unreachable!("validate() rejects this pattern on {}", topo.label()),
-        },
     }
+    edge_rates_weighted(topo, router, &dest, per_source, sources)
 }
 
 /// Absolute tolerance of the adaptive fixed-point rate solver. Minimal
@@ -385,9 +415,7 @@ const FP_TOL: f64 = 1e-13;
 const FP_MAX_ITER: usize = 10_000;
 
 /// Steady-state edge rates for an adaptive (split-routing) router under
-/// any pattern without a topology-native sampler requirement: uniform or
-/// the topology-generic patterns. (The mesh-only nearby walk is dispatched
-/// by the caller, whose topology is concrete.)
+/// any pattern, from the fixed-point solver.
 fn adaptive_pattern_rates<T, R>(
     topo: &T,
     router: &R,
@@ -399,33 +427,16 @@ where
     T: PatternTopology,
     R: SplitRouting<T>,
 {
-    let rates = match pattern {
-        PatternSpec::Uniform => adaptive_edge_rates(
-            topo,
-            router,
-            &UniformDest,
-            per_source,
-            sources,
-            FP_TOL,
-            FP_MAX_ITER,
-        )?,
-        other => match generic_dest_for(topo, other) {
-            Some(dest) => adaptive_edge_rates(
-                topo,
-                router,
-                &dest,
-                per_source,
-                sources,
-                FP_TOL,
-                FP_MAX_ITER,
-            )?,
-            None => unreachable!(
-                "validate() admits no other adaptive pattern on {}",
-                topo.label()
-            ),
-        },
-    };
-    Ok(rates)
+    let dest = generic_dest_for(topo, pattern);
+    Ok(adaptive_edge_rates(
+        topo,
+        router,
+        &dest,
+        per_source,
+        sources,
+        FP_TOL,
+        FP_MAX_ITER,
+    )?)
 }
 
 /// Closed-form unit-rate vector of the `n × n` torus with uniform sources
@@ -441,6 +452,85 @@ fn torus_uniform_unit_rates(n: usize) -> Vec<f64> {
             Direction::Left | Direction::Up => neg,
         })
         .collect()
+}
+
+/// A computation on a scenario's concrete network, run by
+/// [`Scenario::on_network`]: the topology, its router, the destination
+/// sampler, and the packet sources (`None` = every node).
+trait OnNetwork {
+    type Output;
+
+    fn on<T, R, D>(self, topo: T, router: R, dest: D, sources: Option<Vec<NodeId>>) -> Self::Output
+    where
+        T: PatternTopology + Sync,
+        R: Router<T> + Sync,
+        D: DestSampler<T> + Sync;
+}
+
+/// One simulation run.
+struct Run<'a> {
+    sc: &'a Scenario,
+    net: NetConfig,
+}
+
+impl OnNetwork for Run<'_> {
+    type Output = Result<SimResult, ScenarioError>;
+
+    fn on<T, R, D>(self, topo: T, router: R, dest: D, sources: Option<Vec<NodeId>>) -> Self::Output
+    where
+        T: PatternTopology + Sync,
+        R: Router<T> + Sync,
+        D: DestSampler<T> + Sync,
+    {
+        let Run { sc, net } = self;
+        let lambda = net.lambda;
+        let plan = sc
+            .faults
+            .as_ref()
+            .map(|spec| FaultPlan::materialize(spec, net.seed, &topo));
+        // Figure 2 defines the saturated edge classes on square meshes only.
+        let sat = match topo.as_mesh() {
+            Some(mesh) if sc.track_saturated && mesh.is_square() => saturated_edges(mesh),
+            _ => Vec::new(),
+        };
+        let mut sim = NetworkSim::new(topo, router, dest, net);
+        if let Some(plan) = plan.filter(|p| !p.is_empty()) {
+            sim = sim.with_fault_plan(plan);
+        }
+        if let Some(s) = sources {
+            sim = sim.with_sources(s);
+        }
+        if let Some(weights) = sc.source_weights() {
+            sim = sim.with_source_rates(weights.into_iter().map(|w| w * lambda).collect());
+        }
+        if !sat.is_empty() {
+            sim = sim.with_saturated_edges(&sat);
+        }
+        if let Some(rates) = &sc.service_rates {
+            sim = sim.with_service_rates(rates.clone());
+        }
+        sim.try_run().map_err(ScenarioError::Sim)
+    }
+}
+
+/// The fault plan's size and the surviving reachability it leaves (see
+/// [`Scenario::fault_reachability`]); `None` for a healthy scenario.
+struct Survey<'a>(&'a Scenario);
+
+impl OnNetwork for Survey<'_> {
+    type Output = Option<(usize, f64)>;
+
+    fn on<T, R, D>(self, topo: T, router: R, _: D, _: Option<Vec<NodeId>>) -> Self::Output
+    where
+        T: PatternTopology + Sync,
+        R: Router<T> + Sync,
+        D: DestSampler<T> + Sync,
+    {
+        let (spec, seed) = (self.0.faults.as_ref()?, self.0.seed);
+        let plan = FaultPlan::materialize(spec, seed, &topo);
+        let frac = reachable_fraction(&topo, &router, &plan.down_edges, seed);
+        Some((plan.down_edges.len(), frac))
+    }
 }
 
 /// Why a scenario specification was rejected.
@@ -464,10 +554,6 @@ pub enum ScenarioError {
 }
 
 impl ScenarioError {
-    fn parse(msg: String) -> Self {
-        ScenarioError::Parse(msg)
-    }
-
     fn unsupported(msg: String) -> Self {
         ScenarioError::Unsupported(msg)
     }
@@ -900,49 +986,16 @@ impl Scenario {
     /// Returns `(dead_edges, reachable_fraction)`, or `None` for healthy
     /// scenarios (no `faults=` clause). Deterministic for a fixed
     /// `(seed, faults, topology, router)`; see
-    /// [`reachable_fraction`](crate::fault::reachable_fraction).
+    /// [`reachable_fraction`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workload fails [`Scenario::validate`] — call it
+    /// first.
     #[must_use]
     pub fn fault_reachability(&self) -> Option<(usize, f64)> {
-        use crate::fault::reachable_fraction;
-        let spec = self.faults.as_ref()?;
-        fn survey<T: Topology, R: Router<T>>(
-            spec: &FaultSpec,
-            seed: u64,
-            topo: &T,
-            router: &R,
-        ) -> Option<(usize, f64)> {
-            let plan = FaultPlan::materialize(spec, seed, topo);
-            let frac = reachable_fraction(topo, router, &plan.down_edges, seed);
-            Some((plan.down_edges.len(), frac))
-        }
-        match (&self.topology, self.router) {
-            (TopologySpec::Mesh { rows, cols }, router) => {
-                let mesh = Mesh2D::rect(*rows, *cols);
-                match router {
-                    RouterSpec::Greedy => survey(spec, self.seed, &mesh, &GreedyXY),
-                    RouterSpec::Randomized => survey(spec, self.seed, &mesh, &RandomizedGreedy),
-                    RouterSpec::WestFirst => survey(spec, self.seed, &mesh, &WestFirst),
-                    RouterSpec::OddEven => survey(spec, self.seed, &mesh, &OddEven),
-                }
-            }
-            (TopologySpec::Torus { n }, router) => {
-                let torus = Torus2D::new(*n);
-                match router {
-                    RouterSpec::WestFirst => survey(spec, self.seed, &torus, &WestFirst),
-                    RouterSpec::OddEven => survey(spec, self.seed, &torus, &OddEven),
-                    _ => survey(spec, self.seed, &torus, &TorusGreedy),
-                }
-            }
-            (TopologySpec::Hypercube { dim }, _) => {
-                survey(spec, self.seed, &Hypercube::new(*dim), &DimOrder)
-            }
-            (TopologySpec::Butterfly { k }, _) => {
-                survey(spec, self.seed, &Butterfly::new(*k), &ButterflyRouter)
-            }
-            (TopologySpec::MeshKd { dims }, _) => {
-                survey(spec, self.seed, &MeshKD::new(dims), &KdGreedy)
-            }
-        }
+        self.faults.as_ref()?;
+        self.on_network(Survey(self))
     }
 
     /// Exact per-edge arrival rates at the resolved λ, for the scenario's
@@ -1138,52 +1191,20 @@ impl Scenario {
                 let mesh = Mesh2D::rect(*rows, *cols);
                 let sources = all_nodes(&mesh);
                 let per = per_source(sources.len());
-                match (router, pattern) {
-                    (RouterSpec::Greedy, PatternSpec::Nearby { stop }) => edge_rates_weighted(
-                        &mesh,
-                        &GreedyXY,
-                        &NearbyWalk::new(*stop),
-                        &per,
-                        &sources,
-                    ),
-                    (RouterSpec::Randomized, PatternSpec::Nearby { stop }) => edge_rates_weighted(
-                        &mesh,
-                        &RandomizedGreedy,
-                        &NearbyWalk::new(*stop),
-                        &per,
-                        &sources,
-                    ),
-                    (RouterSpec::WestFirst, PatternSpec::Nearby { stop }) => adaptive_edge_rates(
-                        &mesh,
-                        &WestFirst,
-                        &NearbyWalk::new(*stop),
-                        &per,
-                        &sources,
-                        FP_TOL,
-                        FP_MAX_ITER,
-                    )?,
-                    (RouterSpec::OddEven, PatternSpec::Nearby { stop }) => adaptive_edge_rates(
-                        &mesh,
-                        &OddEven,
-                        &NearbyWalk::new(*stop),
-                        &per,
-                        &sources,
-                        FP_TOL,
-                        FP_MAX_ITER,
-                    )?,
-                    (RouterSpec::Greedy, pattern) => {
+                match router {
+                    RouterSpec::Greedy => {
                         let square = rows == cols;
                         pattern_rates(&mesh, &GreedyXY, pattern, &per, &sources, || {
                             (uniform_sources && square).then(|| mesh_thm6_rates(&mesh, 1.0))
                         })
                     }
-                    (RouterSpec::Randomized, pattern) => {
+                    RouterSpec::Randomized => {
                         pattern_rates(&mesh, &RandomizedGreedy, pattern, &per, &sources, || None)
                     }
-                    (RouterSpec::WestFirst, pattern) => {
+                    RouterSpec::WestFirst => {
                         adaptive_pattern_rates(&mesh, &WestFirst, pattern, &per, &sources)?
                     }
-                    (RouterSpec::OddEven, pattern) => {
+                    RouterSpec::OddEven => {
                         adaptive_pattern_rates(&mesh, &OddEven, pattern, &per, &sources)?
                     }
                 }
@@ -1221,19 +1242,9 @@ impl Scenario {
                         let cube = Hypercube::new(*dim);
                         let sources = all_nodes(&cube);
                         let per = per_source(sources.len());
-                        if let PatternSpec::Bernoulli { p } = pattern {
-                            edge_rates_weighted(
-                                &cube,
-                                &DimOrder,
-                                &BernoulliDest::new(*p),
-                                &per,
-                                &sources,
-                            )
-                        } else {
-                            pattern_rates(&cube, &DimOrder, pattern, &per, &sources, || {
-                                uniform_sources.then(|| vec![0.5; dim << dim])
-                            })
-                        }
+                        pattern_rates(&cube, &DimOrder, pattern, &per, &sources, || {
+                            uniform_sources.then(|| vec![0.5; dim << dim])
+                        })
                     }
                 }
             }
@@ -1524,111 +1535,58 @@ impl Scenario {
         self.try_run_seeded(seed).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The single dispatch point: maps the specification onto the concrete
-    /// `NetworkSim` instantiation and runs it with `seed` as the master
-    /// seed.
+    /// Runs the scenario once with `seed` as the master seed.
     ///
     /// # Errors
     ///
     /// See [`Scenario::try_run`].
     pub fn try_run_seeded(&self, seed: u64) -> Result<SimResult, ScenarioError> {
         self.validate()?;
-        let net = self.net_config(seed);
-        match (&self.topology, self.router, &self.traffic.pattern) {
-            (TopologySpec::Mesh { rows, cols }, router, pattern) => {
+        self.on_network(Run {
+            sc: self,
+            net: self.net_config(seed),
+        })
+    }
+
+    /// The single dispatch point: maps the topology × router pair onto
+    /// concrete types, builds the destination sampler, and hands all three
+    /// to `v`.
+    fn on_network<V: OnNetwork>(&self, v: V) -> V::Output {
+        let pattern = &self.traffic.pattern;
+        match (&self.topology, self.router) {
+            (TopologySpec::Mesh { rows, cols }, router) => {
                 let mesh = Mesh2D::rect(*rows, *cols);
-                let sat = if self.track_saturated && mesh.is_square() {
-                    saturated_edges(&mesh)
-                } else {
-                    Vec::new()
-                };
-                if let Some(dest) = generic_dest_for(&mesh, pattern) {
-                    return match router {
-                        RouterSpec::Greedy => self.finish(mesh, GreedyXY, dest, net, &sat, None),
-                        RouterSpec::Randomized => {
-                            self.finish(mesh, RandomizedGreedy, dest, net, &sat, None)
-                        }
-                        RouterSpec::WestFirst => {
-                            self.finish(mesh, WestFirst, dest, net, &sat, None)
-                        }
-                        RouterSpec::OddEven => self.finish(mesh, OddEven, dest, net, &sat, None),
-                    };
-                }
-                match (router, pattern) {
-                    (RouterSpec::Greedy, PatternSpec::Uniform) => {
-                        self.finish(mesh, GreedyXY, UniformDest, net, &sat, None)
-                    }
-                    (RouterSpec::Greedy, PatternSpec::Nearby { stop }) => {
-                        self.finish(mesh, GreedyXY, NearbyWalk::new(*stop), net, &sat, None)
-                    }
-                    (RouterSpec::Randomized, PatternSpec::Uniform) => {
-                        self.finish(mesh, RandomizedGreedy, UniformDest, net, &sat, None)
-                    }
-                    (RouterSpec::Randomized, PatternSpec::Nearby { stop }) => self.finish(
-                        mesh,
-                        RandomizedGreedy,
-                        NearbyWalk::new(*stop),
-                        net,
-                        &sat,
-                        None,
-                    ),
-                    (RouterSpec::WestFirst, PatternSpec::Uniform) => {
-                        self.finish(mesh, WestFirst, UniformDest, net, &sat, None)
-                    }
-                    (RouterSpec::WestFirst, PatternSpec::Nearby { stop }) => {
-                        self.finish(mesh, WestFirst, NearbyWalk::new(*stop), net, &sat, None)
-                    }
-                    (RouterSpec::OddEven, PatternSpec::Uniform) => {
-                        self.finish(mesh, OddEven, UniformDest, net, &sat, None)
-                    }
-                    (RouterSpec::OddEven, PatternSpec::Nearby { stop }) => {
-                        self.finish(mesh, OddEven, NearbyWalk::new(*stop), net, &sat, None)
-                    }
-                    _ => unreachable!("validate() admits no other mesh combination"),
+                let dest = generic_dest_for(&mesh, pattern);
+                match router {
+                    RouterSpec::Greedy => v.on(mesh, GreedyXY, dest, None),
+                    RouterSpec::Randomized => v.on(mesh, RandomizedGreedy, dest, None),
+                    RouterSpec::WestFirst => v.on(mesh, WestFirst, dest, None),
+                    RouterSpec::OddEven => v.on(mesh, OddEven, dest, None),
                 }
             }
-            (TopologySpec::Torus { n }, router, pattern) => {
+            (TopologySpec::Torus { n }, router) => {
                 let torus = Torus2D::new(*n);
-                match (router, generic_dest_for(&torus, pattern)) {
-                    (RouterSpec::WestFirst, Some(dest)) => {
-                        self.finish(torus, WestFirst, dest, net, &[], None)
-                    }
-                    (RouterSpec::WestFirst, None) => {
-                        self.finish(torus, WestFirst, UniformDest, net, &[], None)
-                    }
-                    (RouterSpec::OddEven, Some(dest)) => {
-                        self.finish(torus, OddEven, dest, net, &[], None)
-                    }
-                    (RouterSpec::OddEven, None) => {
-                        self.finish(torus, OddEven, UniformDest, net, &[], None)
-                    }
-                    (_, Some(dest)) => self.finish(torus, TorusGreedy, dest, net, &[], None),
-                    (_, None) => self.finish(torus, TorusGreedy, UniformDest, net, &[], None),
+                let dest = generic_dest_for(&torus, pattern);
+                match router {
+                    RouterSpec::WestFirst => v.on(torus, WestFirst, dest, None),
+                    RouterSpec::OddEven => v.on(torus, OddEven, dest, None),
+                    _ => v.on(torus, TorusGreedy, dest, None),
                 }
             }
-            (TopologySpec::Hypercube { dim }, _, pattern) => {
+            (TopologySpec::Hypercube { dim }, _) => {
                 let cube = Hypercube::new(*dim);
-                match pattern {
-                    PatternSpec::Bernoulli { p } => {
-                        self.finish(cube, DimOrder, BernoulliDest::new(*p), net, &[], None)
-                    }
-                    other => match generic_dest_for(&cube, other) {
-                        Some(dest) => self.finish(cube, DimOrder, dest, net, &[], None),
-                        None => self.finish(cube, DimOrder, UniformDest, net, &[], None),
-                    },
-                }
+                let dest = generic_dest_for(&cube, pattern);
+                v.on(cube, DimOrder, dest, None)
             }
-            (TopologySpec::Butterfly { k }, _, _) => {
+            (TopologySpec::Butterfly { k }, _) => {
                 let b = Butterfly::new(*k);
                 let sources: Vec<NodeId> = (0..b.rows()).map(|w| b.node(0, w)).collect();
-                self.finish(b, ButterflyRouter, ButterflyOutput, net, &[], Some(sources))
+                v.on(b, ButterflyRouter, ButterflyOutput, Some(sources))
             }
-            (TopologySpec::MeshKd { dims }, _, pattern) => {
+            (TopologySpec::MeshKd { dims }, _) => {
                 let kd = MeshKD::new(dims);
-                match generic_dest_for(&kd, pattern) {
-                    Some(dest) => self.finish(kd, KdGreedy, dest, net, &[], None),
-                    None => self.finish(kd, KdGreedy, UniformDest, net, &[], None),
-                }
+                let dest = generic_dest_for(&kd, pattern);
+                v.on(kd, KdGreedy, dest, None)
             }
         }
     }
@@ -1649,45 +1607,6 @@ impl Scenario {
         }
     }
 
-    fn finish<T, R, D>(
-        &self,
-        topo: T,
-        router: R,
-        dest: D,
-        net: NetConfig,
-        sat: &[EdgeId],
-        sources: Option<Vec<NodeId>>,
-    ) -> Result<SimResult, ScenarioError>
-    where
-        T: Topology + Sync,
-        R: Router<T> + Sync,
-        D: DestSampler<T> + Sync,
-    {
-        let lambda = net.lambda;
-        let seed = net.seed;
-        let plan = match &self.faults {
-            Some(spec) => FaultPlan::materialize(spec, seed, &topo),
-            None => FaultPlan::default(),
-        };
-        let mut sim = NetworkSim::new(topo, router, dest, net);
-        if !plan.is_empty() {
-            sim = sim.with_fault_plan(plan);
-        }
-        if let Some(s) = sources {
-            sim = sim.with_sources(s);
-        }
-        if let Some(weights) = self.source_weights() {
-            sim = sim.with_source_rates(weights.into_iter().map(|w| w * lambda).collect());
-        }
-        if !sat.is_empty() {
-            sim = sim.with_saturated_edges(sat);
-        }
-        if let Some(rates) = &self.service_rates {
-            sim = sim.with_service_rates(rates.clone());
-        }
-        sim.try_run().map_err(ScenarioError::Sim)
-    }
-
     // ----------------------------------------------------------------
     // Spec strings.
     // ----------------------------------------------------------------
@@ -1698,21 +1617,11 @@ impl Scenario {
     /// `"mesh:8,traffic=transpose,util=0.5"` or
     /// `"hypercube:20 traffic=shuffle load=rho:0.5"` — fields separate on
     /// commas and/or whitespace, so a quoted shell argument with spaces is
-    /// one valid spec.
+    /// one valid spec, and a fragment without `=` continues the value
+    /// before it (`probes=nsys,maxq`).
     ///
-    /// Recognized keys: `router=greedy|randomized|westfirst|oddeven`,
-    /// `traffic=uniform|nearby:<stop>|bernoulli:<p>|transpose|bitrev|`
-    /// `bitcomp|shuffle|hotspot:<frac>[:<node>]` (with `dest=` kept as a
-    /// pre-PR-5 alias), `src=uniform|hotspot:<weight>[:<node>]`, exactly
-    /// one of `lambda=`/`rho=`/`util=` (or the explicit spelling
-    /// `load=lambda:<v>|rho:<v>|util:<v>`), and `horizon=`, `warmup=`,
-    /// `seed=`, `service=det|exp`, `slot=`, `self=`,
-    /// `saturated=`, `quantiles=`, `queues=` (booleans take
-    /// `true`/`false`), `faults=…|none`,
-    /// `probes=<series>[,<series>…][@<dt>]|none` (series from `nsys`,
-    /// `maxq`, `drops`, `delivered`, `shards` — see
-    /// [`ProbeSpec::parse_token`]), `engine=auto|sharded:<N>`
-    /// and `shards=<N>` (shorthand for the sharded engine). Per-edge
+    /// The keys, their spellings and value syntax are the rows of
+    /// [`spec::KEYS`]; each key may appear once. Per-edge
     /// `service_rates`, per-source rate vectors and traffic matrices have
     /// no spec syntax — set them on the builder.
     ///
@@ -1722,227 +1631,53 @@ impl Scenario {
     /// [`ScenarioError::Unsupported`] when the parsed combination fails
     /// [`Scenario::validate`].
     pub fn parse(spec: &str) -> Result<Self, ScenarioError> {
-        let mut raw = spec
+        let bad = ScenarioError::Parse;
+        let mut fields = spec
             .split(|c: char| c == ',' || c.is_whitespace())
-            .filter(|p| !p.is_empty());
-        let head = raw.next().unwrap_or_default().trim();
-        let mut sc = Scenario::new(TopologySpec::parse_head(head)?);
-        // `probes=` is the one clause whose value is itself
-        // comma-joined (`probes=nsys,maxq`), so the comma split above
-        // fragments it. Re-attach any `=`-less fragment to a directly
-        // preceding `probes=` part; everywhere else a part without `=`
-        // stays a parse error.
-        let mut parts: Vec<String> = Vec::new();
-        for part in raw {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
+            .filter(|f| !f.is_empty())
+            .peekable();
+        let head = fields.next().unwrap_or_default();
+        let mut sc = Scenario::new(TopologySpec::parse_head(head).map_err(bad)?);
+        let mut seen = 0;
+        while let Some(field) = fields.next() {
+            let (name, value) = field
+                .split_once('=')
+                .ok_or_else(|| bad(format!("expected `key=value`, got `{field}`")))?;
+            // A fragment without `=` continues a comma-joined value.
+            let mut value = std::borrow::Cow::Borrowed(value);
+            while let Some(more) = fields.next_if(|f| !f.contains('=')) {
+                *value.to_mut() += &format!(",{more}");
             }
-            if !part.contains('=') {
-                if let Some(prev) = parts.last_mut() {
-                    if prev.starts_with("probes=") {
-                        prev.push(',');
-                        prev.push_str(part);
-                        continue;
-                    }
-                }
+            let (_, key) = spec::claim(&mut seen, name).map_err(bad)?;
+            if key.role == spec::Role::Head {
+                return Err(bad(format!(
+                    "the topology is the head, not a `{name}=` clause"
+                )));
             }
-            parts.push(part.to_string());
-        }
-        let mut load_seen = false;
-        let f64_of = |key: &str, v: &str| -> Result<f64, ScenarioError> {
-            v.parse::<f64>()
-                .map_err(|_| ScenarioError::parse(format!("bad number `{v}` for `{key}`")))
-        };
-        let bool_of = |key: &str, v: &str| -> Result<bool, ScenarioError> {
-            match v {
-                "true" => Ok(true),
-                "false" => Ok(false),
-                _ => Err(ScenarioError::parse(format!(
-                    "bad boolean `{v}` for `{key}` (expected true or false)"
-                ))),
-            }
-        };
-        for part in &parts {
-            let part = part.as_str();
-            let (key, value) = part.split_once('=').ok_or_else(|| {
-                ScenarioError::parse(format!("expected `key=value`, got `{part}`"))
-            })?;
-            match key {
-                "router" => {
-                    sc.router = RouterSpec::parse_token(value).map_err(ScenarioError::parse)?;
-                }
-                // `dest=` is the pre-PR-5 spelling; both keys accept the
-                // full pattern grammar.
-                "traffic" | "dest" => {
-                    sc.traffic.pattern =
-                        PatternSpec::parse_token(value).map_err(ScenarioError::parse)?;
-                }
-                "src" => {
-                    sc.traffic.source =
-                        SourceSpec::parse_token(value).map_err(ScenarioError::parse)?;
-                }
-                "lambda" | "rho" | "util" => {
-                    if load_seen {
-                        return Err(ScenarioError::parse(format!(
-                            "`{key}` conflicts with an earlier load key — give exactly \
-                             one of lambda=, rho= or util="
-                        )));
-                    }
-                    load_seen = true;
-                    let v = f64_of(key, value)?;
-                    sc.load = match key {
-                        "lambda" => Load::Lambda(v),
-                        "rho" => Load::TableRho(v),
-                        _ => Load::Utilization(v),
-                    };
-                }
-                // The explicit spelling `load=<convention>:<value>`.
-                "load" => {
-                    if load_seen {
-                        return Err(ScenarioError::parse(
-                            "`load` conflicts with an earlier load key — give exactly \
-                             one of lambda=, rho=, util= or load="
-                                .into(),
-                        ));
-                    }
-                    load_seen = true;
-                    let (conv, num) = value.split_once(':').ok_or_else(|| {
-                        ScenarioError::parse(format!(
-                            "expected `load=<convention>:<value>`, got `load={value}`"
-                        ))
-                    })?;
-                    let v = f64_of(key, num)?;
-                    sc.load = match conv {
-                        "lambda" => Load::Lambda(v),
-                        "rho" => Load::TableRho(v),
-                        "util" => Load::Utilization(v),
-                        other => {
-                            return Err(ScenarioError::parse(format!(
-                                "unknown load convention `{other}` (expected lambda, rho \
-                                 or util)"
-                            )))
-                        }
-                    };
-                }
-                "horizon" => sc.horizon = f64_of(key, value)?,
-                "warmup" => sc.warmup = f64_of(key, value)?,
-                "seed" => {
-                    sc.seed = value
-                        .parse::<u64>()
-                        .map_err(|_| ScenarioError::parse(format!("bad seed `{value}`")))?;
-                }
-                "service" => {
-                    sc.service = match value {
-                        "det" | "deterministic" => ServiceKind::Deterministic,
-                        "exp" | "exponential" => ServiceKind::Exponential,
-                        _ => {
-                            return Err(ScenarioError::parse(format!(
-                                "unknown service `{value}` (expected det or exp)"
-                            )))
-                        }
-                    };
-                }
-                "slot" => sc.slot = Some(f64_of(key, value)?),
-                "self" => sc.include_self_packets = bool_of(key, value)?,
-                "saturated" => sc.track_saturated = bool_of(key, value)?,
-                "quantiles" => sc.delay_quantiles = bool_of(key, value)?,
-                "queues" => sc.track_edge_queues = bool_of(key, value)?,
-                "faults" => {
-                    sc.faults = FaultSpec::parse_token(value).map_err(ScenarioError::parse)?;
-                }
-                "probes" => {
-                    sc.probes = ProbeSpec::parse_token(value).map_err(ScenarioError::parse)?;
-                }
-                "engine" => {
-                    sc.engine = EngineSpec::parse_str(value).map_err(ScenarioError::parse)?
-                }
-                // Shorthand for `engine=sharded:<N>`.
-                "shards" => {
-                    let shards =
-                        value
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n >= 1)
-                            .ok_or_else(|| {
-                                ScenarioError::parse(format!(
-                                    "`shards` needs a count >= 1, got `{value}`"
-                                ))
-                            })?;
-                    sc.engine = EngineSpec::Sharded { shards };
-                }
-                other => {
-                    return Err(ScenarioError::parse(format!("unknown key `{other}`")));
-                }
-            }
+            (key.parse)(&mut sc, name, &value).map_err(bad)?;
         }
         sc.validate()?;
         Ok(sc)
     }
 
     /// Renders the scenario as a spec string that [`Scenario::parse`]
-    /// accepts; non-default knobs only. The lossy fields are
+    /// accepts: the topology head, then every clause whose value differs
+    /// from [`Scenario::new`]'s default (the load always), in
+    /// [`spec::KEYS`] order. The lossy fields are
     /// `service_rates`, `SourceSpec::Rates` vectors and
     /// `PatternSpec::Matrix` matrices, which have no spec syntax (a
     /// per-edge or per-pair table does not fit a one-line spec) and are
     /// omitted.
     #[must_use]
     pub fn spec_string(&self) -> String {
+        let defaults = Scenario::new(self.topology.clone());
         let mut s = self.topology.spec_head();
-        if self.router != RouterSpec::Greedy {
-            s.push_str(&format!(",router={}", self.router.as_str()));
-        }
-        if self.traffic.pattern != PatternSpec::Uniform {
-            if let Some(token) = self.traffic.pattern.spec_token() {
-                s.push_str(&format!(",traffic={token}"));
+        for key in spec::KEYS {
+            let value = key.render(self, Form::Scenario);
+            let at_default = !key.is_required() && value == key.render(&defaults, Form::Scenario);
+            if let Some((name, text)) = value.filter(|_| !at_default) {
+                s.push_str(&format!(",{name}={text}"));
             }
-        }
-        if !self.traffic.source.is_uniform() {
-            if let Some(token) = self.traffic.source.spec_token() {
-                s.push_str(&format!(",src={token}"));
-            }
-        }
-        match self.load {
-            Load::Lambda(l) => s.push_str(&format!(",lambda={l}")),
-            Load::TableRho(r) => s.push_str(&format!(",rho={r}")),
-            Load::Utilization(u) => s.push_str(&format!(",util={u}")),
-        }
-        let (default_horizon, default_warmup) = default_horizon_for(&self.topology);
-        if self.horizon != default_horizon {
-            s.push_str(&format!(",horizon={}", self.horizon));
-        }
-        if self.warmup != default_warmup {
-            s.push_str(&format!(",warmup={}", self.warmup));
-        }
-        if self.seed != DEFAULT_SEED {
-            s.push_str(&format!(",seed={}", self.seed));
-        }
-        if self.service == ServiceKind::Exponential {
-            s.push_str(",service=exp");
-        }
-        if let Some(tau) = self.slot {
-            s.push_str(&format!(",slot={tau}"));
-        }
-        if !self.include_self_packets {
-            s.push_str(",self=false");
-        }
-        if self.track_saturated {
-            s.push_str(",saturated=true");
-        }
-        if self.delay_quantiles {
-            s.push_str(",quantiles=true");
-        }
-        if self.track_edge_queues {
-            s.push_str(",queues=true");
-        }
-        if let Some(faults) = &self.faults {
-            s.push_str(&format!(",faults={}", faults.spec_token()));
-        }
-        if let Some(probes) = &self.probes {
-            s.push_str(&format!(",probes={}", probes.spec_token()));
-        }
-        if let EngineSpec::Sharded { shards } = self.engine {
-            s.push_str(&format!(",shards={shards}"));
         }
         s
     }
@@ -1951,6 +1686,7 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use meshbound_routing::dest::UniformDest;
 
     #[test]
     fn every_topology_runs_end_to_end() {
@@ -2378,7 +2114,19 @@ mod tests {
             "mesh:4x",
             "kd:3x1x3",
             "mesh:4,router=quantum",
-            "mesh:4,dest=nearby",
+            "mesh:4,traffic=nearby",
+            "mesh:4,dest=uniform",
+            "mesh:4,router=oddeven,router=greedy",
+            "mesh:4,engine=auto,shards=2",
+            "mesh:4,topo=torus:4",
+            "mesh:4,reps=2",
+            "mesh:4 junk",
+            "torus:4294967296",
+            "mesh:4294967296",
+            "mesh:4294967296x4294967296",
+            "kd:65536x65536x65536x65536x65536",
+            "hypercube:64",
+            "butterfly:64",
             "mesh:4,speed=9",
             "mesh:4,lambda=fast",
             "torus:8,router=randomized",
@@ -2494,11 +2242,8 @@ mod tests {
         assert_eq!(sc.topology, TopologySpec::Torus { n: 8 });
         assert_eq!(sc.seed, 7);
         assert!(sc.lambda() > 0.0);
-        let sc = Scenario::parse("hypercube:6,dest=bernoulli:0.25,lambda=0.8").unwrap();
+        let sc = Scenario::parse("hypercube:6,traffic=bernoulli:0.25,lambda=0.8").unwrap();
         assert_eq!(sc.traffic.pattern, PatternSpec::Bernoulli { p: 0.25 });
-        // The `dest=` spelling is a pre-PR-5 alias for `traffic=`.
-        let via_traffic = Scenario::parse("hypercube:6,traffic=bernoulli:0.25,lambda=0.8").unwrap();
-        assert_eq!(via_traffic, sc);
         let sc = Scenario::parse("mesh:8,traffic=transpose,util=0.5,src=hotspot:4:0").unwrap();
         assert_eq!(
             sc.traffic.pattern,

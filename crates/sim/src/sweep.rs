@@ -2,10 +2,11 @@
 //!
 //! The paper's tables are really *sweeps* — a cartesian product of
 //! topology, load, router and destination axes, one scenario per cell. A
-//! [`SweepSpec`] names such a grid compactly, expands it deterministically
-//! ([`SweepSpec::expand`]), and round-trips through a textual grammar
-//! ([`SweepSpec::parse`] / [`SweepSpec::spec_string`]) the same way
-//! [`Scenario`] specs do:
+//! [`SweepSpec`] names such a grid in the scenario grammar itself: each
+//! clause is a scenario clause ([`spec::KEYS`]), and an
+//! axis clause may list `a|b` alternatives. It expands deterministically
+//! ([`SweepSpec::expand`]) and round-trips through its text
+//! ([`SweepSpec::parse`] / [`SweepSpec::spec_string`]):
 //!
 //! ```
 //! use meshbound_sim::SweepSpec;
@@ -27,14 +28,9 @@
 //! (`meshbound::sweep`).
 
 use crate::engine::EngineSpec;
-use crate::fault::FaultSpec;
 use crate::rng::splitmix64;
-use crate::scenario::{
-    RouterSpec, Scenario, ScenarioError, TopologySpec, DEFAULT_HORIZON, DEFAULT_WARMUP,
-};
-use crate::service::ServiceKind;
-use crate::telemetry::ProbeSpec;
-use crate::traffic::{PatternSpec, SourceSpec};
+use crate::scenario::{Scenario, DEFAULT_HORIZON, DEFAULT_SEED, DEFAULT_WARMUP};
+use crate::spec::{self, Form, Role, SpecKey, KEYS, SWEEP_ORDER};
 use meshbound_queueing::load::Load;
 use serde::{Deserialize, Serialize};
 
@@ -73,6 +69,43 @@ impl HorizonPolicy {
             }
         }
     }
+
+    /// The policy of a sweep's `horizon=` and `warmup=` values. A fixed
+    /// horizon without a warmup keeps the default 1:10 warmup ratio rather
+    /// than the absolute default (a 200-unit warmup would invalidate any
+    /// shorter horizon).
+    fn parse(horizon: Option<&str>, warmup: Option<&str>) -> Result<Self, String> {
+        let (h, w) = (spec::HORIZON.names[0], spec::WARMUP.names[0]);
+        match (horizon.and_then(|v| v.strip_prefix("auto")), warmup) {
+            (Some(_), Some(_)) => Err(format!("`{w}=` only applies to a fixed horizon")),
+            (Some(auto), None) => {
+                let (base, cap) = auto
+                    .strip_prefix(':')
+                    .and_then(|a| a.split_once(':'))
+                    .ok_or_else(|| format!("an auto horizon must be `{h}=auto:<base>:<cap>`"))?;
+                let (base, cap) = (spec::number(h, base)?, spec::number(h, cap)?);
+                Ok(HorizonPolicy::Auto { base, cap })
+            }
+            (None, warmup) => {
+                let horizon = horizon.map_or(Ok(DEFAULT_HORIZON), |v| spec::number(h, v))?;
+                let default_warmup = horizon * DEFAULT_WARMUP / DEFAULT_HORIZON;
+                let warmup = warmup.map_or(Ok(default_warmup), |v| spec::number(w, v))?;
+                Ok(HorizonPolicy::Fixed { horizon, warmup })
+            }
+        }
+    }
+
+    /// The policy's `horizon=` value (its `warmup=` value when
+    /// `of_warmup`), or `None` where a sweep spec leaves the clause out.
+    fn token(&self, of_warmup: bool) -> Option<String> {
+        match *self {
+            HorizonPolicy::Auto { base, cap } => (!of_warmup).then(|| format!("auto:{base}:{cap}")),
+            HorizonPolicy::Fixed { horizon, warmup } => {
+                let default = horizon == DEFAULT_HORIZON && warmup == DEFAULT_WARMUP;
+                (!default).then(|| if of_warmup { warmup } else { horizon }.to_string())
+            }
+        }
+    }
 }
 
 /// Why a sweep specification was rejected.
@@ -101,55 +134,26 @@ impl std::fmt::Display for SweepError {
 
 impl std::error::Error for SweepError {}
 
-/// A declarative grid of scenarios: axis lists plus the knobs shared by
-/// every cell.
+/// A declarative grid of scenarios: scenario clauses, some with `a|b`
+/// alternatives, plus the sweep's own replication count, master seed and
+/// horizon policy.
 ///
-/// Build one with [`SweepSpec::new`] and the chainable setters, or parse
-/// the textual grammar with [`SweepSpec::parse`]. [`SweepSpec::expand`]
-/// turns it into concrete [`Scenario`]s in a deterministic order
-/// (topology-major, then load, router, destination).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Parse one from the sweep grammar with [`SweepSpec::parse`] (or start
+/// from [`SweepSpec::new`] and [`SweepSpec::set`] clauses).
+/// [`SweepSpec::expand`] turns it into concrete [`Scenario`]s in a
+/// deterministic order (topology-major, then load, router, traffic,
+/// faults, engine).
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
-    /// Topology axis (at least one entry).
-    pub topologies: Vec<TopologySpec>,
-    /// Load axis (at least one entry, any [`Load`] convention per entry).
-    pub loads: Vec<Load>,
-    /// Router axis.
-    pub routers: Vec<RouterSpec>,
-    /// Traffic-pattern axis (the destination side of the workload; the
-    /// grammar key is `traffic=`, with `dest=` kept as the pre-PR-5
-    /// alias). Matrix workloads have no grammar token and are
-    /// builder-only at the [`Scenario`] level.
-    pub patterns: Vec<PatternSpec>,
-    /// Source model shared by every cell (`src=` clause; not an axis).
-    pub source: SourceSpec,
-    /// Fault axis (`faults=` clause; `none` is the healthy entry). Each
-    /// cell materializes its own deterministic [`FaultPlan`] from the
-    /// cell seed, so a faulted sweep is as replayable as a healthy one.
-    ///
-    /// [`FaultPlan`]: crate::fault::FaultPlan
-    pub faults: Vec<Option<FaultSpec>>,
-    /// Telemetry probes shared by every cell (`probes=` clause; not an
-    /// axis — probes never change the physics, so sweeping them would
-    /// only duplicate cells). `None` (the default) keeps every cell spec
-    /// string, and therefore every derived cell seed, byte-identical to
-    /// a pre-telemetry sweep.
-    pub probes: Option<ProbeSpec>,
-    /// Engine axis (defaults to `[Auto]`). Cells differing only in engine
-    /// share per-cell seeds, so an `engine=` axis compares shard counts on
-    /// the same sample-path seed — the perf-ablation use case (`auto` and
-    /// `sharded:1` are the same run).
-    pub engines: Vec<EngineSpec>,
-    /// Transmission-time distribution shared by every cell.
-    pub service: ServiceKind,
+    /// The canonical value tokens of each [`KEYS`] row; empty where the
+    /// sweep leaves the key at its default.
+    clauses: Vec<Vec<String>>,
     /// Independent replications per cell.
     pub reps: usize,
     /// Sweep master seed; each cell derives its own scenario seed from it.
     pub seed: u64,
     /// Horizon policy shared by every cell.
     pub horizon: HorizonPolicy,
-    /// Track the remaining-saturated-services integral (square meshes).
-    pub track_saturated: bool,
 }
 
 impl Default for SweepSpec {
@@ -159,136 +163,83 @@ impl Default for SweepSpec {
 }
 
 impl SweepSpec {
-    /// An empty sweep with the default shared knobs: greedy router, uniform
-    /// destinations, deterministic service, one replication, seed 1, fixed
-    /// horizon 2000 / warmup 200. Topology and load axes start empty and
-    /// must be filled before [`SweepSpec::expand`].
+    /// A sweep with no clauses: one replication, seed 1, fixed horizon
+    /// 2000 / warmup 200. The `topo` and `load` axes must be set before
+    /// [`SweepSpec::expand`].
     #[must_use]
     pub fn new() -> Self {
         Self {
-            topologies: Vec::new(),
-            loads: Vec::new(),
-            routers: vec![RouterSpec::Greedy],
-            patterns: vec![PatternSpec::Uniform],
-            source: SourceSpec::Uniform,
-            faults: vec![None],
-            probes: None,
-            engines: vec![EngineSpec::Auto],
-            service: ServiceKind::Deterministic,
+            clauses: vec![Vec::new(); KEYS.len()],
             reps: 1,
-            seed: 1,
+            seed: DEFAULT_SEED,
             horizon: HorizonPolicy::Fixed {
                 horizon: DEFAULT_HORIZON,
                 warmup: DEFAULT_WARMUP,
             },
-            track_saturated: false,
         }
     }
 
-    /// Sets the topology axis.
-    #[must_use]
-    pub fn topologies(mut self, topologies: Vec<TopologySpec>) -> Self {
-        self.topologies = topologies;
-        self
+    /// Sets the clause of a cell key: `value` is one scenario value, or
+    /// `|`-separated alternatives where the key is an axis. Each value is
+    /// stored in its canonical form, and a lone default value clears the
+    /// clause, so equal grids compare equal however they were spelled.
+    ///
+    /// # Errors
+    ///
+    /// [`SweepError::Parse`] for a malformed value, alternatives on a
+    /// key that is not an axis, or a key that is not a cell clause
+    /// (`reps`, `seed`, `horizon`, `warmup` are the sweep's own fields).
+    pub fn set(&mut self, key: &SpecKey, value: &str) -> Result<(), SweepError> {
+        self.set_clause(spec::row(key), key.names[0], value)
+            .map_err(SweepError::Parse)
     }
 
-    /// Sets the load axis.
-    #[must_use]
-    pub fn loads(mut self, loads: Vec<Load>) -> Self {
-        self.loads = loads;
-        self
-    }
-
-    /// Sets the router axis.
-    #[must_use]
-    pub fn routers(mut self, routers: Vec<RouterSpec>) -> Self {
-        self.routers = routers;
-        self
-    }
-
-    /// Sets the traffic-pattern axis.
-    #[must_use]
-    pub fn patterns(mut self, patterns: Vec<PatternSpec>) -> Self {
-        self.patterns = patterns;
-        self
-    }
-
-    /// Sets the shared source model.
-    #[must_use]
-    pub fn source(mut self, source: SourceSpec) -> Self {
-        self.source = source;
-        self
-    }
-
-    /// Sets the fault axis (`None` entries are healthy cells).
-    #[must_use]
-    pub fn faults(mut self, faults: Vec<Option<FaultSpec>>) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Sets the shared telemetry probes (`None` turns telemetry off).
-    #[must_use]
-    pub fn probes(mut self, probes: Option<ProbeSpec>) -> Self {
-        self.probes = probes;
-        self
-    }
-
-    /// Sets the engine axis.
-    #[must_use]
-    pub fn engines(mut self, engines: Vec<EngineSpec>) -> Self {
-        self.engines = engines;
-        self
-    }
-
-    /// Sets the shared service distribution.
-    #[must_use]
-    pub fn service(mut self, service: ServiceKind) -> Self {
-        self.service = service;
-        self
-    }
-
-    /// Sets the per-cell replication count.
-    #[must_use]
-    pub fn reps(mut self, reps: usize) -> Self {
-        self.reps = reps;
-        self
-    }
-
-    /// Sets the sweep master seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the horizon policy.
-    #[must_use]
-    pub fn horizon(mut self, horizon: HorizonPolicy) -> Self {
-        self.horizon = horizon;
-        self
-    }
-
-    /// Enables or disables saturated-services tracking in every cell.
-    #[must_use]
-    pub fn track_saturated(mut self, yes: bool) -> Self {
-        self.track_saturated = yes;
-        self
+    fn set_clause(&mut self, row: usize, name: &str, value: &str) -> Result<(), String> {
+        let key = KEYS[row];
+        if !key.is_axis() && key.role != Role::Shared {
+            return Err(format!("`{name}` is not a clause of sweep cells"));
+        }
+        let alternatives: Vec<&str> = value.split('|').collect();
+        if alternatives.len() > 1 && !key.is_axis() {
+            return Err(format!("`{name}` is not an axis: give one value"));
+        }
+        if alternatives.contains(&"") {
+            return Err(format!("empty alternative in `{name}={value}`"));
+        }
+        // No value of a cell key depends on the topology, so any default
+        // scenario serves to parse and re-render them.
+        let mut cell = Scenario::mesh(2);
+        let default = key.render(&cell, Form::Sweep).map(|(_, v)| v);
+        let mut tokens = Vec::with_capacity(alternatives.len());
+        for alternative in alternatives {
+            (key.parse)(&mut cell, name, alternative)?;
+            tokens.extend(key.render(&cell, Form::Sweep).map(|(_, v)| v));
+        }
+        let lone_default =
+            !key.is_required() && tokens.len() == 1 && tokens.first() == default.as_ref();
+        self.clauses[row] = if lone_default { Vec::new() } else { tokens };
+        Ok(())
     }
 
     /// Number of cells the grid expands to (before validation).
     #[must_use]
     pub fn num_cells(&self) -> usize {
-        self.topologies.len()
-            * self.loads.len()
-            * self.routers.len()
-            * self.patterns.len()
-            * self.faults.len()
-            * self.engines.len()
+        match self.missing_axis() {
+            Some(_) => 0,
+            None => self.clauses.iter().map(|v| v.len().max(1)).product(),
+        }
     }
 
-    /// Expands the grid into concrete scenarios, topology-major
-    /// (`for topology { for load { for router { for traffic } } }`).
+    /// The first required axis the sweep does not give.
+    fn missing_axis(&self) -> Option<&'static str> {
+        let mut keys = KEYS.iter().zip(&self.clauses);
+        keys.find(|(key, values)| key.is_required() && values.is_empty())
+            .map(|(key, _)| key.names[0])
+    }
+
+    /// Expands the grid into concrete scenarios. Cells vary their axes in
+    /// [`SWEEP_ORDER`] (`topo`, `load`, `router`, `traffic`, `faults`,
+    /// `engine`), the last one fastest.
     ///
     /// Every cell gets a seed derived from the sweep seed and the cell's
     /// own parameters (see [`SweepSpec::cell_seed`]), so the expansion is a
@@ -297,81 +248,62 @@ impl SweepSpec {
     ///
     /// # Errors
     ///
-    /// [`SweepError::EmptyAxis`] if any axis or `reps` is empty,
+    /// [`SweepError::EmptyAxis`] if a required axis or `reps` is empty,
     /// [`SweepError::InvalidCell`] if a cell fails [`Scenario::validate`]
     /// (e.g. a randomized router paired with a torus), and
     /// [`SweepError::DuplicateCell`] if two cells coincide.
     pub fn expand(&self) -> Result<Vec<Scenario>, SweepError> {
-        for (axis, len) in [
-            ("topo", self.topologies.len()),
-            ("load", self.loads.len()),
-            ("router", self.routers.len()),
-            ("traffic", self.patterns.len()),
-            ("faults", self.faults.len()),
-            ("engine", self.engines.len()),
-            ("reps", self.reps),
-        ] {
-            if len == 0 {
-                return Err(SweepError::EmptyAxis(format!(
-                    "`{axis}` has no entries — a sweep needs at least one value per axis"
-                )));
-            }
-        }
-        if let Some(p) = self
-            .patterns
-            .iter()
-            .find(|p| matches!(p, PatternSpec::Matrix { .. }))
-        {
-            return Err(SweepError::InvalidCell(format!(
-                "`{}` traffic has no sweep grammar — run matrix workloads through \
-                 `Scenario` directly",
-                p.label()
+        if let Some(axis) = self.missing_axis() {
+            return Err(SweepError::EmptyAxis(format!(
+                "`{axis}` has no entries — a sweep needs at least one value per axis"
             )));
         }
+        if self.reps == 0 {
+            return Err(SweepError::EmptyAxis(format!(
+                "`{}` is zero — a sweep needs at least one replication",
+                spec::REPS.names[0]
+            )));
+        }
+        let axes: Vec<(&SpecKey, &[String])> = SWEEP_ORDER
+            .iter()
+            .map(|key| (*key, self.clauses[spec::row(key)].as_slice()))
+            .filter(|(_, values)| !values.is_empty())
+            .collect();
         let mut cells = Vec::with_capacity(self.num_cells());
         let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
-        for topology in &self.topologies {
-            for &load in &self.loads {
-                for &router in &self.routers {
-                    for pattern in &self.patterns {
-                        for faults in &self.faults {
-                            for &engine in &self.engines {
-                                let mut sc = Scenario::new(topology.clone())
-                                    .router(router)
-                                    .pattern(pattern.clone())
-                                    .source(self.source.clone())
-                                    .load(load)
-                                    .service(self.service)
-                                    .track_saturated(self.track_saturated)
-                                    .engine(engine);
-                                sc.faults = faults.clone();
-                                sc.probes = self.probes;
-                                // First validation catches unsupported
-                                // combinations before `cell_rho` resolves
-                                // the load against them.
-                                let invalid = |sc: &Scenario, e: ScenarioError| {
-                                    SweepError::InvalidCell(format!("`{}`: {e}", sc.spec_string()))
-                                };
-                                sc.validate().map_err(|e| invalid(&sc, e))?;
-                                let (horizon, warmup) = self.horizon.resolve(cell_rho(&sc));
-                                sc = sc.horizon(horizon).warmup(warmup);
-                                let seed = self.cell_seed(&sc);
-                                sc = sc.seed(seed);
-                                sc.validate().map_err(|e| invalid(&sc, e))?;
-                                let spec = sc.spec_string();
-                                if !seen.insert(spec.clone()) {
-                                    return Err(SweepError::DuplicateCell(format!(
-                                        "`{spec}` appears twice — deduplicate the axis lists"
-                                    )));
-                                }
-                                cells.push(sc);
-                            }
-                        }
-                    }
-                }
+        let mut pick = vec![0; axes.len()];
+        loop {
+            // The `topo` axis comes first and replaces this placeholder
+            // topology together with its default run length.
+            let mut sc = Scenario::mesh(2);
+            for ((key, values), &i) in axes.iter().zip(&pick) {
+                (key.parse)(&mut sc, key.names[0], &values[i]).map_err(SweepError::InvalidCell)?;
             }
+            // First validation catches unsupported combinations before
+            // `cell_rho` resolves the load against them.
+            let invalid =
+                |sc: &Scenario, e| SweepError::InvalidCell(format!("`{}`: {e}", sc.spec_string()));
+            sc.validate().map_err(|e| invalid(&sc, e))?;
+            let (horizon, warmup) = self.horizon.resolve(cell_rho(&sc));
+            sc = sc.horizon(horizon).warmup(warmup);
+            sc.seed = self.cell_seed(&sc);
+            sc.validate().map_err(|e| invalid(&sc, e))?;
+            let spec = sc.spec_string();
+            if !seen.insert(spec.clone()) {
+                return Err(SweepError::DuplicateCell(format!(
+                    "`{spec}` appears twice — deduplicate the axis lists"
+                )));
+            }
+            cells.push(sc);
+            let Some(axis) = (0..pick.len())
+                .rev()
+                .find(|&a| pick[a] + 1 < axes[a].1.len())
+            else {
+                return Ok(cells);
+            };
+            pick[axis] += 1;
+            pick[axis + 1..].fill(0);
         }
-        Ok(cells)
     }
 
     /// The derived scenario seed of one cell: the sweep seed mixed (via
@@ -394,7 +326,7 @@ impl SweepSpec {
         // at their defaults, so clearing all three reproduces the
         // pre-seeding, engine-free, telemetry-free parameter string.
         let mut unseeded = cell.clone();
-        unseeded.seed = crate::scenario::DEFAULT_SEED;
+        unseeded.seed = DEFAULT_SEED;
         unseeded.engine = EngineSpec::Auto;
         unseeded.probes = None;
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -405,45 +337,23 @@ impl SweepSpec {
         splitmix64(self.seed ^ hash)
     }
 
-    // ------------------------------------------------------------------
-    // The textual grammar.
-    // ------------------------------------------------------------------
-
-    /// Parses the sweep grammar: whitespace-separated `key=value` clauses
-    /// where axis values are `|`-separated lists.
+    /// Parses the sweep grammar: whitespace-separated `key=value` clauses.
+    ///
+    /// Every clause is a scenario clause (see
+    /// [`spec::KEYS`]), and each key may appear once.
+    /// `topo=` (any scenario topology head) and `load=` are required; the
+    /// axis keys `topo`, `load`, `router`, `traffic`, `faults` and
+    /// `engine` take `|`-separated alternatives; `src`, `probes`,
+    /// `service` and `saturated` take one value for every cell. Four keys
+    /// belong to the sweep itself: `reps=<n>`, `seed=<master seed>`, and
+    /// the horizon policy `horizon=<t> [warmup=<t>]` or
+    /// `horizon=auto:<base>:<cap>`.
     ///
     /// ```text
-    /// topo=mesh:5|mesh:10|torus:8     (required; any Scenario topology head)
-    /// load=rho:0.2|util:0.9|lambda:0.1 (required; convention:value pairs)
-    /// router=greedy|oddeven            (default greedy; also randomized,
-    ///                                  westfirst)
-    /// traffic=uniform|transpose|hotspot:0.2 (default uniform; also
-    ///                                  nearby:<stop>, bernoulli:<p>,
-    ///                                  bitrev, bitcomp, shuffle,
-    ///                                  hotspot:<frac>:<node>; `dest=` is
-    ///                                  the pre-PR-5 alias)
-    /// src=uniform|hotspot:4[:<node>]   (shared source model, not an axis)
-    /// faults=none|links:0.05           (default none; fault axis — each
-    ///                                  entry is a [`FaultSpec`] token such
-    ///                                  as links:<rate>, nodes:<rate>,
-    ///                                  link:<id>, node:<id>, joined with
-    ///                                  `+`, plus at:<t> and repair:<dt>)
-    /// engine=auto|sharded:<N>          (default auto; a perf ablation
-    ///                                  axis — `sharded:<N>` runs the
-    ///                                  engine on N node shards, and
-    ///                                  `auto` is one shard)
-    /// probes=nsys,maxq@10              (default none; shared telemetry
-    ///                                  clause, not an axis — a comma-joined
-    ///                                  subset of nsys, maxq, drops,
-    ///                                  delivered, shards (or all) with an
-    ///                                  optional @<dt> interval; probes
-    ///                                  never change simulated results or
-    ///                                  cell seeds)
-    /// service=det|exp                  (default det)
-    /// reps=2      seed=7               (defaults 1 and 1)
-    /// horizon=2000 warmup=200          (fixed policy, the default)
-    /// horizon=auto:1500:12000          (load-adaptive policy)
-    /// saturated=true                   (default false)
+    /// topo=mesh:5|mesh:10|torus:8 load=rho:0.2|util:0.9|lambda:0.1
+    /// router=greedy|oddeven traffic=uniform|transpose|hotspot:0.2
+    /// faults=none|links:0.05 engine=auto|sharded:2 probes=nsys,maxq@10
+    /// src=hotspot:4 service=exp reps=2 seed=7 horizon=auto:1500:12000
     /// ```
     ///
     /// # Errors
@@ -452,293 +362,48 @@ impl SweepSpec {
     /// problems (empty axes, invalid or duplicate cells) surface from
     /// [`SweepSpec::expand`].
     pub fn parse(spec: &str) -> Result<Self, SweepError> {
+        let bad = SweepError::Parse;
         let mut sweep = SweepSpec::new();
-        let bad = |msg: String| SweepError::Parse(msg);
-        let f64_of = |key: &str, v: &str| -> Result<f64, SweepError> {
-            v.parse::<f64>()
-                .map_err(|_| bad(format!("bad number `{v}` for `{key}`")))
-        };
-        let mut fixed_horizon: Option<f64> = None;
-        let mut warmup: Option<f64> = None;
-        let mut auto_horizon: Option<(f64, f64)> = None;
-        let mut seen_keys: std::collections::HashSet<&str> = std::collections::HashSet::new();
+        let (mut horizon, mut warmup, mut seen) = (None, None, 0);
         for clause in spec.split_whitespace() {
-            let (key, value) = clause
+            let (name, value) = clause
                 .split_once('=')
                 .ok_or_else(|| bad(format!("expected `key=value`, got `{clause}`")))?;
-            // `traffic=` and `dest=` spell the same axis.
-            let canonical = if key == "dest" { "traffic" } else { key };
-            if !seen_keys.insert(canonical) {
-                return Err(bad(format!("duplicate clause `{key}=`")));
-            }
-            match key {
-                "topo" => {
-                    sweep.topologies = split_axis(value)
-                        .map_err(bad)?
-                        .into_iter()
-                        .map(|head| TopologySpec::parse_head(head).map_err(|e| bad(format!("{e}"))))
-                        .collect::<Result<_, _>>()?;
-                }
-                "load" => {
-                    sweep.loads = split_axis(value)
-                        .map_err(bad)?
-                        .into_iter()
-                        .map(|item| parse_load(item).map_err(bad))
-                        .collect::<Result<_, _>>()?;
-                }
-                "router" => {
-                    sweep.routers = split_axis(value)
-                        .map_err(bad)?
-                        .into_iter()
-                        .map(|item| RouterSpec::parse_token(item).map_err(bad))
-                        .collect::<Result<_, _>>()?;
-                }
-                "traffic" | "dest" => {
-                    sweep.patterns = split_axis(value)
-                        .map_err(bad)?
-                        .into_iter()
-                        .map(|item| PatternSpec::parse_token(item).map_err(bad))
-                        .collect::<Result<_, _>>()?;
-                }
-                "src" => {
-                    sweep.source = SourceSpec::parse_token(value).map_err(bad)?;
-                }
-                "faults" => {
-                    sweep.faults = split_axis(value)
-                        .map_err(bad)?
-                        .into_iter()
-                        .map(|item| FaultSpec::parse_token(item).map_err(bad))
-                        .collect::<Result<_, _>>()?;
-                }
-                "engine" => {
-                    sweep.engines = split_axis(value)
-                        .map_err(bad)?
-                        .into_iter()
-                        .map(|item| EngineSpec::parse_str(item).map_err(bad))
-                        .collect::<Result<_, _>>()?;
-                }
-                "probes" => {
-                    sweep.probes = ProbeSpec::parse_token(value).map_err(bad)?;
-                }
-                "service" => {
-                    sweep.service = match value {
-                        "det" | "deterministic" => ServiceKind::Deterministic,
-                        "exp" | "exponential" => ServiceKind::Exponential,
-                        other => {
-                            return Err(bad(format!(
-                                "unknown service `{other}` (expected det or exp)"
-                            )))
-                        }
-                    };
-                }
-                "reps" => {
-                    sweep.reps = value
-                        .parse::<usize>()
-                        .map_err(|_| bad(format!("bad replication count `{value}`")))?;
-                }
-                "seed" => {
-                    sweep.seed = value
-                        .parse::<u64>()
-                        .map_err(|_| bad(format!("bad seed `{value}`")))?;
-                }
-                "horizon" => {
-                    if let Some(rest) = value.strip_prefix("auto:") {
-                        let (base, cap) = rest.split_once(':').ok_or_else(|| {
-                            bad(format!(
-                                "auto horizon `{value}` must be `auto:<base>:<cap>`"
-                            ))
-                        })?;
-                        auto_horizon =
-                            Some((f64_of("horizon base", base)?, f64_of("horizon cap", cap)?));
-                    } else if value == "auto" {
-                        return Err(bad(
-                            "auto horizon needs explicit sizes: `horizon=auto:<base>:<cap>`".into(),
-                        ));
-                    } else {
-                        fixed_horizon = Some(f64_of("horizon", value)?);
-                    }
-                }
-                "warmup" => warmup = Some(f64_of("warmup", value)?),
-                "saturated" => {
-                    sweep.track_saturated = match value {
-                        "true" => true,
-                        "false" => false,
-                        other => {
-                            return Err(bad(format!(
-                                "bad boolean `{other}` for `saturated` (expected true or false)"
-                            )))
-                        }
-                    };
-                }
-                other => return Err(bad(format!("unknown sweep key `{other}`"))),
+            let (row, key) = spec::claim(&mut seen, name).map_err(bad)?;
+            match key.role {
+                Role::ScenarioOnly => return Err(bad(format!("`{name}` is not a sweep key"))),
+                Role::Reps => sweep.reps = spec::number(name, value).map_err(bad)?,
+                Role::Seed => sweep.seed = spec::number(name, value).map_err(bad)?,
+                Role::Horizon => horizon = Some(value),
+                Role::Warmup => warmup = Some(value),
+                _ => sweep.set_clause(row, name, value).map_err(bad)?,
             }
         }
-        if sweep.topologies.is_empty() {
-            return Err(bad("a sweep needs a `topo=` axis".into()));
+        if let Some(axis) = sweep.missing_axis() {
+            return Err(bad(format!("a sweep needs a `{axis}=` axis")));
         }
-        if sweep.loads.is_empty() {
-            return Err(bad("a sweep needs a `load=` axis".into()));
-        }
-        // A fixed and an auto horizon cannot coexist: both spell their
-        // clause `horizon=`, so the duplicate-clause check above already
-        // rejected that combination.
-        sweep.horizon = match (auto_horizon, fixed_horizon, warmup) {
-            (Some(_), _, Some(_)) => {
-                return Err(bad("`warmup=` only applies to a fixed horizon".into()))
-            }
-            (Some((base, cap)), _, None) => HorizonPolicy::Auto { base, cap },
-            (None, h, w) => {
-                // An explicit horizon without a warmup keeps the default
-                // 1:10 warmup ratio rather than the absolute default (a
-                // 200-unit warmup would invalidate any shorter horizon).
-                let horizon = h.unwrap_or(DEFAULT_HORIZON);
-                HorizonPolicy::Fixed {
-                    horizon,
-                    warmup: w.unwrap_or(horizon * DEFAULT_WARMUP / DEFAULT_HORIZON),
-                }
-            }
-        };
+        sweep.horizon = HorizonPolicy::parse(horizon, warmup).map_err(bad)?;
         Ok(sweep)
     }
 
-    /// Renders the sweep as a grammar string [`SweepSpec::parse`] accepts;
-    /// non-default clauses only (plus the mandatory axes).
+    /// Renders the sweep as a grammar string [`SweepSpec::parse`] accepts:
+    /// the required axes and every non-default clause, in
+    /// [`SWEEP_ORDER`].
     #[must_use]
     pub fn spec_string(&self) -> String {
-        let mut out = String::from("topo=");
-        out.push_str(
-            &self
-                .topologies
-                .iter()
-                .map(TopologySpec::spec_head)
-                .collect::<Vec<_>>()
-                .join("|"),
-        );
-        out.push_str(" load=");
-        out.push_str(
-            &self
-                .loads
-                .iter()
-                .map(|l| match l {
-                    Load::Lambda(v) => format!("lambda:{v}"),
-                    Load::TableRho(v) => format!("rho:{v}"),
-                    Load::Utilization(v) => format!("util:{v}"),
-                })
-                .collect::<Vec<_>>()
-                .join("|"),
-        );
-        if self.routers != [RouterSpec::Greedy] {
-            out.push_str(" router=");
-            out.push_str(
-                &self
-                    .routers
-                    .iter()
-                    .map(|r| r.as_str())
-                    .collect::<Vec<_>>()
-                    .join("|"),
-            );
-        }
-        if self.patterns != [PatternSpec::Uniform] {
-            out.push_str(" traffic=");
-            out.push_str(
-                &self
-                    .patterns
-                    .iter()
-                    .map(|p| {
-                        p.spec_token()
-                            .expect("matrix patterns are builder-only and cannot reach a sweep")
-                    })
-                    .collect::<Vec<_>>()
-                    .join("|"),
-            );
-        }
-        if !self.source.is_uniform() {
-            if let Some(token) = self.source.spec_token() {
-                out.push_str(&format!(" src={token}"));
+        let mut clauses = Vec::new();
+        for key in SWEEP_ORDER {
+            let value = match key.role {
+                Role::Reps => (self.reps != 1).then(|| self.reps.to_string()),
+                Role::Seed => (self.seed != DEFAULT_SEED).then(|| self.seed.to_string()),
+                Role::Horizon | Role::Warmup => self.horizon.token(key.role == Role::Warmup),
+                _ => Some(self.clauses[spec::row(key)].join("|")).filter(|v| !v.is_empty()),
+            };
+            if let Some(value) = value {
+                clauses.push(format!("{}={value}", key.names[0]));
             }
         }
-        if self.faults != [None] {
-            out.push_str(" faults=");
-            out.push_str(
-                &self
-                    .faults
-                    .iter()
-                    .map(|f| {
-                        f.as_ref()
-                            .map_or_else(|| "none".into(), FaultSpec::spec_token)
-                    })
-                    .collect::<Vec<_>>()
-                    .join("|"),
-            );
-        }
-        if let Some(probes) = &self.probes {
-            out.push_str(&format!(" probes={}", probes.spec_token()));
-        }
-        if self.engines != [EngineSpec::Auto] {
-            out.push_str(" engine=");
-            // Display, not `as_str`: `sharded:<N>` must keep its count to
-            // round-trip through `EngineSpec::parse_str`.
-            out.push_str(
-                &self
-                    .engines
-                    .iter()
-                    .map(|e| e.to_string())
-                    .collect::<Vec<_>>()
-                    .join("|"),
-            );
-        }
-        if self.service == ServiceKind::Exponential {
-            out.push_str(" service=exp");
-        }
-        if self.reps != 1 {
-            out.push_str(&format!(" reps={}", self.reps));
-        }
-        if self.seed != 1 {
-            out.push_str(&format!(" seed={}", self.seed));
-        }
-        match self.horizon {
-            HorizonPolicy::Fixed { horizon, warmup }
-                if horizon == DEFAULT_HORIZON && warmup == DEFAULT_WARMUP => {}
-            HorizonPolicy::Fixed { horizon, warmup } => {
-                out.push_str(&format!(" horizon={horizon} warmup={warmup}"));
-            }
-            HorizonPolicy::Auto { base, cap } => {
-                out.push_str(&format!(" horizon=auto:{base}:{cap}"));
-            }
-        }
-        if self.track_saturated {
-            out.push_str(" saturated=true");
-        }
-        out
-    }
-}
-
-/// `|`-separated axis entries. Empty entries (doubled or trailing `|`)
-/// are rejected rather than silently dropped, matching the grammar's
-/// otherwise strict handling of malformed input.
-fn split_axis(value: &str) -> Result<Vec<&str>, String> {
-    if value.split('|').any(str::is_empty) {
-        return Err(format!(
-            "empty axis entry in `{value}` (doubled or trailing `|`?)"
-        ));
-    }
-    Ok(value.split('|').collect())
-}
-
-fn parse_load(item: &str) -> Result<Load, String> {
-    let (conv, value) = item
-        .split_once(':')
-        .ok_or_else(|| format!("load `{item}` must be `<rho|util|lambda>:<value>`"))?;
-    let v = value
-        .parse::<f64>()
-        .map_err(|_| format!("bad number `{value}` in load `{item}`"))?;
-    match conv {
-        "rho" => Ok(Load::TableRho(v)),
-        "util" => Ok(Load::Utilization(v)),
-        "lambda" => Ok(Load::Lambda(v)),
-        other => Err(format!(
-            "unknown load convention `{other}` (expected rho, util or lambda)"
-        )),
+        clauses.join(" ")
     }
 }
 
@@ -755,14 +420,15 @@ fn cell_rho(sc: &Scenario) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::TopologySpec;
+    use crate::traffic::PatternSpec;
 
     fn small() -> SweepSpec {
-        SweepSpec::new()
-            .topologies(vec![
-                TopologySpec::Mesh { rows: 4, cols: 4 },
-                TopologySpec::Torus { n: 4 },
-            ])
-            .loads(vec![Load::TableRho(0.2), Load::TableRho(0.8)])
+        SweepSpec::parse("topo=mesh:4|torus:4 load=rho:0.2|rho:0.8").unwrap()
+    }
+
+    fn with(extra: &str) -> SweepSpec {
+        SweepSpec::parse(&format!("topo=mesh:4|torus:4 load=rho:0.2|rho:0.8 {extra}")).unwrap()
     }
 
     #[test]
@@ -779,30 +445,28 @@ mod tests {
 
     #[test]
     fn empty_axes_are_rejected() {
+        let mut no_topo = SweepSpec::new();
+        no_topo.set(&spec::LOAD, "lambda:0.1").unwrap();
+        assert_eq!(no_topo.num_cells(), 0);
+        assert!(matches!(no_topo.expand(), Err(SweepError::EmptyAxis(_))));
         assert!(matches!(
-            SweepSpec::new().loads(vec![Load::Lambda(0.1)]).expand(),
+            SweepSpec::new().expand(),
             Err(SweepError::EmptyAxis(_))
         ));
-        assert!(matches!(
-            small().routers(Vec::new()).expand(),
-            Err(SweepError::EmptyAxis(_))
-        ));
-        assert!(matches!(
-            small().reps(0).expand(),
-            Err(SweepError::EmptyAxis(_))
-        ));
+        let mut no_reps = small();
+        no_reps.reps = 0;
+        assert!(matches!(no_reps.expand(), Err(SweepError::EmptyAxis(_))));
     }
 
     #[test]
     fn duplicate_cells_are_rejected() {
-        let sweep = small().loads(vec![Load::TableRho(0.5), Load::TableRho(0.5)]);
+        let sweep = SweepSpec::parse("topo=mesh:4|torus:4 load=rho:0.5|rho:0.5").unwrap();
         assert!(matches!(sweep.expand(), Err(SweepError::DuplicateCell(_))));
     }
 
     #[test]
     fn invalid_cells_are_rejected_with_the_offending_spec() {
-        let sweep = small().routers(vec![RouterSpec::Randomized]);
-        match sweep.expand() {
+        match with("router=randomized").expand() {
             Err(SweepError::InvalidCell(msg)) => {
                 assert!(msg.contains("torus"), "{msg}");
             }
@@ -819,7 +483,7 @@ mod tests {
         let unique: std::collections::HashSet<u64> = seeds.iter().copied().collect();
         assert_eq!(unique.len(), seeds.len(), "cell seeds collide: {seeds:?}");
         // A different sweep seed moves every cell seed.
-        let c = small().seed(99).expand().unwrap();
+        let c = with("seed=99").expand().unwrap();
         assert!(c.iter().zip(&a).all(|(x, y)| x.seed != y.seed));
         // Re-deriving the seed of an already-seeded cell reproduces the
         // value expand() assigned (the seed field itself is not hashed).
@@ -831,10 +495,7 @@ mod tests {
 
     #[test]
     fn auto_horizon_grows_with_load_and_caps() {
-        let sweep = small().horizon(HorizonPolicy::Auto {
-            base: 1_000.0,
-            cap: 20_000.0,
-        });
+        let sweep = with("horizon=auto:1000:20000");
         let cells = sweep.expand().unwrap();
         // ρ = 0.2 → 1250, ρ = 0.8 → 5000.
         assert!(cells[1].horizon > cells[0].horizon);
@@ -845,7 +506,7 @@ mod tests {
 
     #[test]
     fn engine_axis_cells_share_seeds_and_parameters() {
-        let sweep = small().engines(vec![EngineSpec::Auto, EngineSpec::Sharded { shards: 2 }]);
+        let sweep = with("engine=auto|sharded:2");
         assert_eq!(sweep.num_cells(), 8);
         let cells = sweep.expand().unwrap();
         assert_eq!(cells.len(), 8);
@@ -863,59 +524,21 @@ mod tests {
 
     #[test]
     fn grammar_round_trips() {
-        let sweeps = [
-            small(),
-            small().engines(vec![EngineSpec::Auto, EngineSpec::Sharded { shards: 2 }]),
+        for spec in [
+            "topo=mesh:4|torus:4 load=rho:0.2|rho:0.8",
+            "topo=mesh:4|torus:4 load=rho:0.2|rho:0.8 engine=auto|sharded:2",
             // The sharded engine's count must survive the round trip
             // (`engine=sharded:4`, not a bare `engine=sharded`).
-            small().engines(vec![
-                EngineSpec::Sharded { shards: 1 },
-                EngineSpec::Sharded { shards: 4 },
-            ]),
-            small()
-                .routers(vec![RouterSpec::Greedy, RouterSpec::Randomized])
-                .reps(3)
-                .seed(42),
-            SweepSpec::new()
-                .topologies(vec![TopologySpec::Hypercube { dim: 5 }])
-                .loads(vec![Load::Utilization(0.5), Load::Lambda(0.25)])
-                .patterns(vec![
-                    PatternSpec::Uniform,
-                    PatternSpec::Bernoulli { p: 0.25 },
-                ])
-                .service(ServiceKind::Exponential),
-            SweepSpec::new()
-                .topologies(vec![TopologySpec::Mesh { rows: 4, cols: 4 }])
-                .loads(vec![Load::Utilization(0.3)])
-                .patterns(vec![
-                    PatternSpec::Uniform,
-                    PatternSpec::Permutation {
-                        kind: meshbound_routing::pattern::PermutationKind::Transpose,
-                    },
-                    PatternSpec::Hotspot {
-                        node: None,
-                        frac: 0.25,
-                    },
-                ])
-                .source(SourceSpec::Hotspot {
-                    node: Some(0),
-                    weight: 4.0,
-                }),
-            small().horizon(HorizonPolicy::Auto {
-                base: 1_500.0,
-                cap: 12_000.0,
-            }),
-            small()
-                .horizon(HorizonPolicy::Fixed {
-                    horizon: 900.0,
-                    warmup: 90.0,
-                })
-                .track_saturated(true),
-        ];
-        for sweep in sweeps {
-            let spec = sweep.spec_string();
-            let parsed = SweepSpec::parse(&spec).unwrap_or_else(|e| panic!("`{spec}`: {e}"));
-            assert_eq!(parsed, sweep, "round trip failed for `{spec}`");
+            "topo=mesh:4|torus:4 load=rho:0.2|rho:0.8 engine=sharded:1|sharded:4",
+            "topo=mesh:4|torus:4 load=rho:0.2|rho:0.8 router=greedy|randomized reps=3 seed=42",
+            "topo=hypercube:5 load=util:0.5|lambda:0.25 traffic=uniform|bernoulli:0.25 service=exp",
+            "topo=mesh:4 load=util:0.3 traffic=uniform|transpose|hotspot:0.25 src=hotspot:4:0",
+            "topo=mesh:4|torus:4 load=rho:0.2|rho:0.8 horizon=auto:1500:12000",
+            "topo=mesh:4|torus:4 load=rho:0.2|rho:0.8 horizon=900 warmup=90 saturated=true",
+        ] {
+            let sweep = SweepSpec::parse(spec).unwrap_or_else(|e| panic!("`{spec}`: {e}"));
+            assert_eq!(sweep.spec_string(), spec);
+            assert_eq!(SweepSpec::parse(&sweep.spec_string()).unwrap(), sweep);
         }
     }
 
@@ -941,7 +564,16 @@ mod tests {
             "topo=mesh:5 load=rho:0.5 engine=auto|",
             "topo=mesh:5 load=rho:0.5 traffic=warp",
             "topo=mesh:5 load=rho:0.5 traffic=uniform dest=uniform",
+            "topo=mesh:5 load=rho:0.5 dest=uniform",
             "topo=mesh:5 load=rho:0.5 src=rates",
+            "topo=mesh:5 load=rho:0.5 src=uniform|hotspot:2",
+            "topo=mesh:5 load=rho:0.5 slot=1",
+            "topo=torus:4294967296 load=rho:0.5",
+            "topo=mesh:4294967296 load=rho:0.5",
+            "topo=mesh:4294967296x4294967296 load=rho:0.5",
+            "topo=kd:65536x65536x65536x65536x65536 load=rho:0.5",
+            "topo=hypercube:64 load=rho:0.5",
+            "topo=butterfly:64 load=rho:0.5",
         ] {
             assert!(SweepSpec::parse(spec).is_err(), "`{spec}` should not parse");
         }
@@ -973,13 +605,6 @@ mod tests {
         }
         // And the sweep grammar round-trips through its own spec string.
         assert_eq!(SweepSpec::parse(&sweep.spec_string()).unwrap(), sweep);
-        // `dest=` parses as an alias for `traffic=`.
-        let legacy = SweepSpec::parse(
-            "topo=mesh:4 load=util:0.3 dest=uniform|transpose|hotspot:0.25 \
-             horizon=400 warmup=40",
-        )
-        .unwrap();
-        assert_eq!(legacy, sweep);
     }
 
     #[test]
@@ -1005,21 +630,18 @@ mod tests {
         assert_eq!(SweepSpec::parse(&sweep.spec_string()).unwrap(), sweep);
         // A default (all-healthy) axis emits no faults clause.
         assert!(!small().spec_string().contains("faults"));
-        // Malformed fault tokens are parse errors; out-of-range rates and
-        // an emptied axis surface at expansion.
+        assert_eq!(with("faults=none"), small());
+        // Malformed fault tokens are parse errors; out-of-range rates
+        // surface at expansion.
         assert!(SweepSpec::parse("topo=mesh:4 load=rho:0.2 faults=warp:1").is_err());
         let bad_rate = SweepSpec::parse("topo=mesh:4 load=rho:0.2 faults=links:2.0").unwrap();
         assert!(matches!(bad_rate.expand(), Err(SweepError::InvalidCell(_))));
-        assert!(matches!(
-            small().faults(Vec::new()).expand(),
-            Err(SweepError::EmptyAxis(_))
-        ));
     }
 
     #[test]
     fn healthy_cell_seeds_are_unchanged_by_the_faults_axis_default() {
-        // `faults` defaults to `[None]`, which must leave every pre-fault
-        // cell spec string — and therefore every derived seed — untouched.
+        // `faults` defaults to none, which must leave every pre-fault cell
+        // spec string — and therefore every derived seed — untouched.
         let cells = small().expand().unwrap();
         for cell in &cells {
             assert!(
@@ -1036,12 +658,12 @@ mod tests {
             "topo=mesh:4 load=rho:0.2|rho:0.6 probes=nsys,maxq@10 horizon=400 warmup=40",
         )
         .unwrap();
-        let probes = sweep.probes.unwrap();
-        assert!(probes.nsys && probes.maxq && !probes.shards);
-        assert_eq!(probes.every, Some(10.0));
         // The shared clause reaches every cell, and every cell spec
         // round-trips through Scenario::parse.
         let cells = sweep.expand().unwrap();
+        let probes = cells[0].probes.unwrap();
+        assert!(probes.nsys && probes.maxq && !probes.shards);
+        assert_eq!(probes.every, Some(10.0));
         for cell in &cells {
             assert_eq!(cell.probes, Some(probes));
             assert!(cell.spec_string().contains("probes=nsys,maxq@10"));
@@ -1053,7 +675,7 @@ mod tests {
         let off =
             SweepSpec::parse("topo=mesh:4 load=rho:0.2|rho:0.6 probes=none horizon=400 warmup=40")
                 .unwrap();
-        assert_eq!(off.probes, None);
+        assert!(off.expand().unwrap().iter().all(|c| c.probes.is_none()));
         assert!(!off.spec_string().contains("probes"));
         // Malformed probe tokens are parse errors.
         assert!(SweepSpec::parse("topo=mesh:4 load=rho:0.2 probes=speed").is_err());
@@ -1066,10 +688,7 @@ mod tests {
         // replay the exact sample paths — i.e. the exact cell seeds — of
         // its unprobed twin, and default cells carry no probes clause.
         let plain = small().expand().unwrap();
-        let probed = small()
-            .probes(ProbeSpec::parse_token("all").unwrap())
-            .expand()
-            .unwrap();
+        let probed = with("probes=all").expand().unwrap();
         for (a, b) in plain.iter().zip(&probed) {
             assert_eq!(a.seed, b.seed, "{}", a.spec_string());
             assert!(!a.spec_string().contains("probes"));
@@ -1079,10 +698,8 @@ mod tests {
 
     #[test]
     fn matrix_patterns_cannot_enter_a_sweep() {
-        let sweep = small().patterns(vec![PatternSpec::Matrix {
-            rows: vec![vec![1.0; 16]; 16],
-        }]);
-        assert!(matches!(sweep.expand(), Err(SweepError::InvalidCell(_))));
+        // A traffic matrix has no spec token, so no sweep can name one.
+        assert!(SweepSpec::parse("topo=mesh:4 load=rho:0.2 traffic=matrix").is_err());
     }
 
     #[test]
@@ -1105,10 +722,16 @@ mod tests {
     #[test]
     fn parsed_and_built_sweeps_expand_identically() {
         let parsed = SweepSpec::parse("topo=mesh:4|torus:4 load=rho:0.2|rho:0.8").unwrap();
-        let built = small();
+        let mut built = SweepSpec::new();
+        built.set(&spec::TOPO, "mesh:4|torus:4").unwrap();
+        built.set(&spec::LOAD, "rho:0.2|rho:0.8").unwrap();
+        built.set(&spec::ROUTER, "greedy").unwrap();
         assert_eq!(parsed, built);
         let a = parsed.expand().unwrap();
         let b = built.expand().unwrap();
         assert_eq!(a, b);
+        // The sweep's own knobs are fields, not clauses.
+        assert!(built.set(&spec::REPS, "2").is_err());
+        assert!(built.set(&spec::SLOT, "1").is_err());
     }
 }

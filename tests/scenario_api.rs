@@ -165,21 +165,21 @@ fn parse_accepts_full_specs_and_rejects_garbage() {
 
     for bad in [
         "",
-        "mesh",                                        // missing size
-        "hexagon:7",                                   // unknown topology
-        "mesh:1",                                      // too small
-        "torus:2",                                     // too small
-        "mesh:4,router=randomized,dest=bernoulli:0.5", // dest/topology mismatch
-        "butterfly:3,dest=nearby:0.5",                 // dest/topology mismatch
-        "mesh:4,rho=-0.2",                             // non-positive load
-        "mesh:4,horizon=0",                            // degenerate horizon
-        "mesh:4,warmup=99999",                         // warmup beyond horizon
-        "mesh:4,turbo=yes",                            // unknown key
-        "mesh:4,slot=abc",                             // malformed number
-        "torus:8x9",                                   // torus takes a single size
-        "hypercube:4x4",                               // hypercube takes a single size
-        "hypercube:4,dest=bernoulli:0,util=0.5",       // p = 0 ⇒ λ = ∞
-        "mesh:8,rho=0.9,util=0.2",                     // conflicting load keys
+        "mesh",                                           // missing size
+        "hexagon:7",                                      // unknown topology
+        "mesh:1",                                         // too small
+        "torus:2",                                        // too small
+        "mesh:4,router=randomized,traffic=bernoulli:0.5", // pattern/topology mismatch
+        "butterfly:3,traffic=nearby:0.5",                 // pattern/topology mismatch
+        "mesh:4,rho=-0.2",                                // non-positive load
+        "mesh:4,horizon=0",                               // degenerate horizon
+        "mesh:4,warmup=99999",                            // warmup beyond horizon
+        "mesh:4,turbo=yes",                               // unknown key
+        "mesh:4,slot=abc",                                // malformed number
+        "torus:8x9",                                      // torus takes a single size
+        "hypercube:4x4",                                  // hypercube takes a single size
+        "hypercube:4,traffic=bernoulli:0,util=0.5",       // p = 0 ⇒ λ = ∞
+        "mesh:8,rho=0.9,util=0.2",                        // conflicting load keys
     ] {
         assert!(Scenario::parse(bad).is_err(), "`{bad}` should be rejected");
     }

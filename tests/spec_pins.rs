@@ -167,6 +167,7 @@ fn sweep_spec_strings_are_pinned() {
         assert_eq!(sweep.spec_string(), want, "rendering of `{input}`");
         let again = SweepSpec::parse(want).unwrap_or_else(|e| panic!("`{want}`: {e}"));
         assert_eq!(again, sweep, "`{want}` parses to a different sweep");
+        assert_eq!(again.spec_string(), want);
     }
     for &canonical in CANONICAL_SWEEPS {
         let sweep = SweepSpec::parse(canonical).unwrap_or_else(|e| panic!("`{canonical}`: {e}"));

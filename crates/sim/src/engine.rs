@@ -46,14 +46,15 @@ pub const STREAMING_STATS_MAX_EDGES: usize = 1 << 16;
 /// How many node shards the simulator's one engine runs on.
 ///
 /// * [`EngineSpec::Auto`] (the default) — one shard on the calling thread:
-///   a calendar-queue future-event list, per-hop routing, no windows and
-///   no exchange.
+///   a [`LaneQueue`](crate::events::LaneQueue) future-event list (departures
+///   offered in time order ride its FIFO lane, everything else its
+///   calendar), per-hop routing, no windows and no exchange.
 /// * [`EngineSpec::Sharded`] — conservative parallel DES: the topology is
 ///   partitioned into `shards` node blocks, each runs the same loop on its
 ///   own thread, and cross-shard packets are exchanged at epoch
-///   boundaries (see `crate::shard`). More than one shard requires
-///   deterministic service times (the lookahead is the minimum cut-edge
-///   service time).
+///   boundaries (see `crate::shard`), each shard with its own lane
+///   queue. More than one shard requires deterministic service times (the
+///   lookahead is the minimum cut-edge service time).
 ///
 /// `sharded:1` is `auto`: the same run, bit for bit.
 ///

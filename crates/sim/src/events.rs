@@ -1,21 +1,27 @@
 //! Future-event queues.
 //!
-//! Two interchangeable future-event lists implement [`EventQueue`]:
+//! Three future-event lists implement [`EventQueue`]:
 //!
 //! * [`HeapQueue`] — a binary heap keyed by `(time, seq)` with a monotone
 //!   sequence number breaking ties deterministically. O(log n) per
 //!   operation, no tuning knobs; the reference implementation.
 //! * [`CalendarQueue`] — the classic O(1)-amortized calendar queue with
-//!   sorted buckets and Brown-style dynamic resizing, used by the
-//!   simulator's default engine (see `EngineSpec`).
+//!   sorted buckets and Brown-style dynamic resizing.
+//! * [`LaneQueue`] — the simulator's queue (see `EngineSpec`): an ordered
+//!   FIFO lane beside a calendar, one sequence counter shared by both.
+//!   Events offered in time order (unit-service departures, scheduled at
+//!   `now + 1` with `now` non-decreasing) append to the FIFO; everything
+//!   else, and any offer that would break the FIFO's order, goes to the
+//!   calendar. Both lanes stay sorted by `(time, seq)`, so popping the
+//!   smaller head gives the order of one queue holding everything.
 //!
-//! Both pop events in exactly the same `(time, seq)` order, so a simulation
-//! produces bit-identical results whichever queue drives it — the
-//! cross-queue property tests below and the engine-equivalence suite pin
-//! that guarantee.
+//! All three pop events in exactly the same `(time, seq)` order, so a
+//! simulation produces bit-identical results whichever queue drives it —
+//! the cross-queue property tests below and the engine-equivalence suite
+//! pin that guarantee.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// An entry in a future-event queue.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -164,10 +170,11 @@ fn round_width(w: f64) -> f64 {
 ///   pops next rather than waiting a full lap for the cursor to come back
 ///   around (the pre-overhaul implementation had exactly that bug).
 /// * **Brown-style resizing.** When the event count outgrows (or far
-///   undershoots) the bucket count, the calendar rebuilds with ~2 buckets
-///   per event and a new width keyed to the observed event density
-///   (average inter-event gap of everything pending), so the hot window
-///   stays at O(1) events per bucket whatever the workload's time scale.
+///   undershoots) the bucket count, the calendar rebuilds to match it; a
+///   bucket overloaded with events re-keys the width to its local density
+///   of *distinct* times (tied events cannot be split by any width), so
+///   the hot window stays at O(1) times per bucket whatever the
+///   workload's time scale.
 /// * **Empty-lap jump.** If a whole lap passes without a pop (all pending
 ///   events far in the future), the cursor jumps straight to the earliest
 ///   pending bucket instead of spinning lap by lap.
@@ -267,15 +274,16 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Inserts into the right bucket (or overflow). Does not touch `len`.
-    /// Returns the bucket index used (`None` for overflow).
+    /// Returns the bucket index used and the event's position in it
+    /// (`None` for overflow).
     ///
-    /// `NEWEST` marks a fresh `schedule` call: the event then carries the
+    /// `NEWEST` marks a fresh `file` call: the event then carries the
     /// largest sequence number ever issued, so among equal times it sorts
     /// before every resident entry and comparing times alone suffices.
     /// Re-placement during rebuilds and overflow repatriation moves *old*
     /// events and must compare the full `(time, seq)` key.
     #[inline]
-    fn place<const NEWEST: bool>(&mut self, s: Scheduled<E>) -> Option<usize> {
+    fn place<const NEWEST: bool>(&mut self, s: Scheduled<E>) -> Option<(usize, usize)> {
         let n = self.buckets.len() as u64;
         let vb = self.vbucket(s.time);
         if vb >= self.cursor_vb.saturating_add(n) {
@@ -298,7 +306,7 @@ impl<E> CalendarQueue<E> {
             bucket.partition_point(|x| (x.time, x.seq) > (s.time, s.seq))
         };
         bucket.insert(pos, s);
-        Some(idx)
+        Some((idx, pos))
     }
 
     /// Pulls overflow events whose bucket now lies within the calendar
@@ -312,10 +320,10 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// Jumps the cursor to the earliest pending event's bucket (called
-    /// after a full lap produced no pop, so every pending event is ahead
-    /// of the cursor).
-    fn jump_to_min(&mut self) {
+    /// Jumps the cursor to the earliest pending event's bucket, or to
+    /// `limit_vb` if that comes first (called after a full lap produced no
+    /// pop, so every pending event is ahead of the cursor).
+    fn jump_to_min(&mut self, limit_vb: u64) {
         debug_assert!(self.len > 0);
         let mut min_vb = u64::MAX;
         for bucket in &self.buckets {
@@ -329,9 +337,9 @@ impl<E> CalendarQueue<E> {
         // A silent lap re-checked every bucket before over-running it, so
         // nothing pending lies behind the cursor; the earliest bucket can
         // coincide with the cursor's, never precede it.
-        debug_assert!(min_vb >= self.cursor_vb);
-        self.cursor_vb = min_vb;
-        self.cursor = (min_vb & (self.buckets.len() as u64 - 1)) as usize;
+        debug_assert!(min_vb >= self.cursor_vb && limit_vb >= self.cursor_vb);
+        self.cursor_vb = min_vb.min(limit_vb);
+        self.cursor = (self.cursor_vb & (self.buckets.len() as u64 - 1)) as usize;
         self.repatriate_overflow();
     }
 
@@ -373,20 +381,15 @@ impl<E> CalendarQueue<E> {
             self.place::<false>(s);
         }
     }
-}
 
-impl<E> EventQueue<E> for CalendarQueue<E> {
+    /// Files `event` at `time` under the caller-given sequence number
+    /// `seq`, which must exceed every sequence number filed before it (the
+    /// `NEWEST` contract of `place`).
     #[inline]
-    fn schedule(&mut self, time: f64, event: E) {
+    fn file(&mut self, time: f64, seq: u64, event: E) {
         debug_assert!(time.is_finite() && time >= 0.0);
-        let s = Scheduled {
-            time,
-            seq: self.seq,
-            event,
-        };
-        self.seq += 1;
         self.len += 1;
-        let idx = self.place::<true>(s);
+        let placed = self.place::<true>(Scheduled { time, seq, event });
         // Grow: keep the expected occupancy below one event per bucket.
         if self.len > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
             self.rebuild(self.target_buckets(), self.width);
@@ -397,52 +400,55 @@ impl<E> EventQueue<E> for CalendarQueue<E> {
         // bucket's *local* density (Brown's adaptation, deterministic,
         // and robust against far-future outliers that poison any global
         // range estimate).
-        if let Some(idx) = idx {
+        //
+        // The density is that of distinct times: narrowing can never split
+        // a tie, so tied clumps (unit-service chains started together)
+        // must not drive the width down. An event that ties a resident
+        // adds no distinct time and skips the check; otherwise the sorted
+        // bucket's ties are adjacent, so one pass counts its times.
+        if let Some((idx, pos)) = placed {
             let bucket = &self.buckets[idx];
-            if bucket.len() > OVERLOAD {
+            // The newest event sorts before its equal-time peers, so a
+            // tie sits right behind it.
+            let tied = bucket.get(pos + 1).is_some_and(|x| x.time == time);
+            if bucket.len() > OVERLOAD && !tied {
                 let range = bucket[0].time - bucket[bucket.len() - 1].time;
-                if range > 0.0 {
-                    let w = round_width(2.0 * range / bucket.len() as f64);
-                    if w < self.width {
-                        self.rebuild(self.target_buckets(), w);
+                if range > 0.0 && round_width(2.0 * range / bucket.len() as f64) < self.width {
+                    let distinct = 1 + bucket.windows(2).filter(|p| p[0].time != p[1].time).count();
+                    if distinct > OVERLOAD {
+                        let w = round_width(2.0 * range / distinct as f64);
+                        if w < self.width {
+                            self.rebuild(self.target_buckets(), w);
+                        }
                     }
                 }
             }
         }
     }
 
+    /// The cursor scan: advances the cursor to the bucket holding the
+    /// earliest pending event and returns that event's `(time, seq)` key,
+    /// leaving the event in place for [`pop`](Self::pop).
+    ///
+    /// The cursor never moves past virtual bucket `limit_vb` (`u64::MAX`
+    /// for no limit). When nothing is due by then the scan returns `None`
+    /// and every pending event lies after `limit_vb`'s bucket — so a caller
+    /// holding an earlier event elsewhere can pop that one first without
+    /// the cursor running ahead of the simulated clock.
     #[inline]
-    fn next(&mut self) -> Option<(f64, E)> {
+    fn scan(&mut self, limit_vb: u64) -> Option<(f64, u64)> {
         if self.len == 0 {
             return None;
         }
         let mut empty_advances = 0usize;
         loop {
-            let cursor_vb = self.cursor_vb;
-            let inv_width = self.inv_width;
-            let bucket = &mut self.buckets[self.cursor];
-            if let Some(last) = bucket.last() {
-                // Same capped virtual-bucket math as `vbucket` — the raw
-                // cast would overshoot `VB_CAP` and never test as due.
-                if ((last.time * inv_width) as u64).min(VB_CAP) <= cursor_vb {
-                    let s = bucket.pop().expect("tail just observed");
-                    self.len -= 1;
-                    self.pops += 1;
-                    if self.buckets.len() > self.min_buckets && 4 * self.len < self.buckets.len() {
-                        self.rebuild(self.target_buckets(), self.width);
-                    } else if self.advances > 8 * self.pops + 2 * self.buckets.len() as u64 {
-                        // Chronically sparse laps: the width is too narrow
-                        // for the event spread — widen it.
-                        let w = round_width(self.width * 8.0);
-                        if w > self.width {
-                            self.rebuild(self.target_buckets(), w);
-                        } else {
-                            self.advances = 0;
-                            self.pops = 0;
-                        }
-                    }
-                    return Some((s.time, s.event));
+            if let Some(last) = self.buckets[self.cursor].last() {
+                if self.vbucket(last.time) <= self.cursor_vb {
+                    return Some((last.time, last.seq));
                 }
+            }
+            if self.cursor_vb >= limit_vb {
+                return None;
             }
             // Nothing due in this bucket's current window: advance.
             self.cursor_vb += 1;
@@ -455,14 +461,141 @@ impl<E> EventQueue<E> for CalendarQueue<E> {
             empty_advances += 1;
             if empty_advances > self.buckets.len() {
                 // A full silent lap: everything pending is far ahead.
-                self.jump_to_min();
+                self.jump_to_min(limit_vb);
                 empty_advances = 0;
             }
         }
     }
 
+    /// Removes the event the preceding [`scan`](Self::scan) returned.
+    #[inline]
+    fn pop(&mut self) -> Scheduled<E> {
+        let s = self.buckets[self.cursor]
+            .pop()
+            .expect("pop follows a scan that found a due event");
+        self.len -= 1;
+        self.pops += 1;
+        if self.buckets.len() > self.min_buckets && 4 * self.len < self.buckets.len() {
+            self.rebuild(self.target_buckets(), self.width);
+        } else if self.advances > 8 * self.pops + 2 * self.buckets.len() as u64 {
+            // Chronically sparse laps: the width is too narrow for the
+            // event spread — widen it.
+            let w = round_width(self.width * 8.0);
+            if w > self.width {
+                self.rebuild(self.target_buckets(), w);
+            } else {
+                self.advances = 0;
+                self.pops = 0;
+            }
+        }
+        s
+    }
+}
+
+impl<E> EventQueue<E> for CalendarQueue<E> {
+    #[inline]
+    fn schedule(&mut self, time: f64, event: E) {
+        self.seq += 1;
+        self.file(time, self.seq - 1, event);
+    }
+
+    #[inline]
+    fn next(&mut self) -> Option<(f64, E)> {
+        self.scan(u64::MAX)?;
+        let s = self.pop();
+        Some((s.time, s.event))
+    }
+
     fn len(&self) -> usize {
         self.len
+    }
+}
+
+/// The engine's future-event list: an ordered FIFO lane beside a
+/// [`CalendarQueue`], sharing one sequence counter.
+///
+/// [`schedule_ordered`](Self::schedule_ordered) appends to the FIFO when
+/// the event is not earlier than the FIFO's last entry and otherwise files
+/// it into the calendar; [`EventQueue::schedule`] always uses the
+/// calendar. Either way the event gets the next number from the shared
+/// counter, exactly the number a lone calendar would have given it. Both
+/// lanes are sorted by `(time, seq)` — the FIFO because it only ever
+/// appends a key no smaller than its back — so popping whichever head has
+/// the smaller key yields the same `(time, seq)` order as one queue
+/// holding everything, bit for bit the order of [`HeapQueue`].
+///
+/// The lane pays off when most events arrive already in time order:
+/// unit-service departures are scheduled at `now + 1` with `now`
+/// non-decreasing, so they skip the calendar's bucket arithmetic and
+/// sorted inserts, and the calendar only holds the events that need it.
+/// Exponential service and unequal per-edge rates fall back to the
+/// calendar through the same test, event by event.
+#[derive(Debug)]
+pub struct LaneQueue<E> {
+    /// Events offered in time order, sorted by `(time, seq)`.
+    fifo: VecDeque<Scheduled<E>>,
+    /// Everything else.
+    cal: CalendarQueue<E>,
+    /// Monotone tie-break counter shared by both lanes.
+    seq: u64,
+}
+
+impl<E> LaneQueue<E> {
+    /// A lane queue whose general lane is `calendar`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `calendar` already holds events (their sequence numbers
+    /// would collide with the shared counter's).
+    #[must_use]
+    pub fn new(calendar: CalendarQueue<E>) -> Self {
+        assert!(calendar.is_empty(), "a lane queue starts empty");
+        Self {
+            fifo: VecDeque::new(),
+            cal: calendar,
+            seq: 0,
+        }
+    }
+
+    /// Schedules `event` at `time`, appending it to the ordered lane when
+    /// `time` is not earlier than that lane's last entry and filing it
+    /// into the calendar otherwise. Pop order is the same as
+    /// [`EventQueue::schedule`] would give.
+    #[inline]
+    pub fn schedule_ordered(&mut self, time: f64, event: E) {
+        debug_assert!(time.is_finite() && time >= 0.0);
+        let seq = self.seq;
+        self.seq += 1;
+        match self.fifo.back() {
+            Some(back) if time < back.time => self.cal.file(time, seq, event),
+            _ => self.fifo.push_back(Scheduled { time, seq, event }),
+        }
+    }
+}
+
+impl<E> EventQueue<E> for LaneQueue<E> {
+    #[inline]
+    fn schedule(&mut self, time: f64, event: E) {
+        self.seq += 1;
+        self.cal.file(time, self.seq - 1, event);
+    }
+
+    #[inline]
+    fn next(&mut self) -> Option<(f64, E)> {
+        // The calendar scan stops at the FIFO head's bucket, so its cursor
+        // never runs ahead of the earliest pending event.
+        let head = self.fifo.front().map(|f| (f.time, f.seq));
+        let limit_vb = head.map_or(u64::MAX, |(t, _)| self.cal.vbucket(t));
+        let s = match (self.cal.scan(limit_vb), head) {
+            (Some(c), Some(f)) if f < c => self.fifo.pop_front(),
+            (Some(_), _) => Some(self.cal.pop()),
+            (None, _) => self.fifo.pop_front(),
+        }?;
+        Some((s.time, s.event))
+    }
+
+    fn len(&self) -> usize {
+        self.fifo.len() + self.cal.len()
     }
 }
 
@@ -634,6 +767,78 @@ mod tests {
         assert_eq!(cal.next(), Some((2_000_000.0, "far")));
     }
 
+    /// Regression: tied times must not collapse the calendar's width.
+    /// Unit-service chains started together stay tied forever, so a
+    /// bucket holding one clump overflows `OVERLOAD` at any width; keying
+    /// the density-overload resize to the bucket's event count instead of
+    /// its distinct times narrowed the width toward `2^-24` and left most
+    /// pending events in overflow.
+    #[test]
+    fn tied_unit_service_clumps_do_not_collapse_the_width() {
+        let mut x = 0x5DEE_CE66_D1CE_4E5Bu64;
+        let mut unit = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 11) as f64 / (1u64 << 53) as f64
+        };
+        // 400 Poisson sources at the Table-I rate (λ = 0.16 per node) and
+        // 1000 unit-service chains in 50 clumps of 20 tied start times.
+        let (sources, rate) = (400u32, 0.16);
+        let mut cal = CalendarQueue::for_simulation(4 * sources as usize);
+        for i in 0..sources {
+            cal.schedule(-(1.0 - unit()).ln() / rate, i);
+        }
+        for clump in 0..50u32 {
+            let t0 = unit();
+            for k in 0..20 {
+                cal.schedule(t0, sources + 20 * clump + k);
+            }
+        }
+        let floor = f64::exp2(-12.0);
+        for _ in 0..400_000 {
+            let (t, id) = cal.next().expect("the hold model keeps its population");
+            let dt = if id < sources {
+                -(1.0 - unit()).ln() / rate
+            } else {
+                1.0
+            };
+            cal.schedule(t + dt, id);
+            assert!(cal.width >= floor, "width collapsed to {:e}", cal.width);
+        }
+    }
+
+    /// The lane queue's merge: an ordered offer that goes back in time
+    /// lands in the calendar and must still pop before later FIFO
+    /// entries, and equal times pop in sequence order whichever lane holds
+    /// them.
+    #[test]
+    fn lane_queue_merges_its_lanes_in_time_then_sequence_order() {
+        let mut q = LaneQueue::new(CalendarQueue::new(8, 0.5));
+        q.schedule_ordered(2.0, "fifo 2.0");
+        q.schedule_ordered(3.0, "fifo 3.0");
+        q.schedule_ordered(1.5, "back in time"); // behind the FIFO's back
+        q.schedule(3.0, "calendar 3.0");
+        q.schedule_ordered(3.0, "fifo 3.0 again");
+        q.schedule_ordered(2.5, "calendar 2.5"); // behind the FIFO's back
+        assert_eq!(q.fifo.len(), 3);
+        assert_eq!(q.cal.len(), 3);
+        assert_eq!(q.len(), 6);
+        let order: Vec<_> = std::iter::from_fn(|| q.next()).collect();
+        assert_eq!(
+            order,
+            [
+                (1.5, "back in time"),
+                (2.0, "fifo 2.0"),
+                (2.5, "calendar 2.5"),
+                (3.0, "fifo 3.0"),
+                (3.0, "calendar 3.0"),
+                (3.0, "fifo 3.0 again"),
+            ]
+        );
+        assert!(q.is_empty());
+    }
+
     proptest! {
         #[test]
         fn prop_calendar_equals_heap(ops in proptest::collection::vec((0.0f64..50.0, any::<bool>()), 1..300)) {
@@ -661,6 +866,55 @@ mod tests {
                 let a = heap.next();
                 let b = cal.next();
                 prop_assert_eq!(a, b);
+                if a.is_none() { break; }
+            }
+        }
+
+        /// The lane queue against the heap under the engine's traffic and
+        /// worse: ordered offers at `now + d` with `d` from {0.5, 1, 1, 2}
+        /// (so some go back in time and fall back to the calendar), offers
+        /// tied with the last one, and plain schedules ahead, behind the
+        /// clock and far in the future. Every pop must match, and the
+        /// calendar's cursor must never run ahead of the latest pop.
+        #[test]
+        fn prop_lane_queue_equals_heap(
+            ops in proptest::collection::vec((0u8..6, 0usize..4, 0.0f64..8.0), 1..400),
+        ) {
+            let mut heap = HeapQueue::new();
+            let mut lane = LaneQueue::new(CalendarQueue::new(8, 0.5));
+            let mut id = 0u32;
+            let mut now = 0.0f64;
+            let mut last_offer = 0.0f64;
+            for (kind, d, x) in ops {
+                let t = match kind {
+                    0 => {
+                        let a = heap.next();
+                        prop_assert_eq!(a, lane.next());
+                        if let Some((t, _)) = a {
+                            now = now.max(t);
+                            prop_assert!(lane.cal.cursor_vb <= lane.cal.vbucket(now));
+                        }
+                        continue;
+                    }
+                    1 => now + [0.5, 1.0, 1.0, 2.0][d],
+                    2 => last_offer,
+                    3 => now + x,
+                    4 => (now - x).max(0.0),
+                    _ => now + 100.0 + x * 40.0,
+                };
+                heap.schedule(t, id);
+                if kind <= 2 {
+                    lane.schedule_ordered(t, id);
+                    last_offer = t;
+                } else {
+                    lane.schedule(t, id);
+                }
+                id += 1;
+                prop_assert_eq!(heap.len(), lane.len());
+            }
+            loop {
+                let a = heap.next();
+                prop_assert_eq!(a, lane.next());
                 if a.is_none() { break; }
             }
         }

@@ -7,10 +7,17 @@
 //! The topology is partitioned into contiguous node blocks
 //! ([`Partition::contiguous`]); each directed edge belongs to the shard of
 //! its **source** node, so every enqueue a shard performs is on an edge it
-//! owns. A shard has its own calendar-queue future-event list, its own RNG
-//! stream (`derive_rng(seed, shard)`) and its own [`Observer`], so threads
-//! share nothing mutable. Within a shard:
+//! owns. A shard has its own future-event list, its own RNG stream
+//! (`derive_rng(seed, shard)`) and its own [`Observer`], so threads share
+//! nothing mutable. Within a shard:
 //!
+//! * the **future-event list** is a [`LaneQueue`]: departures are offered
+//!   to its ordered FIFO lane (under unit service they are scheduled at
+//!   `now + 1` with `now` non-decreasing, so they arrive in time order),
+//!   and every other event goes to its calendar queue. Departures that
+//!   come out of order — exponential service, unequal per-edge rates —
+//!   fall back to the calendar one by one, and the pop order is the one a
+//!   single calendar would give;
 //! * **edge queues** are intrusive linked lists threaded through one
 //!   shared slab (`qnext[pid]`), so an edge's state is two `u32` cursors
 //!   and the shard's queue storage is a single allocation;
@@ -73,7 +80,7 @@
 //! subsample of a uniform subsample rather than of the raw stream.
 
 use crate::engine::STREAMING_STATS_MAX_EDGES;
-use crate::events::{CalendarQueue, EventQueue};
+use crate::events::{CalendarQueue, EventQueue, LaneQueue};
 use crate::fault::{ttl_budget, DropCause, DropCounts, FaultPlan};
 use crate::network::{stall, EdgeThroughputStats, NetworkSim, SimError, SimResult};
 use crate::observer::Observer;
@@ -331,7 +338,7 @@ where
     hand_node: Vec<NodeId>,
     qnext: Vec<u32>,
     free: Vec<u32>,
-    queue: CalendarQueue<Ev>,
+    queue: LaneQueue<Ev>,
     /// Per-peer outgoing packets, flushed at each epoch boundary.
     outboxes: Vec<Batch<R::State>>,
     /// Per-edge liveness (**global** indexing) under the run's fault plan;
@@ -386,7 +393,7 @@ where
             hand_node: Vec::with_capacity(1024),
             qnext: Vec::with_capacity(1024),
             free: Vec::new(),
-            queue: CalendarQueue::for_simulation(4 * sources.len().max(1)),
+            queue: LaneQueue::new(CalendarQueue::for_simulation(4 * sources.len().max(1))),
             outboxes: (0..part.shards()).map(|_| Vec::new()).collect(),
             live: if sim.fault_plan.is_empty() {
                 Vec::new()
@@ -560,7 +567,7 @@ where
         edge.service_start = now;
         let (head, cut) = (edge.head, edge.cut);
         let done = now + dur;
-        self.queue.schedule(done, Ev::Departure(ge));
+        self.queue.schedule_ordered(done, Ev::Departure(ge));
         if cut {
             let node = self.sim.topo.edge_target(EdgeId(ge));
             self.outboxes[self.part.node_shard(node)].push(Msg {

@@ -415,6 +415,40 @@ fn engines_agree_for_nonuniform_destinations_and_rates() {
     check_all_engines(hc);
 }
 
+#[test]
+fn heterogeneous_deterministic_rates_are_pinned() {
+    // Golden pin, captured before unit-service departures got their
+    // ordered lane: `(events_processed, avg_delay bits, time_avg_n bits)`
+    // with per-edge deterministic rates cycling 0.8/1.0/1.25/2.0. Unequal
+    // service times make departures reach the event list out of time
+    // order, so this is the deterministic-service run that sends ordered
+    // offers back to the calendar.
+    let rates: Vec<f64> = (0..80).map(|e| [0.8, 1.0, 1.25, 2.0][e % 4]).collect();
+    let sc = Scenario::mesh(5)
+        .load(Load::Lambda(0.3))
+        .horizon(600.0)
+        .warmup(60.0)
+        .seed(23)
+        .service_rates(rates);
+    let pins = [
+        (
+            EngineSpec::Auto,
+            (19281, 0x400adedb91f75002, 0x4039e08af623eb9d),
+        ),
+        (
+            EngineSpec::Sharded { shards: 2 },
+            (21181, 0x400a4494b512e8aa, 0x403896ea49ab606d),
+        ),
+    ];
+    for (engine, (events, delay, n)) in pins {
+        let label = format!("{} [{engine}]", sc.spec_string());
+        let r = sc.clone().engine(engine).run();
+        assert_eq!(r.events_processed, events, "{label}: events_processed");
+        assert_eq!(r.avg_delay.to_bits(), delay, "{label}: avg_delay");
+        assert_eq!(r.time_avg_n.to_bits(), n, "{label}: time_avg_n");
+    }
+}
+
 /// The sharded-oracle operating points: small members of the families the
 /// conservative parallel engine supports, at a load where queues form.
 fn sharded_cases() -> Vec<Scenario> {

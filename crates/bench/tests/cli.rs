@@ -2,7 +2,7 @@
 //! and the structured-error contract (nonzero exit + single-line
 //! `repro: …` on stderr, never a panic backtrace).
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -185,4 +185,129 @@ fn token_soups_exit_cleanly_and_accepted_specs_round_trip() {
             assert_eq!(sweep.spec_string(), printed);
         }
     }
+}
+
+/// The CLI's usage contract, one command line per row. Every usage or
+/// spec error exits 2 with one `repro: …` line naming the culprit, then
+/// the usage text, and never panics.
+#[test]
+fn usage_errors_exit_2_with_one_repro_line() {
+    let tel = std::env::temp_dir().join(format!("meshbound_cli_usage_{}.json", std::process::id()));
+    let tel = tel.to_str().expect("UTF-8 temp path");
+    let quick_scenario = "mesh:3,horizon=50,warmup=5";
+    // (command line, a fragment of the first stderr line)
+    let rows: &[(&[&str], &str)] = &[
+        (
+            &["--engine", "sharded:2", "scenario", "mesh:3 service=exp"],
+            "`--engine`",
+        ),
+        (&["--telemetry"], "`--telemetry`"),
+        (&["sweep", "table3", "--out"], "`--out`"),
+        (&["sweep", "table3", "--jobs"], "`--jobs`"),
+        (&["--quick", "--quick", "report"], "`--quick`"),
+        (
+            &["--telemetry", tel, "--telemetry", tel, "scenario", "mesh:3"],
+            "`--telemetry`",
+        ),
+        (&["--bogus", "report"], "`--bogus`"),
+        (&["tableX"], "`tableX`"),
+        (&["report", "scenario", quick_scenario], "`scenario`"),
+        (&["--telemetry", tel, "sweep", "table3"], "--out"),
+        (&["--progress", "report"], "`--progress`"),
+        (&["--quick", "scenario", quick_scenario], "`--quick`"),
+        (&["--out", tel, "report"], "`--out`"),
+        (&["--check", "scenario", quick_scenario], "`--check`"),
+        (&["scenario"], "`scenario`"),
+        (&["timeline"], "`timeline`"),
+        (&["sweep"], "`sweep`"),
+        (&["sweep", "table1", "table2"], "`table2`"),
+        (&["sweep", "table3", "--jobs", "0"], "`--jobs`"),
+        (&["sweep", "table3", "--jobs", "two"], "`--jobs`"),
+        (
+            &["--telemetry", tel, "scenario", "mesh:3", "mesh:4"],
+            "`--telemetry`",
+        ),
+        (&["--shards", "2", "scenario", quick_scenario], "`--shards`"),
+        (&["scenario", "mesh:3 warp=1"], "warp"),
+        (&["sweep", "topo=mesh:4 load=warp:0.5"], "warp"),
+    ];
+    for &(args, fragment) in rows {
+        let out = repro(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        let mut lines = stderr.lines();
+        let first = lines.next().unwrap_or("");
+        assert!(first.starts_with("repro:"), "{args:?}: {stderr}");
+        assert!(first.contains(fragment), "{args:?}: {stderr}");
+        let second = lines.next().unwrap_or("");
+        assert!(second.starts_with("usage: repro"), "{args:?}: {stderr}");
+    }
+    assert!(
+        !std::path::Path::new(tel).exists(),
+        "a refused run wrote {tel}"
+    );
+
+    #[cfg(unix)]
+    {
+        use std::os::unix::ffi::OsStrExt;
+        let arg = std::ffi::OsStr::from_bytes(b"table\xff");
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg(arg)
+            .output()
+            .expect("spawn repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "non-UTF-8 argument: {stderr}");
+        assert!(stderr.starts_with("repro:"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+
+    for args in [
+        &["--help"][..],
+        &["sweep", "--help"],
+        &["scenario", "mesh:3", "-h"],
+    ] {
+        let out = repro(args);
+        assert!(out.status.success(), "{args:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("usage: repro"), "{args:?}: {stdout}");
+    }
+
+    // A flag may come before its command.
+    let args = [
+        "--out",
+        tel,
+        "sweep",
+        "topo=mesh:3 load=rho:0.2 horizon=50 warmup=5",
+    ];
+    let out = repro(&args);
+    assert!(out.status.success(), "{args:?}");
+    assert!(std::fs::remove_file(tel).is_ok(), "{args:?} wrote no {tel}");
+
+    // Artifacts print in the artifact table's order, whatever the order on
+    // the command line.
+    let out = repro(&["--quick", "report", "fig1", "fig2"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let at = |line: &str| stdout.find(line).unwrap_or_else(|| panic!("no `{line}`"));
+    assert!(at("Figure 1 — Lemma 2 layering labels") < at("Figure 2 — saturated edges"));
+    assert!(at("Figure 2 — saturated edges") < at("array 5x5 (25 nodes)"));
+}
+
+#[test]
+fn closed_stdout_ends_quietly() {
+    // stdout is a pipe whose reader has gone before `repro` starts, as
+    // when `repro --quick report | head -1` has stopped reading.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--quick", "report"])
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
 }

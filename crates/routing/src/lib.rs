@@ -13,13 +13,12 @@
 //! * [`KdGreedy`] — axis-by-axis greedy routing on `k`-dimensional meshes
 //!   (§5.2).
 //!
-//! Beyond the paper's oblivious schemes, the [`policy`] module defines the
-//! per-hop [`RoutingPolicy`] API (every [`Router`] is one via a blanket
-//! impl) under which [`WestFirst`] and [`OddEven`] implement turn-model
-//! **adaptive** routing on the mesh and torus; their steady-state edge
-//! rates come from the fixed-point solver
-//! [`adaptive_edge_rates`] instead of path
-//! enumeration.
+//! Beyond the paper's oblivious schemes, [`WestFirst`] and [`OddEven`]
+//! implement turn-model **adaptive** routing on the mesh and torus: they
+//! override the per-hop [`Router::next_hop`] hook, which reads the
+//! engine's live [`LocalView`] of the switch (see the [`policy`] module).
+//! Their steady-state edge rates come from the fixed-point solver
+//! [`adaptive_edge_rates`] instead of path enumeration.
 //!
 //! Destination distributions live in [`dest`]: uniform (the standard model),
 //! the hypercube's Bernoulli-`p` distribution, and the §5.2 "nearby" walk
@@ -59,7 +58,7 @@ pub use oddeven::OddEven;
 pub use pattern::{
     GenericDest, HotspotDest, MatrixDest, PatternTopology, PermutationDest, PermutationKind,
 };
-pub use policy::{policy_route, LocalView, RoutingPolicy, SplitRouting, ZeroView};
+pub use policy::{policy_route, LocalView, SplitRouting, ZeroView};
 pub use randomized::{Order, RandomizedGreedy};
 pub use router::{ObliviousRouter, RouteOutcome, Router};
 pub use table::RouteTable;

@@ -45,7 +45,10 @@
 //!
 //! Every stdout write goes through `out!`: once the reader has gone
 //! (`repro … | head`), the process ends at once with status 141 and
-//! nothing on stderr.
+//! nothing on stderr. Every stderr write goes through `err!`, which
+//! ignores a reader that has gone (`repro … 2>&1 | head -1`): the
+//! command keeps its own status, 2 for a usage error and 1 for a failed
+//! run.
 
 use meshbound::experiments::{extensions, fig1, fig2, table1, table2, table3, Scale};
 use meshbound::queueing::load::{mesh_stability_threshold, optimal_stability_threshold};
@@ -62,6 +65,13 @@ macro_rules! out {
     };
 }
 
+/// `print!` to stderr through [`write_stderr`].
+macro_rules! err {
+    ($($arg:tt)*) => {
+        write_stderr(format_args!($($arg)*))
+    };
+}
+
 /// Writes to stdout. A reader that has gone (`repro … | head`) ends the
 /// process at once with the shell's SIGPIPE status, 141, and nothing on
 /// stderr; any other write failure is a `repro:` line and exit 1.
@@ -70,9 +80,15 @@ fn write_stdout(args: std::fmt::Arguments) {
         if e.kind() == std::io::ErrorKind::BrokenPipe {
             std::process::exit(141);
         }
-        eprintln!("repro: cannot write to stdout: {e}");
+        err!("repro: cannot write to stdout: {e}\n");
         std::process::exit(1);
     }
+}
+
+/// Writes to stderr and ignores a failed write: the message has nowhere
+/// else to go, and the caller's exit status still reports the problem.
+fn write_stderr(args: std::fmt::Arguments) {
+    let _ = std::io::stderr().write_fmt(args);
 }
 
 /// What a command line asks for, picked by its first positional word.
@@ -360,7 +376,7 @@ fn usage() -> String {
 /// Prints a usage error — one `repro:` line, then the usage text — and
 /// returns exit status 2.
 fn usage_error(msg: &str) -> ExitCode {
-    eprintln!("repro: {msg}\n{}", usage());
+    err!("repro: {msg}\n{}\n", usage());
     ExitCode::from(2)
 }
 
@@ -453,14 +469,14 @@ fn with_progress<T>(on: bool, run: impl FnOnce() -> T) -> T {
         } else {
             0.0
         };
-        eprint!(
+        err!(
             "\r  {pct:5.1}%  t={now:.0}/{horizon:.0}  {events} events  {:.0}k ev/s   ",
             rate / 1e3
         );
     })));
     let result = run();
     set_progress_sink(None);
-    eprint!("\r{:78}\r", "");
+    err!("\r{:78}\r", "");
     result
 }
 
@@ -512,11 +528,11 @@ fn scenarios(cli: &Cli) -> ExitCode {
         }
         if let Some(path) = &cli.telemetry {
             let Some(tel) = &res.telemetry else {
-                eprintln!("repro: `--telemetry` needs probes — spec says probes=none");
+                err!("repro: `--telemetry` needs probes — spec says probes=none\n");
                 return ExitCode::from(2);
             };
             if let Err(e) = std::fs::write(path, tel.to_json_pretty()) {
-                eprintln!("repro: cannot write `{path}`: {e}");
+                err!("repro: cannot write `{path}`: {e}\n");
                 return ExitCode::FAILURE;
             }
             out!("wrote {path}\n");
@@ -560,13 +576,13 @@ fn sweep(cli: &Cli) -> ExitCode {
     out!("{}", report.to_text());
     if let Some(path) = &cli.out {
         if let Err(e) = std::fs::write(path, report.to_json_pretty()) {
-            eprintln!("repro: cannot write `{path}`: {e}");
+            err!("repro: cannot write `{path}`: {e}\n");
             return ExitCode::FAILURE;
         }
         out!("wrote {path}\n");
     }
     if cli.check && !report.all_within_bounds {
-        eprintln!("repro: sweep has cells outside their analytic bounds");
+        err!("repro: sweep has cells outside their analytic bounds\n");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
@@ -607,7 +623,7 @@ fn run_scenario(sc: &Scenario) -> Result<meshbound::sim::SimResult, ExitCode> {
     let res = match sc.try_run() {
         Ok(res) => res,
         Err(e) => {
-            eprintln!("repro: {e}");
+            err!("repro: {e}\n");
             return Err(ExitCode::FAILURE);
         }
     };

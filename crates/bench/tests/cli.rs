@@ -311,3 +311,25 @@ fn closed_stdout_ends_quietly() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(stderr.is_empty(), "{stderr}");
 }
+
+#[test]
+fn closed_stderr_keeps_the_exit_status() {
+    // stderr is a pipe whose reader has gone, as under
+    // `repro … 2>&1 | head -1`: the error message cannot be written, but
+    // the command still exits with its own status instead of panicking.
+    for (args, status) in [
+        (&["--bogus"][..], 2),
+        (&["scenario", "hypercube:1 traffic=shuffle"][..], 2),
+        (&["scenario", "mesh:4", "--telemetry", "/"][..], 1),
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(writer)
+            .output()
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(status), "{args:?}");
+    }
+}

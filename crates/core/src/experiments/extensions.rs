@@ -516,12 +516,10 @@ pub struct KdRow {
 
 /// Simulates `k`-dimensional meshes against bounds computed from exact
 /// enumerated rates — the §5.2 extension ("one can explicitly determine the
-/// arrival rates at individual queues combinatorially").
+/// arrival rates at individual queues combinatorially"). The bounds are
+/// [`BoundsReport::compute_for`]'s, which reads those rates.
 #[must_use]
 pub fn kd_study(shapes: &[Vec<usize>], lambda: f64, scale: &Scale) -> Vec<KdRow> {
-    use meshbound_queueing::bounds::lower::lower_bound_from_rates;
-    use meshbound_queueing::bounds::upper::upper_bound_from_rates;
-
     shapes
         .par_iter()
         .map(|dims| {
@@ -530,16 +528,14 @@ pub fn kd_study(shapes: &[Vec<usize>], lambda: f64, scale: &Scale) -> Vec<KdRow>
                 .horizon(scale.horizon(0.8))
                 .warmup(scale.warmup(0.8))
                 .seed(scale.seed ^ 0x6B64);
-            let rates = sc.edge_rates();
-            let gamma = sc.total_arrival();
-            let d_max = sc.topology.max_distance();
+            let bounds = BoundsReport::compute_for(&sc);
             KdRow {
                 dims: dims.clone(),
                 lambda,
-                peak_util: rates.iter().fold(0.0, |a: f64, &b| a.max(b)),
+                peak_util: bounds.utilization,
                 t_sim: sc.run().avg_delay,
-                t_upper: upper_bound_from_rates(&rates, gamma),
-                t_lower10: lower_bound_from_rates(&rates, d_max as f64, gamma),
+                t_upper: bounds.upper,
+                t_lower10: bounds.lower_thm10,
             }
         })
         .collect()

@@ -1,9 +1,10 @@
 //! One-stop analytic report for a scenario (topology + load).
 //!
 //! [`BoundsReport::compute_for`] fills the report for any
-//! [`Scenario`] — mesh, torus, hypercube, butterfly or `k`-d mesh — using
-//! the closed forms in `meshbound_queueing::bounds` where the paper derives
-//! them and exact rate enumeration otherwise.
+//! [`Scenario`] — mesh, torus, hypercube, butterfly or `k`-d mesh — from
+//! one [`Scenario::resolve`]: the closed forms in
+//! `meshbound_queueing::bounds` where the paper derives them and the
+//! solved edge-rate vector otherwise.
 //! [`BoundsReport::compute`] remains as the square-mesh shorthand.
 
 use meshbound_queueing::bounds::estimate::{estimate_from_rates, paper_queue_number};
@@ -13,7 +14,7 @@ use meshbound_queueing::bounds::{
 use meshbound_queueing::load::{mesh_stability_threshold, optimal_stability_threshold, Load};
 use meshbound_queueing::remaining::{dbar_closed, light_load_r, sbar_closed};
 use meshbound_queueing::single::md1_mean_number;
-use meshbound_sim::{DropCounts, PatternSpec, Scenario, TopologySpec};
+use meshbound_sim::{DropCounts, RateClass, Resolution, Scenario, TopologySpec};
 use meshbound_topology::Mesh2D;
 use serde::{Deserialize, Serialize};
 
@@ -160,54 +161,36 @@ impl BoundsReport {
         }
     }
 
-    /// Computes the report for any [`Scenario`], dispatching to the
-    /// topology's closed forms where the paper derives them (§4.5
-    /// hypercube and butterfly, §6 torus — all under the standard uniform
-    /// workload) and to exact rate enumeration otherwise: rectangular
-    /// meshes, nearby destinations, randomized greedy, `k`-d meshes, and
-    /// every [`TrafficSpec`](meshbound_sim::TrafficSpec) workload
-    /// (permutations, hotspots, matrices, weighted sources), whose bounds
-    /// are resolved against the pattern's actual edge-rate vector.
+    /// Computes the report for any [`Scenario`] from one
+    /// [`Scenario::resolve`]: the topology's closed forms where the paper
+    /// derives them (Theorem 6 on the square mesh, §4.5 hypercube and
+    /// butterfly, §6 torus — all under the standard uniform workload) and
+    /// the exact edge-rate vector otherwise: rectangular meshes, nearby
+    /// destinations, randomized greedy and adaptive routers, `k`-d meshes,
+    /// and every [`TrafficSpec`](meshbound_sim::TrafficSpec) workload
+    /// (permutations, hotspots, matrices, weighted sources).
     ///
     /// # Panics
     ///
-    /// Panics if [`Scenario::validate`] rejects the scenario.
+    /// Panics if [`Scenario::resolve`] fails: the scenario is invalid, or
+    /// an adaptive router's rate solver does not converge.
     #[must_use]
     pub fn compute_for(sc: &Scenario) -> Self {
-        if let Err(e) = sc.validate() {
-            panic!("{e}");
-        }
-        let uniform_sources = sc.traffic.source.is_uniform();
-        let mut report = match (&sc.topology, &sc.traffic.pattern) {
-            (TopologySpec::Mesh { rows, cols }, PatternSpec::Uniform)
-                if rows == cols
-                    && uniform_sources
-                    && sc.router == meshbound_sim::RouterSpec::Greedy =>
-            {
-                Self::compute(*rows, Load::Lambda(sc.lambda()))
-            }
-            // The torus closed forms describe greedy wraparound routing;
-            // adaptive routers fall through to the rate-enumeration
-            // fallback, whose λ* comes from their fixed-point rate vector.
-            (TopologySpec::Torus { n }, PatternSpec::Uniform)
-                if uniform_sources && !sc.router.is_adaptive() =>
-            {
-                Self::torus_report(sc, *n)
-            }
-            (
-                TopologySpec::Hypercube { dim },
-                pattern @ (PatternSpec::Uniform | PatternSpec::Bernoulli { .. }),
-            ) if uniform_sources => {
-                let p = match pattern {
-                    PatternSpec::Bernoulli { p } => *p,
-                    _ => 0.5,
-                };
-                Self::hypercube_report(sc, *dim, p)
-            }
-            // The butterfly's workload is always uniform output rows;
-            // only non-uniform *sources* fall through to enumeration.
-            (TopologySpec::Butterfly { k }, _) if uniform_sources => Self::butterfly_report(sc, *k),
-            _ => Self::generic_report(sc),
+        let rates = sc.resolve().unwrap_or_else(|e| panic!("{e}"));
+        Self::compute_with(sc, &rates)
+    }
+
+    /// [`BoundsReport::compute_for`] from a resolution the caller already
+    /// holds (`rates` must come from `sc.resolve()`), so the report costs
+    /// no second solve.
+    #[must_use]
+    pub fn compute_with(sc: &Scenario, rates: &Resolution) -> Self {
+        let mut report = match &rates.class {
+            RateClass::Mesh(n) => Self::compute(*n, Load::Lambda(rates.lambda)),
+            RateClass::Torus(n) => Self::torus_report(sc, rates, *n),
+            RateClass::Hypercube(dim, p) => Self::hypercube_report(sc, rates, *dim, *p),
+            RateClass::Butterfly(k) => Self::butterfly_report(sc, rates, *k),
+            RateClass::Solved(_) => Self::generic_report(sc, rates),
         };
         // Every bound above describes the fault-free topology; a fault
         // spec additionally gets the surviving-reachability analysis.
@@ -225,149 +208,118 @@ impl BoundsReport {
         report
     }
 
-    /// §6 torus: Theorem 10's copy bound applies (it needs neither layering
-    /// nor the Markov property), the upper bound is the paper's open
-    /// problem, and the independence estimate is computed from the exact
-    /// wraparound rates.
-    fn torus_report(sc: &Scenario, n: usize) -> Self {
-        let lambda = sc.lambda();
-        let rates = sc.edge_rates();
-        let gamma = sc.total_arrival();
+    /// What every resolved report shares: the scenario's identity and
+    /// load, with every bound the paper derives only on the square mesh
+    /// left at `0.0` (vacuous) for the builders below to fill in.
+    fn resolved(sc: &Scenario, res: &Resolution, n: usize) -> Self {
         Self {
             label: sc.label(),
             n,
             nodes: sc.topology.num_nodes(),
-            lambda,
-            table_rho: sc.peak_utilization(),
-            utilization: sc.peak_utilization(),
-            mean_distance: sc.mean_distance(),
-            upper: f64::INFINITY,
-            est_paper: estimate_from_rates(&rates, gamma, paper_queue_number),
-            est_md1: estimate_from_rates(&rates, gamma, md1_mean_number),
+            lambda: res.lambda,
+            table_rho: res.peak_utilization(),
+            utilization: res.peak_utilization(),
+            mean_distance: res.mean_distance,
+            upper: 0.0,
+            est_paper: 0.0,
+            est_md1: 0.0,
             lower_thm8_any: 0.0,
             lower_thm8_oblivious: 0.0,
-            lower_thm10: torus_bounds::thm10_lower(n, lambda),
+            lower_thm10: 0.0,
             lower_thm12: 0.0,
             lower_thm14: 0.0,
-            lower_trivial: torus_bounds::trivial_lower(n),
-            lower_best: torus_bounds::best_lower_bound(n, lambda),
+            lower_trivial: 0.0,
+            lower_best: 0.0,
             dbar: 0.0,
             sbar: 0.0,
             light_load_r: 0.0,
-            stability_lambda: torus_bounds::stability_threshold(n),
+            stability_lambda: 0.0,
             optimal_stability_lambda: 0.0,
             silent_sources: sc.silent_sources(),
             degradation: None,
         }
     }
 
+    /// §6 torus: Theorem 10's copy bound applies (it needs neither layering
+    /// nor the Markov property), the upper bound is the paper's open
+    /// problem, and the independence estimate is computed from the exact
+    /// wraparound rates.
+    fn torus_report(sc: &Scenario, res: &Resolution, n: usize) -> Self {
+        let (lambda, rates) = (res.lambda, res.edge_rates());
+        Self {
+            upper: f64::INFINITY,
+            est_paper: estimate_from_rates(&rates, res.gamma, paper_queue_number),
+            est_md1: estimate_from_rates(&rates, res.gamma, md1_mean_number),
+            lower_thm10: torus_bounds::thm10_lower(n, lambda),
+            lower_trivial: torus_bounds::trivial_lower(n),
+            lower_best: torus_bounds::best_lower_bound(n, lambda),
+            stability_lambda: torus_bounds::stability_threshold(n),
+            ..Self::resolved(sc, res, n)
+        }
+    }
+
     /// §4.5 hypercube with per-bit flip probability `p`: every edge carries
     /// `λp`, so every quantity has a closed form.
-    fn hypercube_report(sc: &Scenario, d: usize, p: f64) -> Self {
-        let lambda = sc.lambda();
-        let le = lambda * p;
-        let df = d as f64;
+    fn hypercube_report(sc: &Scenario, res: &Resolution, d: usize, p: f64) -> Self {
+        let (lambda, le) = (res.lambda, res.peak_utilization());
         let lower_thm10 = hc_bounds::thm10_lower(d, lambda, p);
         let lower_thm12 = hc_bounds::thm12_lower(d, lambda, p);
         let trivial = hc_bounds::mean_distance(d, p);
         Self {
-            label: sc.label(),
-            n: d,
-            nodes: sc.topology.num_nodes(),
-            lambda,
-            table_rho: le,
-            utilization: le,
             mean_distance: trivial,
             upper: hc_bounds::upper_bound_delay(d, lambda, p),
             // All d·2^d edges carry λp and γ = λ·2^d, so the per-edge sums
             // collapse to d·N(λp)/λ.
-            est_paper: df * paper_queue_number(le) / lambda,
-            est_md1: df * md1_mean_number(le) / lambda,
-            lower_thm8_any: 0.0,
-            lower_thm8_oblivious: 0.0,
+            est_paper: d as f64 * paper_queue_number(le) / lambda,
+            est_md1: d as f64 * md1_mean_number(le) / lambda,
             lower_thm10,
             lower_thm12,
-            lower_thm14: 0.0,
             lower_trivial: trivial,
             lower_best: lower_thm10.max(lower_thm12).max(trivial),
             dbar: hc_bounds::dbar(d, p),
-            sbar: 0.0,
-            light_load_r: 0.0,
             stability_lambda: 1.0 / p,
-            optimal_stability_lambda: 0.0,
-            silent_sources: sc.silent_sources(),
-            degradation: None,
+            ..Self::resolved(sc, res, d)
         }
     }
 
     /// §4.5 butterfly: every packet crosses exactly `k` edges, every edge
     /// carries `λ/2`, and every route has the same length (so `d̄ = d = k`
     /// and Theorems 10 and 12 coincide).
-    fn butterfly_report(sc: &Scenario, k: usize) -> Self {
-        let lambda = sc.lambda();
-        let le = lambda / 2.0;
-        let kf = k as f64;
+    fn butterfly_report(sc: &Scenario, res: &Resolution, k: usize) -> Self {
+        let (lambda, le, kf) = (res.lambda, res.peak_utilization(), k as f64);
         let lower_thm10 = bf_bounds::thm10_lower(k, lambda);
         Self {
-            label: sc.label(),
-            n: k,
-            nodes: sc.topology.num_nodes(),
-            lambda,
-            table_rho: le,
-            utilization: le,
-            mean_distance: kf,
             upper: bf_bounds::upper_bound_delay(k, lambda),
             // k·2^{k+1} edges at λ/2 against γ = λ·2^k sources.
             est_paper: 2.0 * kf * paper_queue_number(le) / lambda,
             est_md1: 2.0 * kf * md1_mean_number(le) / lambda,
-            lower_thm8_any: 0.0,
-            lower_thm8_oblivious: 0.0,
             lower_thm10,
             lower_thm12: lower_thm10,
-            lower_thm14: 0.0,
             lower_trivial: kf,
             lower_best: lower_thm10.max(kf),
             dbar: kf,
-            sbar: 0.0,
-            light_load_r: 0.0,
             stability_lambda: 2.0,
-            optimal_stability_lambda: 0.0,
-            silent_sources: sc.silent_sources(),
-            degradation: None,
+            ..Self::resolved(sc, res, k)
         }
     }
 
-    /// Rate-enumeration fallback for every remaining Markovian scenario:
-    /// rectangular meshes, nearby destinations, randomized greedy, `k`-d
-    /// meshes, and all pattern/hotspot/matrix/weighted-source workloads.
-    /// Uses the generic Theorem 5 product form and Theorem 10 copy bound
-    /// from the exact per-edge rates of the *actual* workload. On the
-    /// torus the upper bound stays `∞` for every workload — §6's
+    /// The solved-rates report for every remaining scenario: rectangular
+    /// meshes, nearby destinations, randomized greedy and adaptive
+    /// routers, `k`-d meshes, and all pattern/hotspot/matrix/weighted-source
+    /// workloads. Uses the generic Theorem 5 product form and Theorem 10
+    /// copy bound from the exact per-edge rates of the *actual* workload.
+    /// On the torus the upper bound stays `∞` for every workload — §6's
     /// layerability obstruction does not depend on the traffic.
-    fn generic_report(sc: &Scenario) -> Self {
-        let lambda = sc.lambda();
-        let rates = sc.edge_rates();
-        let gamma = sc.total_arrival();
+    fn generic_report(sc: &Scenario, res: &Resolution) -> Self {
+        let (rates, gamma, trivial) = (res.edge_rates(), res.gamma, res.mean_distance);
         let d_max = sc.topology.max_distance() as f64;
-        let trivial = sc.mean_distance();
         let lower_thm10 = lower::lower_bound_from_rates(&rates, d_max, gamma);
-        // The materialized rate vector already holds everything the
-        // peak-rate helpers would re-enumerate: the peak itself, and the
-        // stability threshold λ* = λ/peak.
-        let peak = rates.iter().fold(0.0, |a: f64, &b| a.max(b));
         let n = match &sc.topology {
             TopologySpec::Mesh { rows, cols } => *rows.max(cols),
             TopologySpec::MeshKd { dims } => dims.iter().copied().max().unwrap_or(0),
             other => other.num_nodes(),
         };
         Self {
-            label: sc.label(),
-            n,
-            nodes: sc.topology.num_nodes(),
-            lambda,
-            table_rho: peak,
-            utilization: peak,
-            mean_distance: trivial,
             upper: if matches!(sc.topology, TopologySpec::Torus { .. }) {
                 f64::INFINITY
             } else {
@@ -375,20 +327,12 @@ impl BoundsReport {
             },
             est_paper: estimate_from_rates(&rates, gamma, paper_queue_number),
             est_md1: estimate_from_rates(&rates, gamma, md1_mean_number),
-            lower_thm8_any: 0.0,
-            lower_thm8_oblivious: 0.0,
             lower_thm10,
-            lower_thm12: 0.0,
-            lower_thm14: 0.0,
             lower_trivial: trivial,
             lower_best: lower_thm10.max(trivial),
-            dbar: 0.0,
-            sbar: 0.0,
-            light_load_r: 0.0,
-            stability_lambda: lambda / peak,
-            optimal_stability_lambda: 0.0,
-            silent_sources: sc.silent_sources(),
-            degradation: None,
+            // λ/peak, which can differ from 1/peak_unit in the last bit.
+            stability_lambda: res.lambda / res.peak_utilization(),
+            ..Self::resolved(sc, res, n)
         }
     }
 

@@ -34,8 +34,8 @@ use std::time::Instant;
 /// Schema identifier embedded in every report; bump when the JSON layout
 /// changes shape. v2 added `events_processed`/`events_per_sec` to every
 /// cell; v3 added the per-cell `traffic` workload label; v4 split each
-/// cell's wall clock into `setup_s` (analytic bounds + edge-rate cache
-/// warmup) and `sim_s` (replication hot loop) and redefined
+/// cell's wall clock into `setup_s` (the cell's one rate resolution and
+/// its analytic bounds) and `sim_s` (replication hot loop) and redefined
 /// `events_per_sec` over `sim_s` alone; v5 added the per-cell `router`
 /// label alongside the `router=` sweep axis; v6 added the per-cell
 /// `faults` label, the `delivered_fraction`/`dropped` drop accounting,
@@ -176,12 +176,13 @@ pub struct SweepCellReport {
     /// Whether a finite upper bound constrained this cell (the torus has
     /// none, and saturated loads push the Theorem 7 bound to `∞`).
     pub upper_bound_finite: bool,
-    /// Wall-clock seconds of cell setup: the analytic [`BoundsReport`],
-    /// which also derives (and caches) the cell's unit edge rates before
-    /// the simulation starts.
+    /// Wall-clock seconds of cell setup: the cell's one rate resolution
+    /// ([`Scenario::resolve`]) and the analytic [`BoundsReport`] built
+    /// from it.
     pub setup_s: f64,
-    /// Wall-clock seconds of the replication hot loop (`run_replicated`),
-    /// after setup has warmed the rate cache.
+    /// Wall-clock seconds of the replication hot loop
+    /// ([`Scenario::run_replicated_at`]), which runs at the resolved λ and
+    /// solves nothing.
     pub sim_s: f64,
     /// Wall-clock seconds this cell took (simulation + bounds).
     pub wall_s: f64,
@@ -387,16 +388,20 @@ pub fn run_cells(spec: &str, cells: Vec<Scenario>, reps: usize, jobs: Jobs) -> S
 
 /// Simulates one cell and assembles its report.
 ///
-/// The analytic bounds run *first*: computing them derives the cell's
-/// unit edge rates, which `Scenario` memoizes, so by the time the
-/// replications start the rate cache is warm and `sim_s` times the event
-/// loop alone.
+/// The cell resolves its rates once: the analytic bounds and every
+/// replication read that one resolution, so `sim_s` times the event loop
+/// alone.
+///
+/// # Panics
+///
+/// Panics if the cell's scenario fails [`Scenario::resolve`].
 fn run_cell(sc: &Scenario, reps: usize, check: BoundsCheck) -> SweepCellReport {
     let t0 = Instant::now();
-    let mut bounds = BoundsReport::compute_for(sc);
+    let rates = sc.resolve().unwrap_or_else(|e| panic!("{e}"));
+    let mut bounds = BoundsReport::compute_with(sc, &rates);
     let setup_s = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
-    let rep = sc.run_replicated(reps);
+    let rep = sc.run_replicated_at(rates, reps);
     let sim_s = t1.elapsed().as_secs_f64();
     let delay_mean = rep.delay.mean();
     let delay_half_width = if reps >= 2 {
@@ -512,8 +517,8 @@ mod tests {
         for cell in &report.cells {
             assert!(cell.events_processed > 0, "{}", cell.spec);
             assert!(cell.events_per_sec > 0.0, "{}", cell.spec);
-            // v4: the wall clock is split — setup (bounds + rate cache)
-            // and the simulation hot loop are timed separately, and ev/s
+            // v4: the wall clock is split — setup (rate resolution +
+            // bounds) and the simulation hot loop are timed separately, and ev/s
             // is events over sim_s alone.
             assert!(cell.setup_s > 0.0, "{}", cell.spec);
             assert!(cell.sim_s > 0.0, "{}", cell.spec);

@@ -15,23 +15,24 @@ use serde::{Deserialize, Serialize};
 /// Node-count gate for the precomputed [`RouteTable`]: a table stores one
 /// packed `u32` per `(node, destination)` pair, so the gate caps table
 /// memory at 512² × 4 B = 1 MiB. The engine no longer reads route tables —
-/// it routes every hop through [`Router::route_outcome`] — so the gate now
-/// only sizes the sparse-rates threshold below and callers that build
-/// tables of their own.
+/// it routes every hop through [`Router::route_outcome`] — so the gate
+/// only serves callers that build tables of their own.
 ///
 /// [`RouteTable`]: meshbound_routing::RouteTable
 /// [`Router::route_outcome`]: meshbound_routing::Router::route_outcome
 pub const ROUTE_TABLE_MAX_NODES: usize = 512;
 
-/// Node-count gate above which `Scenario::edge_rates` tries the
+/// Source-count gate above which a rate solve
+/// ([`Scenario::resolve`](crate::Scenario::resolve)) tries the
 /// sparse-support fast path
 /// ([`edge_rates_sparse`](meshbound_routing::rates::edge_rates_sparse))
-/// before falling back to the O(N² · route) all-destinations scan. Below
-/// the gate enumeration is already sub-millisecond and stays the single
-/// code path that every ≤512-node published number was produced by; above
-/// it, permutation and hotspot workloads get O(N · diameter) rate vectors
-/// that remain exact to enumeration (pinned by `tests/scale.rs`).
-pub const SPARSE_RATES_MIN_NODES: usize = ROUTE_TABLE_MAX_NODES;
+/// before falling back to the O(N² · route) all-destinations scan. At or
+/// below 512 sources enumeration is already sub-millisecond and stays the
+/// single code path that every ≤512-node published number was produced
+/// by; above it, permutation and hotspot workloads get O(N · diameter)
+/// rate vectors that remain exact to enumeration (pinned by
+/// `tests/scale.rs`).
+pub const SPARSE_RATES_MIN_NODES: usize = 512;
 
 /// Edge-count gate above which [`SimResult`](crate::SimResult) stops
 /// materializing full per-edge vectors (`edge_throughput`) and reports only

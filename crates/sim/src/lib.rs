@@ -53,6 +53,7 @@ pub mod network;
 pub mod observer;
 pub mod ps;
 pub mod queue_sim;
+pub mod resolve;
 pub mod rng;
 pub mod runner;
 pub mod scenario;
@@ -68,6 +69,7 @@ pub use fault::{DropCause, DropCounts, FaultPlan, FaultSpec};
 pub use meshbound_queueing::load::Load;
 pub use meshbound_routing::pattern::PermutationKind;
 pub use network::{EdgeThroughputStats, NetworkSim, SimError, SimResult};
+pub use resolve::{RateClass, Resolution};
 pub use runner::ReplicatedResult;
 pub use scenario::{RouterSpec, Scenario, ScenarioError, TopologySpec};
 pub use service::ServiceKind;

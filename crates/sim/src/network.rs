@@ -35,7 +35,9 @@ pub struct NetConfig {
     /// Transmission-time distribution.
     pub service: ServiceKind,
     /// Whether packets with `source == destination` count (delay 0). The
-    /// paper's model allows them; Table I averages include them.
+    /// paper's model allows them, and the default counts them. For how the
+    /// paper's printed Table I simulation column treats them, see
+    /// ROADMAP.md, direction 2.
     pub include_self_packets: bool,
     /// Slotted-time mode: packets arrive in Poisson batches of mean `λ·τ`
     /// at multiples of `τ` (§5.2).

@@ -34,9 +34,10 @@
 //! `"mesh:8,traffic=transpose,util=0.5"` (see [`Scenario::spec_string`]
 //! for the inverse).
 
-use crate::engine::{EngineSpec, SPARSE_RATES_MIN_NODES, STREAMING_STATS_MAX_EDGES};
+use crate::engine::{EngineSpec, STREAMING_STATS_MAX_EDGES};
 use crate::fault::{reachable_fraction, FaultPlan, FaultSpec};
 use crate::network::{NetConfig, NetworkSim, SimError, SimResult};
+use crate::resolve::Resolution;
 use crate::rng::splitmix64;
 use crate::runner::ReplicatedResult;
 use crate::service::ServiceKind;
@@ -49,17 +50,11 @@ use meshbound_routing::dest::{BernoulliDest, ButterflyOutput, DestSampler, Nearb
 use meshbound_routing::pattern::{
     GenericDest, HotspotDest, MatrixDest, PatternTopology, PermutationDest, PermutationKind,
 };
-use meshbound_routing::rates::{
-    all_nodes, edge_rates_sparse, edge_rates_weighted, mesh_max_rate, mesh_thm6_rates,
-    torus_row_rates, total_rate,
-};
 use meshbound_routing::{
-    adaptive_edge_rates, ButterflyRouter, DimOrder, GreedyXY, KdGreedy, ObliviousRouter, OddEven,
-    RandomizedGreedy, Router, SplitRouting, TorusGreedy, TrafficConvergenceError, WestFirst,
+    ButterflyRouter, DimOrder, GreedyXY, KdGreedy, OddEven, RandomizedGreedy, Router, TorusGreedy,
+    TrafficConvergenceError, WestFirst,
 };
-use meshbound_topology::{
-    Butterfly, Direction, Hypercube, Mesh2D, MeshKD, NodeId, Topology, Torus2D,
-};
+use meshbound_topology::{Butterfly, Hypercube, Mesh2D, MeshKD, NodeId, Topology, Torus2D};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -344,7 +339,7 @@ impl RouterSpec {
 /// Unreachable after [`Scenario::validate`], which rejects out-of-range
 /// parameters, unsupported permutations and invalid matrices with a typed
 /// [`ScenarioError`] before any code path can reach here.
-fn generic_dest_for<T: PatternTopology>(topo: &T, pattern: &PatternSpec) -> GenericDest {
+pub(crate) fn generic_dest_for<T: PatternTopology>(topo: &T, pattern: &PatternSpec) -> GenericDest {
     match pattern {
         PatternSpec::Uniform => GenericDest::Uniform,
         PatternSpec::Nearby { stop } => GenericDest::Nearby(NearbyWalk::new(*stop)),
@@ -363,95 +358,6 @@ fn generic_dest_for<T: PatternTopology>(topo: &T, pattern: &PatternSpec) -> Gene
                 .unwrap_or_else(|e| unreachable!("validate() rejects invalid matrices: {e}")),
         ),
     }
-}
-
-/// Weighted exact edge rates for any pattern a [`PatternTopology`] carries.
-///
-/// Above [`SPARSE_RATES_MIN_NODES`] sources, the sparse-support patterns
-/// (permutation, hotspot, matrix) take the O(N · route) fast path of
-/// [`edge_rates_sparse`]; `uniform_unit` supplies the closed-form per-edge
-/// rates of the **same** `per_source` vector under uniform destinations
-/// (the hotspot remainder), or `None` when no closed form applies. Every
-/// other pattern, and every pattern at or below the gate, runs through the
-/// same enumeration that produced all published ≤512-node numbers.
-fn pattern_rates<T, R, F>(
-    topo: &T,
-    router: &R,
-    pattern: &PatternSpec,
-    per_source: &[f64],
-    sources: &[NodeId],
-    uniform_unit: F,
-) -> Vec<f64>
-where
-    T: PatternTopology,
-    R: ObliviousRouter<T>,
-    F: FnOnce() -> Option<Vec<f64>>,
-{
-    let dest = generic_dest_for(topo, pattern);
-    // Uniform destinations report a sparse support too, but keep the
-    // enumeration their published rates came from.
-    let sparse = matches!(
-        pattern,
-        PatternSpec::Permutation { .. } | PatternSpec::Hotspot { .. } | PatternSpec::Matrix { .. }
-    );
-    if sparse && sources.len() > SPARSE_RATES_MIN_NODES {
-        if let Some(rates) =
-            edge_rates_sparse(topo, router, &dest, per_source, sources, uniform_unit)
-        {
-            return rates;
-        }
-    }
-    edge_rates_weighted(topo, router, &dest, per_source, sources)
-}
-
-/// Absolute tolerance of the adaptive fixed-point rate solver. Minimal
-/// routers give nilpotent per-destination chains, so the iteration is
-/// exact after `diameter` sweeps — the tolerance only guards the
-/// termination test against rounding noise.
-const FP_TOL: f64 = 1e-13;
-
-/// Sweep budget of the adaptive fixed-point rate solver; far above the
-/// diameter of any topology that fits the edge-rate gates.
-const FP_MAX_ITER: usize = 10_000;
-
-/// Steady-state edge rates for an adaptive (split-routing) router under
-/// any pattern, from the fixed-point solver.
-fn adaptive_pattern_rates<T, R>(
-    topo: &T,
-    router: &R,
-    pattern: &PatternSpec,
-    per_source: &[f64],
-    sources: &[NodeId],
-) -> Result<Vec<f64>, ScenarioError>
-where
-    T: PatternTopology,
-    R: SplitRouting<T>,
-{
-    let dest = generic_dest_for(topo, pattern);
-    Ok(adaptive_edge_rates(
-        topo,
-        router,
-        &dest,
-        per_source,
-        sources,
-        FP_TOL,
-        FP_MAX_ITER,
-    )?)
-}
-
-/// Closed-form unit-rate vector of the `n × n` torus with uniform sources
-/// and uniform destinations ([`torus_row_rates`] expanded per edge); also
-/// the hotspot fast path's uniform remainder.
-fn torus_uniform_unit_rates(n: usize) -> Vec<f64> {
-    let torus = Torus2D::new(n);
-    let (pos, neg) = torus_row_rates(n, 1.0);
-    torus
-        .edges()
-        .map(|e| match Direction::ALL[e.index() % 4] {
-            Direction::Right | Direction::Down => pos,
-            Direction::Left | Direction::Up => neg,
-        })
-        .collect()
 }
 
 /// A computation on a scenario's concrete network, run by
@@ -925,23 +831,17 @@ impl Scenario {
     /// `max_e λ_e = ρ` against the **workload's actual edge-rate vector**
     /// (permutations, hotspots and matrices included). `Load::TableRho(ρ)`
     /// keeps Table I's mesh convention `λ = 4ρ/n` on square meshes and
-    /// coincides with the utilization convention everywhere else.
+    /// coincides with the utilization convention everywhere else. The
+    /// value is [`Resolution::lambda`]; a load that fixes λ on its own
+    /// costs no resolution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the adaptive fixed-point solver fails to converge — use
+    /// [`Scenario::resolve`] to handle that as a typed error.
     #[must_use]
     pub fn lambda(&self) -> f64 {
-        self.lambda_given_peak(|| self.peak_unit_rate().unwrap_or_else(|e| panic!("{e}")))
-    }
-
-    /// Load resolution with the peak unit rate supplied lazily, so callers
-    /// that already hold the rate vector (e.g. [`Scenario::edge_rates`])
-    /// don't trigger a second enumeration.
-    fn lambda_given_peak<F: FnOnce() -> f64>(&self, peak_unit: F) -> f64 {
-        match (self.load, &self.topology) {
-            (Load::Lambda(l), _) => l,
-            (Load::TableRho(rho), TopologySpec::Mesh { rows, cols }) if rows == cols => {
-                4.0 * rho / *rows as f64
-            }
-            (Load::TableRho(rho) | Load::Utilization(rho), _) => rho / peak_unit(),
-        }
+        self.try_lambda().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Number of packet-generating nodes: all nodes except on the
@@ -999,7 +899,7 @@ impl Scenario {
     }
 
     /// Exact per-edge arrival rates at the resolved λ, for the scenario's
-    /// router and destination distribution.
+    /// router and destination distribution (see [`Scenario::resolve`]).
     ///
     /// Uses closed forms where the paper provides them, exact path
     /// enumeration (`O(sources × nodes × route)`) for oblivious routers,
@@ -1024,20 +924,24 @@ impl Scenario {
     /// minimal turn-model routers, whose per-destination chains are
     /// nilpotent — the variant exists so callers never face a panic).
     pub fn try_edge_rates(&self) -> Result<Vec<f64>, ScenarioError> {
-        let unit = self.unit_rates()?;
-        // Resolve utilization-style loads against the vector we already
-        // hold: on every closed-form topology its maximum is the same
-        // expression peak_unit_rate() would compute, and on enumerated
-        // topologies this avoids a second full path enumeration.
-        let lambda = self.lambda_given_peak(|| unit.iter().fold(0.0, |a: f64, &b| a.max(b)));
-        Ok(unit.into_iter().map(|r| r * lambda).collect())
+        let class = self.resolution()?.class;
+        let unit = class.unit_rates();
+        // Scaled by the λ of the built vector's own peak, which on some odd
+        // square meshes sits one ulp from Theorem 6's closed-form peak.
+        let peak = unit.iter().copied().fold(0.0, f64::max);
+        let lambda = self.load_lambda().unwrap_or_else(|rho| rho / peak);
+        Ok(unit.iter().map(|r| r * lambda).collect())
     }
 
     /// Peak edge utilization `max_e λ_e` at the resolved λ (unit service
-    /// rates).
+    /// rates); [`Resolution::peak_utilization`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the adaptive fixed-point solver fails to converge.
     #[must_use]
     pub fn peak_utilization(&self) -> f64 {
-        self.lambda() * self.peak_unit_rate().unwrap_or_else(|e| panic!("{e}"))
+        self.resolved().peak_utilization()
     }
 
     /// The stability threshold `λ*` of the scenario's routing pattern with
@@ -1060,14 +964,15 @@ impl Scenario {
     /// Returns [`ScenarioError::Convergence`] if the fixed-point solver
     /// for an adaptive router runs out of sweeps.
     pub fn try_stability_lambda(&self) -> Result<f64, ScenarioError> {
-        Ok(1.0 / self.peak_unit_rate()?)
+        Ok(self.resolution()?.stability_lambda())
     }
 
     /// Mean greedy route length over the scenario's workload (self-pairs
     /// included): closed forms for the paper's combinations, and for every
     /// other workload the conservation identity
     /// `Σ_e λ_e = Σ_s λ_s · E[route length | s]`, i.e. the total of the
-    /// unit-rate vector divided by the source count.
+    /// unit-rate vector divided by the source count
+    /// ([`Resolution::mean_distance`]).
     ///
     /// With [silent sources](Scenario::silent_sources) the conservation
     /// fallback still divides by the **full** source count — which is
@@ -1076,50 +981,19 @@ impl Scenario {
     /// the rate-weighted mean `Σ_s w_s·E[len|s] / Σ_s w_s`, i.e. the mean
     /// route length per **generated** packet. Silent rows simply don't
     /// contribute packets to the average.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the adaptive fixed-point solver fails to converge.
     #[must_use]
     pub fn mean_distance(&self) -> f64 {
-        // Mean |i−j| over uniform ordered pairs (self included) on a line
-        // of m nodes: (m² − 1)/(3m).
-        let line = |m: usize| {
-            let m = m as f64;
-            (m * m - 1.0) / (3.0 * m)
-        };
-        let uniform_sources = self.traffic.source.is_uniform();
-        match (&self.topology, &self.traffic.pattern) {
-            // Every butterfly route is exactly k hops, whatever the
-            // source weighting.
-            (TopologySpec::Butterfly { k }, _) => *k as f64,
-            _ if !uniform_sources => self.mean_distance_from_rates(),
-            (TopologySpec::Mesh { rows, cols }, PatternSpec::Uniform) => line(*rows) + line(*cols),
-            (TopologySpec::Mesh { rows, cols }, PatternSpec::Nearby { stop }) => {
-                let mesh = Mesh2D::rect(*rows, *cols);
-                let w = NearbyWalk::new(*stop);
-                let mut sum = 0.0;
-                for s in mesh.nodes() {
-                    let (r1, c1) = mesh.coords(s);
-                    for d in mesh.nodes() {
-                        let (r2, c2) = mesh.coords(d);
-                        let dist = r1.abs_diff(r2) + c1.abs_diff(c2);
-                        sum += w.weight(&mesh, s, d) * dist as f64;
-                    }
-                }
-                sum / mesh.num_nodes() as f64
-            }
-            (TopologySpec::Torus { n }, PatternSpec::Uniform) => Torus2D::new(*n).mean_distance(),
-            (TopologySpec::Hypercube { dim }, PatternSpec::Bernoulli { p }) => *dim as f64 * p,
-            (TopologySpec::Hypercube { dim }, PatternSpec::Uniform) => *dim as f64 * 0.5,
-            (TopologySpec::MeshKd { dims }, PatternSpec::Uniform) => {
-                dims.iter().map(|&d| line(d)).sum()
-            }
-            _ => self.mean_distance_from_rates(),
-        }
+        self.resolved().mean_distance
     }
 
-    /// The conservation-law fallback: mean route length over generated
-    /// packets = `Σ_e λ_e / (λ × #sources)` evaluated at unit mean rate.
-    fn mean_distance_from_rates(&self) -> f64 {
-        let unit = self.unit_rates().unwrap_or_else(|e| panic!("{e}"));
-        total_rate(&unit) / self.num_sources() as f64
+    /// The panicking form of [`Scenario::resolve`] behind the rate
+    /// readers, which leave validation to the caller.
+    fn resolved(&self) -> Resolution {
+        self.resolution().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Mean-1 per-source rate weights of the workload (`None` = uniform).
@@ -1128,168 +1002,10 @@ impl Scenario {
     ///
     /// Panics if the workload fails validation — call
     /// [`Scenario::validate`] first.
-    fn source_weights(&self) -> Option<Vec<f64>> {
+    pub(crate) fn source_weights(&self) -> Option<Vec<f64>> {
         self.traffic
             .source_weights(self.num_sources())
             .unwrap_or_else(|e| panic!("invalid source model: {e}"))
-    }
-
-    /// Per-edge arrival rates at mean rate `λ = 1`, memoized per
-    /// `(topology, router, traffic)` triple.
-    ///
-    /// The unit-rate vector is load-independent, and sweeps re-derive it
-    /// for every cell of a load axis — with path enumeration that is the
-    /// dominant setup cost. The cache is keyed on everything
-    /// [`Scenario::unit_rates_uncached`] reads, so a hit returns the
-    /// bit-identical vector the cold path would compute (pinned in
-    /// `tests/sweep_engine.rs`). Matrix patterns and explicit per-source
-    /// rate vectors are not cached (unbounded key size, rarely repeated),
-    /// nor are vectors above [`STREAMING_STATS_MAX_EDGES`] (the sparse
-    /// path is already cheap at that scale and the entries would dominate
-    /// memory).
-    fn unit_rates(&self) -> Result<Vec<f64>, ScenarioError> {
-        use std::collections::HashMap;
-        use std::sync::{Arc, Mutex, OnceLock};
-        static CACHE: OnceLock<Mutex<HashMap<String, Arc<Vec<f64>>>>> = OnceLock::new();
-        /// Entry cap: at the edge-count gate each vector is ≤ 0.5 MiB, so
-        /// the cache tops out around 32 MiB before it resets.
-        const MAX_ENTRIES: usize = 64;
-        let cacheable = !matches!(self.traffic.pattern, PatternSpec::Matrix { .. })
-            && !matches!(self.traffic.source, SourceSpec::Rates { .. })
-            && self.topology.num_edges() <= STREAMING_STATS_MAX_EDGES;
-        if !cacheable {
-            return self.unit_rates_uncached();
-        }
-        let key = format!("{:?}|{:?}|{:?}", self.topology, self.router, self.traffic);
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        if let Some(hit) = cache.lock().expect("unit-rate cache poisoned").get(&key) {
-            return Ok(hit.as_ref().clone());
-        }
-        let rates = self.unit_rates_uncached()?;
-        let mut map = cache.lock().expect("unit-rate cache poisoned");
-        if map.len() >= MAX_ENTRIES {
-            map.clear();
-        }
-        map.insert(key, Arc::new(rates.clone()));
-        Ok(rates)
-    }
-
-    /// The cold path of [`Scenario::unit_rates`]: closed form where
-    /// available, exact weighted enumeration for oblivious routers, and
-    /// the fixed-point solver for adaptive ones.
-    fn unit_rates_uncached(&self) -> Result<Vec<f64>, ScenarioError> {
-        let weights = self.source_weights();
-        let uniform_sources = weights.is_none();
-        let per_source = |n: usize| weights.clone().unwrap_or_else(|| vec![1.0; n]);
-        Ok(match (&self.topology, self.router, &self.traffic.pattern) {
-            (TopologySpec::Mesh { rows, cols }, RouterSpec::Greedy, PatternSpec::Uniform)
-                if rows == cols && uniform_sources =>
-            {
-                mesh_thm6_rates(&Mesh2D::square(*rows), 1.0)
-            }
-            (TopologySpec::Mesh { rows, cols }, router, pattern) => {
-                let mesh = Mesh2D::rect(*rows, *cols);
-                let sources = all_nodes(&mesh);
-                let per = per_source(sources.len());
-                match router {
-                    RouterSpec::Greedy => {
-                        let square = rows == cols;
-                        pattern_rates(&mesh, &GreedyXY, pattern, &per, &sources, || {
-                            (uniform_sources && square).then(|| mesh_thm6_rates(&mesh, 1.0))
-                        })
-                    }
-                    RouterSpec::Randomized => {
-                        pattern_rates(&mesh, &RandomizedGreedy, pattern, &per, &sources, || None)
-                    }
-                    RouterSpec::WestFirst => {
-                        adaptive_pattern_rates(&mesh, &WestFirst, pattern, &per, &sources)?
-                    }
-                    RouterSpec::OddEven => {
-                        adaptive_pattern_rates(&mesh, &OddEven, pattern, &per, &sources)?
-                    }
-                }
-            }
-            (TopologySpec::Torus { n }, router, PatternSpec::Uniform)
-                if uniform_sources && !router.is_adaptive() =>
-            {
-                torus_uniform_unit_rates(*n)
-            }
-            (TopologySpec::Torus { n }, router, pattern) => {
-                let torus = Torus2D::new(*n);
-                let sources = all_nodes(&torus);
-                let per = per_source(sources.len());
-                match router {
-                    RouterSpec::WestFirst => {
-                        adaptive_pattern_rates(&torus, &WestFirst, pattern, &per, &sources)?
-                    }
-                    RouterSpec::OddEven => {
-                        adaptive_pattern_rates(&torus, &OddEven, pattern, &per, &sources)?
-                    }
-                    _ => pattern_rates(&torus, &TorusGreedy, pattern, &per, &sources, || {
-                        uniform_sources.then(|| torus_uniform_unit_rates(*n))
-                    }),
-                }
-            }
-            (TopologySpec::Hypercube { dim }, _, pattern) => {
-                let closed = match pattern {
-                    PatternSpec::Bernoulli { p } => Some(*p),
-                    PatternSpec::Uniform => Some(0.5),
-                    _ => None,
-                };
-                match closed {
-                    Some(p) if uniform_sources => vec![p; dim << dim],
-                    _ => {
-                        let cube = Hypercube::new(*dim);
-                        let sources = all_nodes(&cube);
-                        let per = per_source(sources.len());
-                        pattern_rates(&cube, &DimOrder, pattern, &per, &sources, || {
-                            uniform_sources.then(|| vec![0.5; dim << dim])
-                        })
-                    }
-                }
-            }
-            // The butterfly's pattern is always uniform output rows
-            // (validated); only the source weighting can vary.
-            (TopologySpec::Butterfly { k }, _, _) if uniform_sources => vec![0.5; k << (k + 1)],
-            (TopologySpec::Butterfly { k }, _, _) => {
-                let b = Butterfly::new(*k);
-                let sources: Vec<NodeId> = (0..b.rows()).map(|w| b.node(0, w)).collect();
-                let per = per_source(sources.len());
-                edge_rates_weighted(&b, &ButterflyRouter, &ButterflyOutput, &per, &sources)
-            }
-            (TopologySpec::MeshKd { dims }, _, pattern) => {
-                let kd = MeshKD::new(dims);
-                let sources = all_nodes(&kd);
-                let per = per_source(sources.len());
-                pattern_rates(&kd, &KdGreedy, pattern, &per, &sources, || None)
-            }
-        })
-    }
-
-    /// Peak per-edge rate at mean rate `λ = 1`, without materializing the
-    /// rate vector when a closed form exists. (The torus closed form is
-    /// the greedy router's; adaptive routers spread flow differently and
-    /// fall through to their solved vector.)
-    fn peak_unit_rate(&self) -> Result<f64, ScenarioError> {
-        if self.traffic.source.is_uniform() {
-            match (&self.topology, self.router, &self.traffic.pattern) {
-                (TopologySpec::Mesh { rows, cols }, RouterSpec::Greedy, PatternSpec::Uniform)
-                    if rows == cols =>
-                {
-                    return Ok(mesh_max_rate(*rows, 1.0))
-                }
-                (TopologySpec::Torus { n }, router, PatternSpec::Uniform)
-                    if !router.is_adaptive() =>
-                {
-                    return Ok(torus_row_rates(*n, 1.0).0)
-                }
-                (TopologySpec::Hypercube { .. }, _, PatternSpec::Bernoulli { p }) => return Ok(*p),
-                (TopologySpec::Hypercube { .. }, _, PatternSpec::Uniform) => return Ok(0.5),
-                (TopologySpec::Butterfly { .. }, _, _) => return Ok(0.5),
-                _ => {}
-            }
-        }
-        Ok(self.unit_rates()?.into_iter().fold(0.0, f64::max))
     }
 
     // ----------------------------------------------------------------
@@ -1506,17 +1222,42 @@ impl Scenario {
     }
 
     /// Runs `reps` independent replications in parallel (one derived seed
-    /// per replication) and aggregates the headline metrics.
+    /// per replication) and aggregates the headline metrics. λ is resolved
+    /// once for all of them.
     ///
     /// # Panics
     ///
-    /// Panics if `reps == 0` or the specification is invalid.
+    /// Panics if `reps == 0`, the specification is invalid, or a run
+    /// fails.
     #[must_use]
     pub fn run_replicated(&self, reps: usize) -> ReplicatedResult {
+        let lambda = self.validate().and_then(|()| self.try_lambda());
+        self.replicate(lambda.unwrap_or_else(|e| panic!("{e}")), reps)
+    }
+
+    /// [`Scenario::run_replicated`] at the λ of a resolution the caller
+    /// already holds (from [`Scenario::resolve`] on this scenario), so the
+    /// runs cost no second solve. A solved vector is freed before the
+    /// replications start.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reps == 0` or a run fails.
+    #[must_use]
+    pub fn run_replicated_at(&self, rates: Resolution, reps: usize) -> ReplicatedResult {
+        let lambda = rates.lambda;
+        drop(rates);
+        self.replicate(lambda, reps)
+    }
+
+    fn replicate(&self, lambda: f64, reps: usize) -> ReplicatedResult {
         assert!(reps >= 1);
         let runs: Vec<SimResult> = (0..reps)
             .into_par_iter()
-            .map(|i| self.run_seeded(self.replication_seed(i)))
+            .map(|i| {
+                let seed = self.replication_seed(i);
+                self.run_at(lambda, seed).unwrap_or_else(|e| panic!("{e}"))
+            })
             .collect();
         ReplicatedResult::from_runs(runs)
     }
@@ -1542,10 +1283,25 @@ impl Scenario {
     /// See [`Scenario::try_run`].
     pub fn try_run_seeded(&self, seed: u64) -> Result<SimResult, ScenarioError> {
         self.validate()?;
-        self.on_network(Run {
-            sc: self,
-            net: self.net_config(seed),
-        })
+        self.run_at(self.try_lambda()?, seed)
+    }
+
+    /// One run of a validated scenario at the resolved `lambda`.
+    fn run_at(&self, lambda: f64, seed: u64) -> Result<SimResult, ScenarioError> {
+        let net = NetConfig {
+            lambda,
+            horizon: self.horizon,
+            warmup: self.warmup,
+            seed,
+            service: self.service,
+            include_self_packets: self.include_self_packets,
+            slot: self.slot,
+            delay_quantiles: self.delay_quantiles,
+            track_edge_queues: self.track_edge_queues,
+            probes: self.probes,
+            engine: self.engine,
+        };
+        self.on_network(Run { sc: self, net })
     }
 
     /// The single dispatch point: maps the topology × router pair onto
@@ -1588,22 +1344,6 @@ impl Scenario {
                 let dest = generic_dest_for(&kd, pattern);
                 v.on(kd, KdGreedy, dest, None)
             }
-        }
-    }
-
-    fn net_config(&self, seed: u64) -> NetConfig {
-        NetConfig {
-            lambda: self.lambda(),
-            horizon: self.horizon,
-            warmup: self.warmup,
-            seed,
-            service: self.service,
-            include_self_packets: self.include_self_packets,
-            slot: self.slot,
-            delay_quantiles: self.delay_quantiles,
-            track_edge_queues: self.track_edge_queues,
-            probes: self.probes,
-            engine: self.engine,
         }
     }
 
@@ -1686,7 +1426,9 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resolve::RateClass;
     use meshbound_routing::dest::UniformDest;
+    use meshbound_routing::rates::{torus_row_rates, total_rate};
 
     #[test]
     fn every_topology_runs_end_to_end() {
@@ -2329,15 +2071,19 @@ mod tests {
 
     #[test]
     fn unit_rate_cache_hit_is_bit_identical_to_the_cold_path() {
-        // Two equal scenarios: the second `edge_rates` call is a cache
-        // hit (same topology/router/traffic key); the uncached path must
-        // agree bit for bit.
+        // Two resolutions of one workload: the second is a memo hit (same
+        // topology/router/traffic key); both must agree bit for bit with a
+        // cold solve.
         let sc = Scenario::mesh(7).traffic(TrafficSpec::transpose());
-        let cold = sc.unit_rates_uncached().unwrap();
-        let warm = sc.unit_rates().unwrap();
-        let hit = sc.unit_rates().unwrap();
+        let cold = sc.solve().unwrap();
+        let unit = |res: Resolution| match res.class {
+            RateClass::Solved(unit) => unit,
+            closed => panic!("transpose has no closed form, got {closed:?}"),
+        };
+        let warm = unit(sc.resolve().unwrap());
+        let hit = unit(sc.resolve().unwrap());
         assert_eq!(cold.len(), warm.len());
-        for ((a, b), c) in cold.iter().zip(&warm).zip(&hit) {
+        for ((a, b), c) in cold.iter().zip(warm.iter()).zip(hit.iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
             assert_eq!(a.to_bits(), c.to_bits());
         }

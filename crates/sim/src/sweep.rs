@@ -29,7 +29,7 @@
 
 use crate::engine::EngineSpec;
 use crate::rng::splitmix64;
-use crate::scenario::{Scenario, DEFAULT_HORIZON, DEFAULT_SEED, DEFAULT_WARMUP};
+use crate::scenario::{Scenario, ScenarioError, DEFAULT_HORIZON, DEFAULT_SEED, DEFAULT_WARMUP};
 use crate::spec::{self, Form, Role, SpecKey, KEYS, SWEEP_ORDER};
 use meshbound_queueing::load::Load;
 use serde::{Deserialize, Serialize};
@@ -284,7 +284,8 @@ impl SweepSpec {
             let invalid =
                 |sc: &Scenario, e| SweepError::InvalidCell(format!("`{}`: {e}", sc.spec_string()));
             sc.validate().map_err(|e| invalid(&sc, e))?;
-            let (horizon, warmup) = self.horizon.resolve(cell_rho(&sc));
+            let rho = cell_rho(&sc).map_err(|e| invalid(&sc, e))?;
+            let (horizon, warmup) = self.horizon.resolve(rho);
             sc = sc.horizon(horizon).warmup(warmup);
             sc.seed = self.cell_seed(&sc);
             sc.validate().map_err(|e| invalid(&sc, e))?;
@@ -409,11 +410,11 @@ impl SweepSpec {
 
 /// The utilization the auto horizon policy scales by: the nominal load
 /// value for `rho`/`util` conventions (what the paper's tables index by),
-/// the exact peak utilization for raw-λ loads.
-fn cell_rho(sc: &Scenario) -> f64 {
+/// the resolved peak utilization for raw-λ loads (the cell is validated).
+fn cell_rho(sc: &Scenario) -> Result<f64, ScenarioError> {
     match sc.load {
-        Load::TableRho(v) | Load::Utilization(v) => v,
-        Load::Lambda(_) => sc.peak_utilization(),
+        Load::TableRho(v) | Load::Utilization(v) => Ok(v),
+        Load::Lambda(_) => Ok(sc.resolution()?.peak_utilization()),
     }
 }
 

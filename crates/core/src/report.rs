@@ -62,7 +62,7 @@ pub struct DegradationReport {
 /// `∞`. Simulated values are *not* included here — see
 /// [`crate::experiments`] and [`Scenario::run`] for the measurement
 /// harnesses.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct BoundsReport {
     /// Topology label, e.g. `"array 10x10"` or `"torus 8x8"`.
     pub label: String,
@@ -209,8 +209,8 @@ impl BoundsReport {
     }
 
     /// What every resolved report shares: the scenario's identity and
-    /// load, with every bound the paper derives only on the square mesh
-    /// left at `0.0` (vacuous) for the builders below to fill in.
+    /// load, with every bound left at `0.0` (vacuous) for the builders
+    /// below to fill in.
     fn resolved(sc: &Scenario, res: &Resolution, n: usize) -> Self {
         Self {
             label: sc.label(),
@@ -220,23 +220,8 @@ impl BoundsReport {
             table_rho: res.peak_utilization(),
             utilization: res.peak_utilization(),
             mean_distance: res.mean_distance,
-            upper: 0.0,
-            est_paper: 0.0,
-            est_md1: 0.0,
-            lower_thm8_any: 0.0,
-            lower_thm8_oblivious: 0.0,
-            lower_thm10: 0.0,
-            lower_thm12: 0.0,
-            lower_thm14: 0.0,
-            lower_trivial: 0.0,
-            lower_best: 0.0,
-            dbar: 0.0,
-            sbar: 0.0,
-            light_load_r: 0.0,
-            stability_lambda: 0.0,
-            optimal_stability_lambda: 0.0,
             silent_sources: sc.silent_sources(),
-            degradation: None,
+            ..Self::default()
         }
     }
 

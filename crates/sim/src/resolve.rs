@@ -103,8 +103,11 @@ impl Resolution {
     /// Per-edge arrival rates at λ; materializes one `f64` per edge.
     #[must_use]
     pub fn edge_rates(&self) -> Vec<f64> {
-        let unit = self.class.unit_rates();
-        unit.iter().map(|r| r * self.lambda).collect()
+        self.class
+            .unit_rates()
+            .iter()
+            .map(|r| r * self.lambda)
+            .collect()
     }
 
     /// Peak edge utilization `max_e λ_e` at λ (unit service rates).
@@ -160,17 +163,7 @@ impl Scenario {
 
     /// [`Scenario::resolve`] for a scenario the caller has validated.
     pub(crate) fn resolution(&self) -> Result<Resolution, ScenarioError> {
-        let uniform_sources = self.traffic.source.is_uniform();
-        let class = match self.closed_class(&self.traffic.pattern, uniform_sources) {
-            Some(class) => class,
-            None => RateClass::Solved(self.memoized_solve()?),
-        };
-        // The conservation identity Σ_e λ_e = Σ_s λ_s · E[route length | s]
-        // gives the mean route length per generated packet wherever no
-        // closed form does (silent sources carry weight 0).
-        let mean_distance = self
-            .closed_mean_distance()
-            .unwrap_or_else(|| total_rate(&class.unit_rates()) / self.num_sources() as f64);
+        let (class, mean_distance) = self.unit_part()?;
         let peak_unit = class.peak();
         let lambda = self.load_lambda().unwrap_or_else(|rho| rho / peak_unit);
         Ok(Resolution {
@@ -202,11 +195,12 @@ impl Scenario {
         }
     }
 
-    /// The one classifier: the closed form of this topology and router's
-    /// unit rates under `pattern`, or `None` when they must be solved.
-    fn closed_class(&self, pattern: &PatternSpec, uniform_sources: bool) -> Option<RateClass> {
+    /// The one classifier: the closed form of the unit rates of this
+    /// topology, router and source model under `pattern`, or `None` when
+    /// they must be solved.
+    fn closed_class(&self, pattern: &PatternSpec) -> Option<RateClass> {
         Some(match (&self.topology, self.router, pattern) {
-            _ if !uniform_sources => return None,
+            _ if !self.traffic.source.is_uniform() => return None,
             (TopologySpec::Mesh { rows, cols }, RouterSpec::Greedy, PatternSpec::Uniform)
                 if rows == cols =>
             {
@@ -275,28 +269,45 @@ impl Scenario {
         format!("{:?}|{:?}|{:?}", self.topology, self.router, self.traffic)
     }
 
-    /// The solved unit-rate vector, through the process-global memo's one
-    /// read site. See [`Scenario::resolve`] for what the memo admits.
-    fn memoized_solve(&self) -> Result<Arc<Vec<f64>>, ScenarioError> {
-        static MEMO: OnceLock<Mutex<HashMap<String, Arc<Vec<f64>>>>> = OnceLock::new();
+    /// The load-independent part of the resolution: the rate class and
+    /// the mean distance. A solved workload goes through the
+    /// process-global memo's one read site; see [`Scenario::resolve`] for
+    /// what the memo admits.
+    fn unit_part(&self) -> Result<(RateClass, f64), ScenarioError> {
+        static MEMO: OnceLock<Mutex<HashMap<String, (RateClass, f64)>>> = OnceLock::new();
+        // Where no closed form gives the mean route length, the
+        // conservation identity Σ_e λ_e = Σ_s λ_s · E[route length | s]
+        // gives the mean per generated packet (silent sources weigh 0).
+        let with_mean = |class: RateClass| {
+            let mean = self
+                .closed_mean_distance()
+                .unwrap_or_else(|| total_rate(&class.unit_rates()) / self.num_sources() as f64);
+            (class, mean)
+        };
+        if let Some(class) = self.closed_class(&self.traffic.pattern) {
+            return Ok(with_mean(class));
+        }
+        let solved = || -> Result<_, ScenarioError> {
+            Ok(with_mean(RateClass::Solved(Arc::new(self.solve()?))))
+        };
         let admitted = !matches!(self.traffic.pattern, PatternSpec::Matrix { .. })
             && !matches!(self.traffic.source, SourceSpec::Rates { .. })
             && self.topology.num_edges() <= STREAMING_STATS_MAX_EDGES;
         if !admitted {
-            return Ok(Arc::new(self.solve()?));
+            return solved();
         }
         let key = self.memo_key();
         let memo = MEMO.get_or_init(Mutex::default);
         if let Some(hit) = memo.lock().expect("rate memo poisoned").get(&key) {
-            return Ok(Arc::clone(hit));
+            return Ok(hit.clone());
         }
-        let unit = Arc::new(self.solve()?);
+        let part = solved()?;
         let mut map = memo.lock().expect("rate memo poisoned");
         if map.len() >= MEMO_MAX_ENTRIES {
             map.clear();
         }
-        map.insert(key, Arc::clone(&unit));
-        Ok(unit)
+        map.insert(key, part.clone());
+        Ok(part)
     }
 
     /// The one solver call: the unit-rate vector of a workload with no
@@ -365,9 +376,10 @@ impl Scenario {
                 | PatternSpec::Matrix { .. }
         );
         if sparse && sources.len() > SPARSE_RATES_MIN_NODES {
-            let uniform_sources = self.source_weights().is_none();
+            // A traffic matrix weights its sources too, but its support
+            // has no uniform remainder to ask for.
             let remainder = || {
-                let class = self.closed_class(&PatternSpec::Uniform, uniform_sources);
+                let class = self.closed_class(&PatternSpec::Uniform);
                 class.map(|class| class.unit_rates().into_owned())
             };
             if let Some(rates) = edge_rates_sparse(topo, router, &dest, &per, &sources, remainder) {

@@ -58,8 +58,7 @@ pub enum RateClass {
 impl RateClass {
     /// Per-edge rates at unit mean source rate: built for a closed form
     /// (one `f64` per edge), borrowed when solved.
-    #[must_use]
-    pub fn unit_rates(&self) -> Cow<'_, [f64]> {
+    pub(crate) fn unit_rates(&self) -> Cow<'_, [f64]> {
         match self {
             RateClass::Mesh(n) => mesh_thm6_rates(&Mesh2D::square(*n), 1.0).into(),
             RateClass::Torus(n) => torus_uniform_unit_rates(*n).into(),
@@ -118,8 +117,7 @@ impl Resolution {
 
     /// The stability threshold `λ*`: the λ at which the busiest edge
     /// saturates (unit service rates).
-    #[must_use]
-    pub fn stability_lambda(&self) -> f64 {
+    pub(crate) fn stability_lambda(&self) -> f64 {
         1.0 / self.peak_unit
     }
 }

@@ -151,8 +151,11 @@ impl Partition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::butterfly::Butterfly;
     use crate::hypercube::Hypercube;
     use crate::mesh::Mesh2D;
+    use crate::meshkd::MeshKD;
+    use crate::torus::Torus2D;
 
     #[test]
     fn blocks_are_contiguous_and_balanced() {
@@ -181,25 +184,36 @@ mod tests {
         assert_eq!(Partition::contiguous(&topo, 100).shards(), 4);
     }
 
-    #[test]
-    fn edges_belong_to_their_source_shard_with_dense_local_indices() {
-        let topo = Hypercube::new(4);
-        let p = Partition::contiguous(&topo, 3);
-        let mut next_local = [0usize; 3];
+    /// Ownership and dense local indices on `topo` at `k` shards.
+    fn check_edge_ownership<T: Topology>(topo: &T, k: usize) {
+        let p = Partition::contiguous(topo, k);
+        let label = format!("{} at k = {k}", topo.label());
+        let mut next_local = vec![0usize; p.shards()];
         for e in topo.edges() {
             let s = p.edge_shard(e);
-            assert_eq!(s, p.node_shard(topo.edge_source(e)));
-            assert_eq!(p.edge_local(e), next_local[s]);
+            assert_eq!(s, p.node_shard(topo.edge_source(e)), "{label}: {e}");
+            assert_eq!(p.edge_local(e), next_local[s], "{label}: {e}");
             next_local[s] += 1;
         }
         for (s, &count) in next_local.iter().enumerate() {
-            assert_eq!(p.shard_edge_count(s), count);
+            assert_eq!(p.shard_edge_count(s), count, "{label}: shard {s}");
         }
         assert_eq!(
             next_local.iter().sum::<usize>(),
             topo.num_edges(),
-            "every edge is owned by exactly one shard"
+            "{label}: every edge is owned by exactly one shard"
         );
+    }
+
+    #[test]
+    fn edges_belong_to_their_source_shard_with_dense_local_indices() {
+        for k in [1, 2, 3, 4, 7] {
+            check_edge_ownership(&Mesh2D::rect(5, 4), k);
+            check_edge_ownership(&Torus2D::new(4), k);
+            check_edge_ownership(&Hypercube::new(4), k);
+            check_edge_ownership(&Butterfly::new(3), k);
+            check_edge_ownership(&MeshKD::new(&[3, 2, 3]), k);
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! `sharded:{2,4}` also agree with one shard statistically, and every
 //! `(seed, shards)` pair reruns bit-identically.
 
+use meshbound::sim::fault::FaultPlan;
 use meshbound::sim::SimResult;
+use meshbound::topology::{Hypercube, Partition, Topology, Torus2D};
 use meshbound::{EngineSpec, Load, RouterSpec, Scenario, TrafficSpec};
 use proptest::prelude::*;
 
@@ -274,6 +276,67 @@ fn sharded_fingerprints_are_pinned() {
         .engine(EngineSpec::Sharded { shards: 2 })
         .run();
     assert!(faulted.dropped.total() > 0, "{:?}", faulted.dropped);
+}
+
+/// Cut edges at `shards` that `sc`'s fault plan fails at least once.
+fn downed_cut_edges<T: Topology>(topo: &T, sc: &Scenario, shards: usize) -> usize {
+    let spec = sc.faults.as_ref().expect("a faulted scenario");
+    let plan = FaultPlan::materialize(spec, sc.seed, topo);
+    let part = Partition::contiguous(topo, shards);
+    plan.down_edges.iter().filter(|&&e| part.is_cut(e)).count()
+}
+
+#[test]
+fn faulted_torus_and_hypercube_fingerprints_are_pinned() {
+    // Golden pin, captured before shards indexed their edges by id range:
+    // `(events_processed, avg_delay bits, time_avg_n bits, dropped)` at
+    // two and four shards on a torus and a hypercube whose fault plans
+    // fail cut edges mid-run and repair them later, so window ends move
+    // with cut-edge liveness. Both families number out-edges by source
+    // node, unlike the faulted mesh of `sharded_fingerprints_are_pinned`.
+    let torus = Scenario::parse(
+        "torus:6 lambda=0.1 faults=links:0.1+at:60+repair:150 horizon=400 warmup=40 seed=17",
+    )
+    .unwrap();
+    let cube = Scenario::parse(
+        "hypercube:5 lambda=0.25 faults=links:0.05+at:60+repair:150 horizon=400 warmup=40 seed=17",
+    )
+    .unwrap();
+    for shards in [2, 4] {
+        for (sc, downed) in [
+            (&torus, downed_cut_edges(&Torus2D::new(6), &torus, shards)),
+            (&cube, downed_cut_edges(&Hypercube::new(5), &cube, shards)),
+        ] {
+            assert!(
+                downed > 0,
+                "{} downs no cut edge at {shards} shards",
+                sc.spec_string()
+            );
+        }
+    }
+    // One `[sharded:2, sharded:4]` pair of `(events, delay, N, dropped)`
+    // per case.
+    let pins: [[(u64, u64, u64, u64); 2]; 2] = [
+        [
+            (6446, 0x40088124d463279d, 0x4025e894e01593ab, 67),
+            (7341, 0x40088f6a58605d93, 0x4025c6dd2149cabc, 58),
+        ],
+        [
+            (12639, 0x40050a03d0532af3, 0x4034cbb09fb1d5fd, 69),
+            (14412, 0x40052130abadc453, 0x40350736fefaff34, 72),
+        ],
+    ];
+    for (sc, pair) in [&torus, &cube].into_iter().zip(&pins) {
+        for (shards, &(events, delay, n, dropped)) in [2, 4].into_iter().zip(pair) {
+            let engine = EngineSpec::Sharded { shards };
+            let label = format!("{} [{engine}]", sc.spec_string());
+            let r = sc.clone().engine(engine).run();
+            assert_eq!(r.events_processed, events, "{label}: events_processed");
+            assert_eq!(r.avg_delay.to_bits(), delay, "{label}: avg_delay");
+            assert_eq!(r.time_avg_n.to_bits(), n, "{label}: time_avg_n");
+            assert_eq!(r.dropped.total(), dropped, "{label}: dropped");
+        }
+    }
 }
 
 #[test]

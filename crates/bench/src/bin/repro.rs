@@ -54,7 +54,9 @@ use meshbound::experiments::{extensions, fig1, fig2, table1, table2, table3, Sca
 use meshbound::queueing::load::{mesh_stability_threshold, optimal_stability_threshold};
 use meshbound::sim::spec::{self, Form};
 use meshbound::sweep::{run_cells, Jobs};
-use meshbound::{set_progress_sink, BoundsReport, Load, ProbeSpec, Scenario, SweepSpec};
+use meshbound::{
+    set_progress_sink, BoundsReport, Load, ProbeSpec, Scenario, ScenarioError, SweepSpec,
+};
 use std::io::{IsTerminal, Write};
 use std::process::ExitCode;
 
@@ -618,15 +620,15 @@ fn main() -> ExitCode {
 /// structured single-line error on stderr and a nonzero exit — never a
 /// panic backtrace.
 fn run_scenario(sc: &Scenario) -> Result<meshbound::sim::SimResult, ExitCode> {
-    out!("scenario: {}\n", sc.spec_string());
-    out!("{}", BoundsReport::compute_for(sc).to_text());
-    let res = match sc.try_run() {
-        Ok(res) => res,
-        Err(e) => {
-            err!("repro: {e}\n");
-            return Err(ExitCode::FAILURE);
-        }
+    let fail = |e: ScenarioError| {
+        err!("repro: {e}\n");
+        ExitCode::FAILURE
     };
+    out!("scenario: {}\n", sc.spec_string());
+    // One resolution serves the report and the run.
+    let rates = sc.resolve().map_err(fail)?;
+    out!("{}", BoundsReport::compute_with(sc, &rates).to_text());
+    let res = sc.try_run_at(rates).map_err(fail)?;
     out!(
         "  simulated: T = {:.3} (completed {} packets, E[N] = {:.2}, \
          Little cross-check {:.3}, peak edge utilization {:.3})\n",

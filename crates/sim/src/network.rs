@@ -246,9 +246,11 @@ where
     /// the historical scalar path — kept as `None` so the uniform case
     /// stays on the exact same code path, bit for bit).
     pub(crate) source_rates: Option<Vec<f64>>,
-    pub(crate) service_rates: Vec<f64>,
+    /// Per-edge service rates (`None` = every edge at unit rate: a uniform
+    /// rate stays one number, so no per-edge vector exists on that path).
+    pub(crate) service_rates: Option<Vec<f64>>,
+    /// Saturated-edge mask; empty unless saturated edges are tracked.
     pub(crate) sat_edge: Vec<bool>,
-    pub(crate) track_saturated: bool,
     /// Materialized failure timeline ([`FaultPlan::is_empty`] = healthy
     /// run on the exact pre-fault code path).
     pub(crate) fault_plan: FaultPlan,
@@ -266,7 +268,6 @@ where
     /// edges have unit service rate.
     pub fn new(topo: T, router: R, dest: D, cfg: NetConfig) -> Self {
         let sources = topo.nodes().collect();
-        let num_edges = topo.num_edges();
         Self {
             topo,
             router,
@@ -274,9 +275,8 @@ where
             cfg,
             sources,
             source_rates: None,
-            service_rates: vec![1.0; num_edges],
-            sat_edge: vec![false; num_edges],
-            track_saturated: false,
+            service_rates: None,
+            sat_edge: Vec::new(),
             fault_plan: FaultPlan::default(),
         }
     }
@@ -340,17 +340,19 @@ where
     pub fn with_service_rates(mut self, rates: Vec<f64>) -> Self {
         assert_eq!(rates.len(), self.topo.num_edges());
         assert!(rates.iter().all(|&r| r > 0.0));
-        self.service_rates = rates;
+        self.service_rates = Some(rates);
         self
     }
 
     /// Marks the saturated edges so `R_s(t)` is tracked (Table III).
     #[must_use]
     pub fn with_saturated_edges(mut self, edges: &[EdgeId]) -> Self {
+        if !edges.is_empty() && self.sat_edge.is_empty() {
+            self.sat_edge = vec![false; self.topo.num_edges()];
+        }
         for &e in edges {
             self.sat_edge[e.index()] = true;
         }
-        self.track_saturated = !edges.is_empty();
         self
     }
 
@@ -415,15 +417,34 @@ where
         }
     }
 
+    /// The service rate of edge `e` (by global index).
+    #[inline]
+    pub(crate) fn service_rate(&self, e: usize) -> f64 {
+        match &self.service_rates {
+            Some(r) => r[e],
+            None => 1.0,
+        }
+    }
+
+    /// Whether edge `e` (by global index) is a tracked saturated edge.
+    #[inline]
+    pub(crate) fn is_saturated(&self, e: usize) -> bool {
+        !self.sat_edge.is_empty() && self.sat_edge[e]
+    }
+
     /// Saturated hops along the *canonical* (empty-network) route — the
     /// zero-view walk, which coincides with the actual route for oblivious
     /// routers and is the conventional reference path for adaptive ones.
+    /// Zero, without a walk, when no saturated edges are tracked.
     pub(crate) fn count_saturated_on_route(
         &self,
         src: NodeId,
         dst: NodeId,
         state: R::State,
     ) -> usize {
+        if self.sat_edge.is_empty() {
+            return 0;
+        }
         let mut count = 0;
         let mut cur = src;
         while let Some(e) = self.router.next_hop(&self.topo, cur, dst, state, &ZeroView) {

@@ -454,6 +454,11 @@ mod tests {
         assert!(sc.topology.num_edges() > STREAMING_STATS_MAX_EDGES);
         assert_eq!(solves_during(&sc, || drop(sc.resolve().unwrap())), 1);
         assert_eq!(solves_during(&sc, || drop(sc.run_replicated(3))), 1);
+        let resolve_then_run = || {
+            let rates = sc.resolve().unwrap();
+            drop(sc.try_run_at(rates).unwrap());
+        };
+        assert_eq!(solves_during(&sc, resolve_then_run), 1);
     }
 
     #[test]

@@ -1221,6 +1221,21 @@ impl Scenario {
         self.try_run_seeded(self.seed)
     }
 
+    /// [`Scenario::try_run`] at the λ of a resolution the caller already
+    /// holds (from [`Scenario::resolve`] on this scenario), so the run
+    /// costs no second solve: the single-run twin of
+    /// [`Scenario::run_replicated_at`]. A solved vector is freed before
+    /// the run starts.
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioError::Sim`] when the simulation itself fails.
+    pub fn try_run_at(&self, rates: Resolution) -> Result<SimResult, ScenarioError> {
+        let lambda = rates.lambda;
+        drop(rates);
+        self.run_at(lambda, self.seed)
+    }
+
     /// Runs `reps` independent replications in parallel (one derived seed
     /// per replication) and aggregates the headline metrics. λ is resolved
     /// once for all of them.

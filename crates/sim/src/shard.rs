@@ -21,14 +21,25 @@
 //! * **edge queues** are intrusive linked lists threaded through one
 //!   shared slab (`qnext[pid]`), so an edge's state is two `u32` cursors
 //!   and the shard's queue storage is a single allocation;
-//! * packet records live in a free-list slab;
+//! * a shard's edge records sit in one dense array, **indexed by edge-id
+//!   range** where the topology numbers out-edges by source node
+//!   (hypercube, torus, butterfly: a record's slot is the edge id minus
+//!   the shard's base) and **by table** otherwise (the meshes number
+//!   edges by direction); see [`Partition`];
+//! * packet records live in a free-list slab, and a **departure event
+//!   carries the packet in service** along with its edge, so completing a
+//!   service loads the edge record and the packet side by side instead of
+//!   reaching the packet through the edge's queue head;
 //! * **routing** makes one [`Router::route_outcome`] call at injection and
 //!   after every hop, with a live [`LocalView`] of the switch's output
 //!   queues and link liveness. A packet that cannot move is a
 //!   cause-tallied drop under a fault plan and a
 //!   [`SimError::RouterStalled`] on a healthy topology;
-//! * deterministic service times are precomputed once per run and shared
-//!   read-only by every shard.
+//! * a **uniform service rate is one service time**: under deterministic
+//!   unit service every service takes 1, with no per-edge state. Only
+//!   per-edge rates (`NetworkSim::with_service_rates`) build a vector of
+//!   deterministic service times, once per run, shared read-only by every
+//!   shard.
 //!
 //! With `k = 1` there are no cut edges, so the run is one unbounded window
 //! with no channels and no handoffs: `sharded:1` and `auto` are the same
@@ -145,8 +156,11 @@ type RxRow<S> = Vec<Option<Receiver<Batch<S>>>>;
 enum Ev {
     /// Next external arrival at source `idx`.
     Arrival(u32),
-    /// Service completion at a (globally indexed) owned edge.
-    Departure(u32),
+    /// Service completion at a (globally indexed) owned edge. It carries
+    /// the packet in service, known when the service starts, so the
+    /// departure reads the edge record and the packet side by side instead
+    /// of finding the packet through the edge's queue head.
+    Departure { edge: u32, pid: u32 },
     /// A packet handed over from another shard resumes at its slab slot.
     Handoff(u32),
     /// Slot boundary (slotted mode) for this shard's sources.
@@ -219,17 +233,15 @@ impl EdgeState {
         self.qlen += 1;
     }
 
-    /// Removes and returns the head-of-line packet.
+    /// Removes the head-of-line packet, `pid`.
     #[inline]
-    fn pop(&mut self, qnext: &[u32]) -> u32 {
-        debug_assert!(self.head != NIL, "departure from empty edge");
-        let pid = self.head;
+    fn pop(&mut self, qnext: &[u32], pid: u32) {
+        debug_assert_eq!(self.head, pid, "departure of a packet not at the head");
         self.head = qnext[pid as usize];
         if self.head == NIL {
             self.tail = NIL;
         }
         self.qlen -= 1;
-        pid
     }
 
     /// Cuts the waiting line off behind the packet in service (if any) and
@@ -274,6 +286,8 @@ fn qtick(t: &mut QTrack, qlen: u32, now: f64) {
 struct ShardView<'a> {
     edges: &'a [EdgeState],
     part: &'a Partition,
+    /// The shard whose slab `edges` is.
+    me: usize,
     /// Global liveness mask (empty = every edge live).
     live: &'a [bool],
 }
@@ -281,13 +295,26 @@ struct ShardView<'a> {
 impl LocalView for ShardView<'_> {
     #[inline]
     fn queue_len(&self, e: EdgeId) -> u32 {
-        self.edges[self.part.edge_local(e)].qlen
+        self.edges[self.part.edge_local_in(self.me, e)].qlen
     }
 
     #[inline]
     fn is_live(&self, e: EdgeId) -> bool {
         self.live.is_empty() || self.live[e.index()]
     }
+}
+
+/// Where a service start takes its duration from, fixed once per run.
+#[derive(Debug, Clone, Copy)]
+enum ServiceTime<'a> {
+    /// Deterministic service at the uniform unit rate: every service
+    /// takes 1.
+    Unit,
+    /// Deterministic service at per-edge rates: `1/rate`, precomputed once
+    /// per run and shared read-only by every shard (global indexing).
+    PerEdge(&'a [f64]),
+    /// Drawn from the run's service distribution at the edge's rate.
+    Sampled,
 }
 
 /// A packet that cannot move on a healthy topology: stuck at `at`, heading
@@ -319,10 +346,7 @@ where
 {
     sim: &'a NetworkSim<T, R, D>,
     part: &'a Partition,
-    /// Per-edge deterministic service times (global indexing), when the
-    /// service distribution is deterministic: saves a division per
-    /// service start.
-    det: Option<&'a [f64]>,
+    service: ServiceTime<'a>,
     me: usize,
     /// This shard's sources as `(global source index, node)`, in global
     /// order.
@@ -359,7 +383,7 @@ where
     fn new(
         sim: &'a NetworkSim<T, R, D>,
         part: &'a Partition,
-        det: Option<&'a [f64]>,
+        service: ServiceTime<'a>,
         me: usize,
         sources: &'a [(u32, NodeId)],
     ) -> Self {
@@ -368,7 +392,7 @@ where
         let mut edges: Vec<EdgeState> = (0..local_edges).map(|_| EdgeState::default()).collect();
         for &e in part.cut_edges() {
             if part.edge_shard(e) == me {
-                edges[part.edge_local(e)].cut = true;
+                edges[part.edge_local_in(me, e)].cut = true;
             }
         }
         let mut obs = Observer::new(local_edges, cfg.warmup);
@@ -378,7 +402,7 @@ where
         let mut shard = Shard {
             sim,
             part,
-            det,
+            service,
             me,
             sources,
             rng: derive_rng(cfg.seed, me as u64),
@@ -497,7 +521,7 @@ where
                 let dt = exp_sample(&mut self.rng, self.sim.source_rate(gi as usize));
                 self.queue.schedule(now + dt, Ev::Arrival(gi));
             }
-            Ev::Departure(ge) => self.depart(now, ge)?,
+            Ev::Departure { edge, pid } => self.depart(now, edge, pid)?,
             Ev::Handoff(pid) => {
                 self.cut_handoffs += 1;
                 self.forward(now, self.hand_node[pid as usize], pid)?;
@@ -553,27 +577,29 @@ where
     /// is `≥` the next epoch boundary by the lookahead invariant.
     #[inline]
     fn start_service(&mut self, le: usize, ge: u32, now: f64) {
-        let dur = match self.det {
-            Some(d) => d[ge as usize],
-            None => self
+        let dur = match self.service {
+            ServiceTime::Unit => 1.0,
+            ServiceTime::PerEdge(d) => d[ge as usize],
+            ServiceTime::Sampled => self
                 .sim
                 .cfg
                 .service
-                .sample(self.sim.service_rates[ge as usize], &mut self.rng),
+                .sample(self.sim.service_rate(ge as usize), &mut self.rng),
         };
         let edge = &mut self.edges[le];
         debug_assert!(!edge.busy && edge.qlen > 0);
         edge.busy = true;
         edge.service_start = now;
-        let (head, cut) = (edge.head, edge.cut);
+        let (pid, cut) = (edge.head, edge.cut);
         let done = now + dur;
-        self.queue.schedule_ordered(done, Ev::Departure(ge));
+        self.queue
+            .schedule_ordered(done, Ev::Departure { edge: ge, pid });
         if cut {
             let node = self.sim.topo.edge_target(EdgeId(ge));
             self.outboxes[self.part.node_shard(node)].push(Msg {
                 time: done,
                 node,
-                packet: self.packets[head as usize],
+                packet: self.packets[pid as usize],
             });
         }
     }
@@ -581,7 +607,7 @@ where
     /// Appends `pid` to edge `e`'s FIFO and starts service if idle.
     #[inline]
     fn enqueue(&mut self, e: EdgeId, pid: u32, now: f64) {
-        let le = self.part.edge_local(e);
+        let le = self.part.edge_local_in(self.me, e);
         if self.sim.cfg.track_edge_queues {
             qtick(&mut self.qtrack[le], self.edges[le].qlen, now);
         }
@@ -591,21 +617,21 @@ where
         }
     }
 
-    /// Completes the service in progress on edge `ge` and moves its packet
-    /// onward.
-    fn depart(&mut self, now: f64, ge: u32) -> Result<(), Stalled> {
+    /// Completes the service in progress on edge `ge`, whose packet in
+    /// service is `pid`, and moves the packet onward.
+    fn depart(&mut self, now: f64, ge: u32, pid: u32) -> Result<(), Stalled> {
         let ei = ge as usize;
-        let le = self.part.edge_local(EdgeId(ge));
+        let le = self.part.edge_local_in(self.me, EdgeId(ge));
         if self.sim.cfg.track_edge_queues {
             qtick(&mut self.qtrack[le], self.edges[le].qlen, now);
         }
         let edge = &mut self.edges[le];
-        let pid = edge.pop(&self.qnext);
+        edge.pop(&self.qnext, pid);
         let duration = now - edge.service_start;
         edge.busy = false;
         let (waiting, cut) = (edge.qlen > 0, edge.cut);
         self.obs
-            .service_done(now, le, duration, self.sim.sat_edge[ei]);
+            .service_done(now, le, duration, self.sim.is_saturated(ei));
         if waiting && self.is_live(ei) {
             self.start_service(le, ge, now);
         }
@@ -632,11 +658,7 @@ where
         self.obs.packet_generated(now);
         let state = sim.router.init_state(&sim.topo, src, dst, &mut self.rng);
         let hops = sim.router.route_len(&sim.topo, src, dst, state);
-        let sat = if sim.track_saturated {
-            sim.count_saturated_on_route(src, dst, state)
-        } else {
-            0
-        };
+        let sat = sim.count_saturated_on_route(src, dst, state);
         self.obs.packet_enters(now, hops, sat);
         let pid = self.alloc(Packet {
             dst,
@@ -678,6 +700,7 @@ where
             let view = ShardView {
                 edges: &self.edges,
                 part: self.part,
+                me: self.me,
                 live: &self.live,
             };
             match self
@@ -710,11 +733,7 @@ where
         let sim = self.sim;
         let pk = self.packets[pid as usize];
         let remaining = sim.router.remaining_hops(&sim.topo, at, pk.dst, pk.state);
-        let sat = if sim.track_saturated {
-            sim.count_saturated_on_route(at, pk.dst, pk.state)
-        } else {
-            0
-        };
+        let sat = sim.count_saturated_on_route(at, pk.dst, pk.state);
         self.obs
             .packet_dropped(now, remaining as f64, sat as f64, pk.gen_time, cause);
         self.free.push(pid);
@@ -727,7 +746,7 @@ where
         if self.part.edge_shard(fe.edge) != self.me {
             return;
         }
-        let le = self.part.edge_local(fe.edge);
+        let le = self.part.edge_local_in(self.me, fe.edge);
         if fe.up {
             // Defensive: the flush below leaves at most the in-flight head
             // queued on a dead edge, but if a packet is waiting, service
@@ -894,13 +913,20 @@ where
     } else {
         window_ends(
             part.cut_edges(),
-            &sim.service_rates,
+            |e| 1.0 / sim.service_rate(e.index()),
             &sim.fault_plan,
             sim.cfg.horizon,
         )
     };
-    let det: Option<Vec<f64>> = (sim.cfg.service == ServiceKind::Deterministic)
-        .then(|| sim.service_rates.iter().map(|r| 1.0 / r).collect());
+    let durations: Vec<f64>;
+    let service = match (sim.cfg.service, &sim.service_rates) {
+        (ServiceKind::Deterministic, None) => ServiceTime::Unit,
+        (ServiceKind::Deterministic, Some(rates)) => {
+            durations = rates.iter().map(|r| 1.0 / r).collect();
+            ServiceTime::PerEdge(&durations)
+        }
+        (ServiceKind::Exponential, _) => ServiceTime::Sampled,
+    };
 
     // Shard-local source lists, preserving global order. The global index
     // rides along for positional per-source rate lookup.
@@ -923,10 +949,10 @@ where
         }
     }
 
-    let (sim_ref, part_ref, det_ref) = (&sim, &part, det.as_deref());
+    let (sim_ref, part_ref) = (&sim, &part);
     let (sources_ref, windows_ref) = (&source_lists, &windows);
     let shard = move |me: usize, tx_row: TxRow<R::State>, rx_row: RxRow<R::State>| {
-        Shard::new(sim_ref, part_ref, det_ref, me, &sources_ref[me]).run(
+        Shard::new(sim_ref, part_ref, service, me, &sources_ref[me]).run(
             windows_ref,
             &tx_row,
             &rx_row,
@@ -979,31 +1005,44 @@ where
 /// liveness transitions land exactly on epoch boundaries, where every
 /// shard recomputes the same Δ from the same plan. The final entry is
 /// `∞`: the last epoch runs to the horizon without a barrier.
-fn window_ends(cut: &[EdgeId], service_rates: &[f64], plan: &FaultPlan, horizon: f64) -> Vec<f64> {
-    let cut_set: std::collections::HashSet<EdgeId> = cut.iter().copied().collect();
-    let mut dead: std::collections::HashSet<EdgeId> = std::collections::HashSet::new();
+///
+/// `cut` is ascending ([`Partition::cut_edges`]); `service_time` gives a
+/// cut edge's deterministic service time.
+fn window_ends(
+    cut: &[EdgeId],
+    service_time: impl Fn(EdgeId) -> f64,
+    plan: &FaultPlan,
+    horizon: f64,
+) -> Vec<f64> {
+    // Liveness of `cut[i]`. Δ changes only when a cut edge's liveness
+    // does, so it is recomputed only at those window starts.
+    let mut live = vec![true; cut.len()];
+    let lookahead = |live: &[bool]| {
+        cut.iter()
+            .zip(live)
+            .filter(|&(_, &up)| up)
+            .map(|(&e, _)| service_time(e))
+            .fold(f64::INFINITY, f64::min)
+    };
+    let mut delta = lookahead(&live);
     let mut ends = Vec::new();
     let mut start = 0.0f64;
     let mut idx = 0;
     loop {
         // Apply every transition at or before the window start; what's
         // left of the plan is strictly inside or past this window.
+        let mut flipped = false;
         while idx < plan.events.len() && plan.events[idx].time <= start {
             let fe = &plan.events[idx];
-            if cut_set.contains(&fe.edge) {
-                if fe.up {
-                    dead.remove(&fe.edge);
-                } else {
-                    dead.insert(fe.edge);
-                }
+            if let Ok(i) = cut.binary_search(&fe.edge) {
+                flipped |= live[i] != fe.up;
+                live[i] = fe.up;
             }
             idx += 1;
         }
-        let delta = cut
-            .iter()
-            .filter(|e| !dead.contains(e))
-            .map(|e| 1.0 / service_rates[e.index()])
-            .fold(f64::INFINITY, f64::min);
+        if flipped {
+            delta = lookahead(&live);
+        }
         let next_fault = plan.events.get(idx).map_or(f64::INFINITY, |fe| fe.time);
         let end = (start + delta).min(next_fault);
         if !end.is_finite() || end > horizon {
@@ -1300,6 +1339,36 @@ mod tests {
         assert_eq!(auto.generated, sharded.generated);
         assert_eq!(auto.completed, sharded.completed);
         assert_eq!(auto.dropped, sharded.dropped);
+    }
+
+    /// Δ is the fastest live cut edge's service time, recomputed where a
+    /// transition flips a cut edge; every fault time, cut edge or not, is
+    /// a window end.
+    #[test]
+    fn window_ends_follow_cut_edge_liveness() {
+        use super::window_ends;
+        use crate::fault::{FaultEvent, FaultPlan};
+        use meshbound_topology::EdgeId;
+        let cut = [EdgeId(1), EdgeId(3)];
+        let service_time = |e: EdgeId| if e == EdgeId(3) { 0.5 } else { 1.0 };
+        let event = |time, edge, up| FaultEvent {
+            time,
+            edge: EdgeId(edge),
+            up,
+        };
+        let plan = FaultPlan {
+            events: vec![
+                event(1.25, 0, false),
+                event(2.0, 3, false),
+                event(4.0, 3, true),
+            ],
+            down_edges: vec![EdgeId(0), EdgeId(3)],
+        };
+        let ends = window_ends(&cut, service_time, &plan, 5.0);
+        let expected = [0.5, 1.0, 1.25, 1.75, 2.0, 3.0, 4.0, 4.5, 5.0, f64::INFINITY];
+        assert_eq!(ends, expected);
+        let healthy = window_ends(&cut, service_time, &FaultPlan::default(), 1.2);
+        assert_eq!(healthy, [0.5, 1.0, f64::INFINITY]);
     }
 
     #[test]

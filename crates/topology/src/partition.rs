@@ -9,6 +9,12 @@
 //! target lives in a different shard, which are the only places
 //! cross-shard communication happens.
 //!
+//! Where a topology numbers its out-edges by source node (hypercube,
+//! torus, butterfly), each shard owns one contiguous range of edge ids,
+//! and an edge's owner and local index come from `k + 1` range bases by a
+//! subtraction. Interleaved numberings (the meshes number edges by
+//! direction) get two per-edge tables instead.
+//!
 //! The block assignment `shard(i) = i·k / n` is a pure function of
 //! `(num_nodes, k)`: the same topology partitioned twice yields the
 //! same partition, which the sharded engine's determinism contract
@@ -22,16 +28,31 @@ use crate::traits::Topology;
 #[derive(Debug, Clone)]
 pub struct Partition {
     shards: usize,
-    /// The three lookup maps are empty when `shards == 1`; the accessors
-    /// answer the identity directly.
+    /// Owning shard of each node; empty when `shards == 1`, where the
+    /// accessor answers 0 directly.
     node_shard: Vec<u32>,
-    edge_shard: Vec<u32>,
-    /// Dense per-shard edge index: `edge_local[e]` is `e`'s position
-    /// among the edges owned by `edge_shard[e]`, in global edge order.
-    edge_local: Vec<u32>,
+    /// Owning shard and dense local index of each edge.
+    edges: EdgeIndex,
+    /// Number of edges each shard owns.
     shard_edge_counts: Vec<usize>,
+    /// Each shard's nodes, in ascending id order.
     shard_nodes: Vec<Vec<NodeId>>,
+    /// Edges whose target lives on another shard, in ascending id order.
     cut_edges: Vec<EdgeId>,
+}
+
+/// How a [`Partition`] finds an edge's owning shard and its local index:
+/// its position among that shard's edges, in global edge order.
+#[derive(Debug, Clone)]
+enum EdgeIndex {
+    /// Shard `s` owns the edge ids `bases[s]..bases[s + 1]`, so an edge's
+    /// local index is its id minus its shard's base. Holds whenever the
+    /// owning shard never decreases along edge ids — edges numbered by
+    /// source node, and any numbering on one shard — at `shards + 1`
+    /// words.
+    Ranges(Vec<u32>),
+    /// Any other numbering: both answers stored per edge, 8 bytes each.
+    Tables { shard: Vec<u32>, local: Vec<u32> },
 }
 
 impl Partition {
@@ -40,36 +61,55 @@ impl Partition {
     /// `[1, num_nodes]`; block sizes differ by at most one node.
     #[must_use]
     pub fn contiguous<T: Topology + ?Sized>(topo: &T, shards: usize) -> Self {
-        let n = topo.num_nodes();
+        let (n, m) = (topo.num_nodes(), topo.num_edges());
         let k = shards.clamp(1, n.max(1));
         if k == 1 {
-            // One block: every lookup below is the identity, so store no
-            // per-node or per-edge maps (they would cost 8 bytes per edge
-            // on single-shard runs at million-node scale).
+            // One block: every node lookup answers 0 and the edges are the
+            // one range `0..m`, so no per-node or per-edge map is stored
+            // (a map would cost 4 bytes per node or edge at million-node
+            // scale).
             return Partition {
                 shards: 1,
                 node_shard: Vec::new(),
-                edge_shard: Vec::new(),
-                edge_local: Vec::new(),
-                shard_edge_counts: vec![topo.num_edges()],
+                edges: EdgeIndex::Ranges(vec![0, m as u32]),
+                shard_edge_counts: vec![m],
                 shard_nodes: vec![topo.nodes().collect()],
                 cut_edges: Vec::new(),
             };
         }
-        let node_shard: Vec<u32> = (0..n).map(|i| ((i * k) / n.max(1)) as u32).collect();
-        let mut edge_shard = vec![0u32; topo.num_edges()];
-        let mut edge_local = vec![0u32; topo.num_edges()];
+        let node_shard: Vec<u32> = (0..n).map(|i| ((i * k) / n) as u32).collect();
+        let source_shard = |e: EdgeId| node_shard[topo.edge_source(e).index()];
         let mut shard_edge_counts = vec![0usize; k];
         let mut cut_edges = Vec::new();
+        let mut ranged = true;
+        let mut prev = 0;
         for e in topo.edges() {
-            let s = node_shard[topo.edge_source(e).index()];
-            edge_shard[e.index()] = s;
-            edge_local[e.index()] = shard_edge_counts[s as usize] as u32;
+            let s = source_shard(e);
+            ranged &= s >= prev;
+            prev = s;
             shard_edge_counts[s as usize] += 1;
             if node_shard[topo.edge_target(e).index()] != s {
                 cut_edges.push(e);
             }
         }
+        let edges = if ranged {
+            let mut bases = vec![0u32];
+            for &count in &shard_edge_counts {
+                bases.push(bases[bases.len() - 1] + count as u32);
+            }
+            EdgeIndex::Ranges(bases)
+        } else {
+            let mut next_local = vec![0u32; k];
+            let (shard, local) = topo
+                .edges()
+                .map(|e| {
+                    let s = source_shard(e);
+                    next_local[s as usize] += 1;
+                    (s, next_local[s as usize] - 1)
+                })
+                .unzip();
+            EdgeIndex::Tables { shard, local }
+        };
         let mut shard_nodes = vec![Vec::new(); k];
         for v in topo.nodes() {
             shard_nodes[node_shard[v.index()] as usize].push(v);
@@ -77,8 +117,7 @@ impl Partition {
         Partition {
             shards: k,
             node_shard,
-            edge_shard,
-            edge_local,
+            edges,
             shard_edge_counts,
             shard_nodes,
             cut_edges,
@@ -105,20 +144,35 @@ impl Partition {
     #[inline]
     #[must_use]
     pub fn edge_shard(&self, e: EdgeId) -> usize {
-        if self.shards == 1 {
-            return 0;
+        match &self.edges {
+            // The last range starting at or before `e`: an empty range
+            // shares its base with the next one and is passed over.
+            EdgeIndex::Ranges(bases) => {
+                debug_assert!(e.0 < bases[self.shards], "{e} is out of range");
+                bases.partition_point(|&b| b <= e.0) - 1
+            }
+            EdgeIndex::Tables { shard, .. } => shard[e.index()] as usize,
         }
-        self.edge_shard[e.index()] as usize
     }
 
     /// `e`'s dense index among the edges of its owning shard.
     #[inline]
     #[must_use]
     pub fn edge_local(&self, e: EdgeId) -> usize {
-        if self.shards == 1 {
-            return e.index();
+        self.edge_local_in(self.edge_shard(e), e)
+    }
+
+    /// [`Partition::edge_local`] for an edge the caller knows shard `s`
+    /// owns, which spares the search over the range bases: a subtraction
+    /// on range-indexed partitions, one table read otherwise.
+    #[inline]
+    #[must_use]
+    pub fn edge_local_in(&self, s: usize, e: EdgeId) -> usize {
+        debug_assert_eq!(self.edge_shard(e), s, "{e} is not owned by shard {s}");
+        match &self.edges {
+            EdgeIndex::Ranges(bases) => (e.0 - bases[s]) as usize,
+            EdgeIndex::Tables { local, .. } => local[e.index()] as usize,
         }
-        self.edge_local[e.index()] as usize
     }
 
     /// Number of edges owned by shard `s`.
@@ -184,8 +238,9 @@ mod tests {
         assert_eq!(Partition::contiguous(&topo, 100).shards(), 4);
     }
 
-    /// Ownership and dense local indices on `topo` at `k` shards.
-    fn check_edge_ownership<T: Topology>(topo: &T, k: usize) {
+    /// Checks ownership and dense local indices on `topo` at `k` shards,
+    /// and returns the partition.
+    fn check_edge_ownership<T: Topology>(topo: &T, k: usize) -> Partition {
         let p = Partition::contiguous(topo, k);
         let label = format!("{} at k = {k}", topo.label());
         let mut next_local = vec![0usize; p.shards()];
@@ -193,6 +248,7 @@ mod tests {
             let s = p.edge_shard(e);
             assert_eq!(s, p.node_shard(topo.edge_source(e)), "{label}: {e}");
             assert_eq!(p.edge_local(e), next_local[s], "{label}: {e}");
+            assert_eq!(p.edge_local_in(s, e), next_local[s], "{label}: {e}");
             next_local[s] += 1;
         }
         for (s, &count) in next_local.iter().enumerate() {
@@ -203,16 +259,24 @@ mod tests {
             topo.num_edges(),
             "{label}: every edge is owned by exactly one shard"
         );
+        p
     }
 
     #[test]
     fn edges_belong_to_their_source_shard_with_dense_local_indices() {
+        let ranged = |p: Partition| matches!(p.edges, EdgeIndex::Ranges(_));
         for k in [1, 2, 3, 4, 7] {
-            check_edge_ownership(&Mesh2D::rect(5, 4), k);
-            check_edge_ownership(&Torus2D::new(4), k);
-            check_edge_ownership(&Hypercube::new(4), k);
-            check_edge_ownership(&Butterfly::new(3), k);
-            check_edge_ownership(&MeshKD::new(&[3, 2, 3]), k);
+            // The hypercube, torus and butterfly number out-edges by
+            // source node, so every shard owns one id range. The meshes
+            // number edges by direction and need the tables, except on
+            // one shard.
+            assert!(ranged(check_edge_ownership(&Torus2D::new(4), k)));
+            assert!(ranged(check_edge_ownership(&Hypercube::new(4), k)));
+            assert!(ranged(check_edge_ownership(&Butterfly::new(3), k)));
+            let mesh = check_edge_ownership(&Mesh2D::rect(5, 4), k);
+            assert_eq!(ranged(mesh), k == 1, "mesh at k = {k}");
+            let mesh_kd = check_edge_ownership(&MeshKD::new(&[3, 2, 3]), k);
+            assert_eq!(ranged(mesh_kd), k == 1, "mesh-kd at k = {k}");
         }
     }
 

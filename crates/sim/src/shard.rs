@@ -1110,7 +1110,8 @@ where
     let num_edges = sim.topo.num_edges();
     let owner = |ei: usize| {
         let e = EdgeId(ei as u32);
-        (&outs[part.edge_shard(e)], part.edge_local(e))
+        let s = part.edge_shard(e);
+        (&outs[s], part.edge_local_in(s, e))
     };
     let edge_rate = |ei: usize| {
         let (o, le) = owner(ei);

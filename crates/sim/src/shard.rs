@@ -295,7 +295,7 @@ struct ShardView<'a> {
 impl LocalView for ShardView<'_> {
     #[inline]
     fn queue_len(&self, e: EdgeId) -> u32 {
-        self.edges[self.part.edge_local_in(self.me, e)].qlen
+        self.edges[self.part.edge_local(self.me, e)].qlen
     }
 
     #[inline]
@@ -392,7 +392,7 @@ where
         let mut edges: Vec<EdgeState> = (0..local_edges).map(|_| EdgeState::default()).collect();
         for &e in part.cut_edges() {
             if part.edge_shard(e) == me {
-                edges[part.edge_local_in(me, e)].cut = true;
+                edges[part.edge_local(me, e)].cut = true;
             }
         }
         let mut obs = Observer::new(local_edges, cfg.warmup);
@@ -607,7 +607,7 @@ where
     /// Appends `pid` to edge `e`'s FIFO and starts service if idle.
     #[inline]
     fn enqueue(&mut self, e: EdgeId, pid: u32, now: f64) {
-        let le = self.part.edge_local_in(self.me, e);
+        let le = self.part.edge_local(self.me, e);
         if self.sim.cfg.track_edge_queues {
             qtick(&mut self.qtrack[le], self.edges[le].qlen, now);
         }
@@ -621,7 +621,7 @@ where
     /// service is `pid`, and moves the packet onward.
     fn depart(&mut self, now: f64, ge: u32, pid: u32) -> Result<(), Stalled> {
         let ei = ge as usize;
-        let le = self.part.edge_local_in(self.me, EdgeId(ge));
+        let le = self.part.edge_local(self.me, EdgeId(ge));
         if self.sim.cfg.track_edge_queues {
             qtick(&mut self.qtrack[le], self.edges[le].qlen, now);
         }
@@ -746,7 +746,7 @@ where
         if self.part.edge_shard(fe.edge) != self.me {
             return;
         }
-        let le = self.part.edge_local_in(self.me, fe.edge);
+        let le = self.part.edge_local(self.me, fe.edge);
         if fe.up {
             // Defensive: the flush below leaves at most the in-flight head
             // queued on a dead edge, but if a packet is waiting, service
@@ -1111,7 +1111,7 @@ where
     let owner = |ei: usize| {
         let e = EdgeId(ei as u32);
         let s = part.edge_shard(e);
-        (&outs[s], part.edge_local_in(s, e))
+        (&outs[s], part.edge_local(s, e))
     };
     let edge_rate = |ei: usize| {
         let (o, le) = owner(ei);

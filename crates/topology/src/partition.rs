@@ -155,19 +155,13 @@ impl Partition {
         }
     }
 
-    /// `e`'s dense index among the edges of its owning shard.
+    /// `e`'s dense index among the edges of shard `s`, which must own it
+    /// ([`Partition::edge_shard`]). Taking the owner spares range-indexed
+    /// partitions the search over their bases: the answer is a
+    /// subtraction there, and one table read otherwise.
     #[inline]
     #[must_use]
-    pub fn edge_local(&self, e: EdgeId) -> usize {
-        self.edge_local_in(self.edge_shard(e), e)
-    }
-
-    /// [`Partition::edge_local`] for an edge the caller knows shard `s`
-    /// owns, which spares the search over the range bases: a subtraction
-    /// on range-indexed partitions, one table read otherwise.
-    #[inline]
-    #[must_use]
-    pub fn edge_local_in(&self, s: usize, e: EdgeId) -> usize {
+    pub fn edge_local(&self, s: usize, e: EdgeId) -> usize {
         debug_assert_eq!(self.edge_shard(e), s, "{e} is not owned by shard {s}");
         match &self.edges {
             EdgeIndex::Ranges(bases) => (e.0 - bases[s]) as usize,
@@ -247,8 +241,7 @@ mod tests {
         for e in topo.edges() {
             let s = p.edge_shard(e);
             assert_eq!(s, p.node_shard(topo.edge_source(e)), "{label}: {e}");
-            assert_eq!(p.edge_local(e), next_local[s], "{label}: {e}");
-            assert_eq!(p.edge_local_in(s, e), next_local[s], "{label}: {e}");
+            assert_eq!(p.edge_local(s, e), next_local[s], "{label}: {e}");
             next_local[s] += 1;
         }
         for (s, &count) in next_local.iter().enumerate() {

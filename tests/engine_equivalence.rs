@@ -9,7 +9,7 @@
 
 use meshbound::sim::fault::FaultPlan;
 use meshbound::sim::SimResult;
-use meshbound::topology::{Hypercube, Partition, Topology, Torus2D};
+use meshbound::topology::{EdgeId, Hypercube, Partition, Topology, Torus2D};
 use meshbound::{EngineSpec, Load, RouterSpec, Scenario, TrafficSpec};
 use proptest::prelude::*;
 
@@ -302,10 +302,25 @@ fn faulted_torus_and_hypercube_fingerprints_are_pinned() {
         "hypercube:5 lambda=0.25 faults=links:0.05+at:60+repair:150 horizon=400 warmup=40 seed=17",
     )
     .unwrap();
+    // The torus again, with every service rate 1 except one cut edge's 2:
+    // the lookahead Δ is that edge's service time, 0.5, until it fails at
+    // t = 60, then 1 until its repair at t = 210, then 0.5 again, so the
+    // window ends follow a Δ the fault plan changes mid-run.
+    let fast = EdgeId(70); // (2, 5) → (3, 5)
+    let mut rates = vec![1.0; Torus2D::new(6).num_edges()];
+    rates[fast.index()] = 2.0;
+    assert_eq!(rates.iter().filter(|&&r| r > 1.0).count(), 1);
+    let rated = Scenario::parse(&format!(
+        "torus:6 lambda=0.1 faults=link:{}+at:60+repair:150 horizon=400 warmup=40 seed=17",
+        fast.0
+    ))
+    .unwrap()
+    .service_rates(rates.clone());
     for shards in [2, 4] {
         for (sc, downed) in [
             (&torus, downed_cut_edges(&Torus2D::new(6), &torus, shards)),
             (&cube, downed_cut_edges(&Hypercube::new(5), &cube, shards)),
+            (&rated, downed_cut_edges(&Torus2D::new(6), &rated, shards)),
         ] {
             assert!(
                 downed > 0,
@@ -313,10 +328,20 @@ fn faulted_torus_and_hypercube_fingerprints_are_pinned() {
                 sc.spec_string()
             );
         }
+        let part = Partition::contiguous(&Torus2D::new(6), shards);
+        let fastest: Vec<EdgeId> = part
+            .cut_edges()
+            .iter()
+            .copied()
+            .filter(|e| rates[e.index()] > 1.0)
+            .collect();
+        assert_eq!(fastest, [fast], "the fastest cut edge at {shards} shards");
     }
     // One `[sharded:2, sharded:4]` pair of `(events, delay, N, dropped)`
-    // per case.
-    let pins: [[(u64, u64, u64, u64); 2]; 2] = [
+    // per case. The rated case was captured while per-edge deterministic
+    // rates still had their own service-time vector and handoffs looked
+    // their resume node up in a per-slot table.
+    let pins: [[(u64, u64, u64, u64); 2]; 3] = [
         [
             (6446, 0x40088124d463279d, 0x4025e894e01593ab, 67),
             (7341, 0x40088f6a58605d93, 0x4025c6dd2149cabc, 58),
@@ -325,8 +350,12 @@ fn faulted_torus_and_hypercube_fingerprints_are_pinned() {
             (12639, 0x40050a03d0532af3, 0x4034cbb09fb1d5fd, 69),
             (14412, 0x40052130abadc453, 0x40350736fefaff34, 72),
         ],
+        [
+            (6487, 0x400872296fc3ebf9, 0x4026417d1ac01b19, 11),
+            (7308, 0x40085692b5e1b2d4, 0x402600add5820c8e, 15),
+        ],
     ];
-    for (sc, pair) in [&torus, &cube].into_iter().zip(&pins) {
+    for (sc, pair) in [&torus, &cube, &rated].into_iter().zip(&pins) {
         for (shards, &(events, delay, n, dropped)) in [2, 4].into_iter().zip(pair) {
             let engine = EngineSpec::Sharded { shards };
             let label = format!("{} [{engine}]", sc.spec_string());

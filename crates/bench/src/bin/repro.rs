@@ -650,10 +650,9 @@ fn run_scenario(sc: &Scenario) -> Result<meshbound::sim::SimResult, ExitCode> {
         );
     }
     out!(
-        "  engine {}: {} events at {:.0}k events/s\n\n",
+        "  engine {}: {} events\n\n",
         sc.engine,
-        res.events_processed,
-        res.events_per_sec / 1e3
+        res.events_processed
     );
     Ok(res)
 }

@@ -13,9 +13,3 @@ use meshbound::experiments::Scale;
 pub fn bench_scale() -> Scale {
     Scale::quick()
 }
-
-/// The publication scale used by `repro` subcommands.
-#[must_use]
-pub fn full_scale() -> Scale {
-    Scale::full()
-}

@@ -62,21 +62,10 @@ fn unsupported_engine_config_is_a_structured_error_not_a_panic() {
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
-/// Drops the one wall-clock line (`… events at Nk events/s`) so the rest
-/// of the output can be compared byte-for-byte.
-fn deterministic_lines(out: &Output) -> String {
-    String::from_utf8_lossy(&out.stdout)
-        .lines()
-        .filter(|l| !l.contains("events/s"))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 #[test]
 fn faulted_reruns_are_bit_identical_on_both_engines() {
-    // The acceptance scenario: same seed + same fault spec → identical
-    // simulated output, on one shard (`auto`) and on two shards alike
-    // (only the events/s wall-clock figure may move).
+    // The acceptance scenario: same seed + same fault spec → byte-identical
+    // output, on one shard (`auto`) and on two shards alike.
     for engine in ["auto", "sharded:2"] {
         let spec = format!(
             "mesh:16 traffic=transpose load=rho:0.5 faults=links:0.05 \
@@ -90,8 +79,8 @@ fn faulted_reruns_are_bit_identical_on_both_engines() {
             String::from_utf8_lossy(&a.stderr)
         );
         assert_eq!(
-            deterministic_lines(&a),
-            deterministic_lines(&b),
+            String::from_utf8_lossy(&a.stdout),
+            String::from_utf8_lossy(&b.stdout),
             "engine={engine} rerun differs"
         );
         let stdout = String::from_utf8_lossy(&a.stdout);

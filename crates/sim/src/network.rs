@@ -19,7 +19,6 @@ use meshbound_routing::dest::DestSampler;
 use meshbound_routing::{Router, ZeroView};
 use meshbound_topology::{EdgeId, NodeId, Topology};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Tuning parameters common to all topologies.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -136,9 +135,6 @@ pub struct SimResult {
     /// count is comparable only across runs of the same
     /// `(seed, shards)` pair.
     pub events_processed: u64,
-    /// Events processed per wall-clock second — the run's throughput. The
-    /// **only** nondeterministic field; zero it before comparing results.
-    pub events_per_sec: f64,
     /// Median delay, when `delay_quantiles` was enabled.
     pub delay_p50: Option<f64>,
     /// 95th-percentile delay, when `delay_quantiles` was enabled.
@@ -397,15 +393,11 @@ where
                 .check()
                 .map_err(|reason| SimError::UnsupportedConfig { reason })?;
         }
-        // The throughput clock starts before any engine setup, so
-        // `events_per_sec` charges the run for its partition and
-        // service-time precompute.
-        let wall = Instant::now();
         let shards = match self.cfg.engine {
             EngineSpec::Auto => 1,
             EngineSpec::Sharded { shards } => shards,
         };
-        crate::shard::run(self, wall, shards)
+        crate::shard::run(self, shards)
     }
 
     /// The Poisson rate of source `i` (by position in the source list).
@@ -637,7 +629,6 @@ mod tests {
             assert_eq!(auto.delay_p99, one.delay_p99);
             assert_eq!(auto.edge_mean_queue, one.edge_mean_queue);
             assert!(auto.events_processed > 0);
-            assert!(auto.events_per_sec > 0.0);
         }
     }
 

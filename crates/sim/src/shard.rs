@@ -104,7 +104,6 @@ use meshbound_stats::{Reservoir, Welford};
 use meshbound_topology::{EdgeId, NodeId, Partition, Topology};
 use rand::rngs::SmallRng;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::time::Instant;
 
 /// Size of the delay-quantile reservoir.
 const RESERVOIR_CAPACITY: usize = 1 << 16;
@@ -881,11 +880,7 @@ where
 /// # Panics
 ///
 /// Panics only when a shard itself panics (the panic is propagated).
-pub(crate) fn run<T, R, D>(
-    sim: NetworkSim<T, R, D>,
-    wall: Instant,
-    shards: usize,
-) -> Result<SimResult, SimError>
+pub(crate) fn run<T, R, D>(sim: NetworkSim<T, R, D>, shards: usize) -> Result<SimResult, SimError>
 where
     T: Topology + Sync,
     R: Router<T> + Sync,
@@ -994,7 +989,7 @@ where
     }
     assert_eq!(outs.len(), k, "a shard aborted without reporting an error");
 
-    Ok(merge(&sim, &part, outs, wall))
+    Ok(merge(&sim, &part, outs))
 }
 
 /// The epoch cutoffs of the conservative window protocol, fault-aware.
@@ -1058,12 +1053,7 @@ fn window_ends(
 /// assembly. Per-edge figures are read in global edge order from each
 /// edge's owning shard, so no global per-edge vector is materialized
 /// beyond what the result itself carries.
-fn merge<T, R, D>(
-    sim: &NetworkSim<T, R, D>,
-    part: &Partition,
-    mut outs: Vec<ShardOut>,
-    wall: Instant,
-) -> SimResult
+fn merge<T, R, D>(sim: &NetworkSim<T, R, D>, part: &Partition, mut outs: Vec<ShardOut>) -> SimResult
 where
     T: Topology + Sync,
     R: Router<T> + Sync,
@@ -1199,7 +1189,6 @@ where
         peak_n,
         measure_time,
         events_processed,
-        events_per_sec: events_processed as f64 / wall.elapsed().as_secs_f64().max(1e-9),
         delay_p50: quantiles.as_ref().and_then(|r| r.quantile(0.5)),
         delay_p95: quantiles.as_ref().and_then(|r| r.quantile(0.95)),
         delay_p99: quantiles.as_ref().and_then(|r| r.quantile(0.99)),

@@ -13,8 +13,7 @@ use meshbound::topology::{EdgeId, Hypercube, Partition, Topology, Torus2D};
 use meshbound::{EngineSpec, Load, RouterSpec, Scenario, TrafficSpec};
 use proptest::prelude::*;
 
-/// Bitwise comparison of every deterministic `SimResult` field
-/// (`events_per_sec` is wall-clock and excluded by design).
+/// Bitwise comparison of every deterministic `SimResult` field.
 fn assert_bit_identical(label: &str, a: &SimResult, b: &SimResult) {
     let f = f64::to_bits;
     assert_eq!(f(a.avg_delay), f(b.avg_delay), "{label}: avg_delay");

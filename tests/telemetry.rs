@@ -11,9 +11,8 @@
 use meshbound::sim::SimResult;
 use meshbound::{EngineSpec, ProbeSpec, Scenario, TELEMETRY_SCHEMA};
 
-/// Bitwise comparison of every deterministic `SimResult` field shared by
-/// probed and unprobed runs (`events_per_sec` is wall clock; `telemetry`
-/// is the probed run's extra output).
+/// Bitwise comparison of every `SimResult` field shared by probed and
+/// unprobed runs (`telemetry` is the probed run's extra output).
 fn assert_unperturbed(label: &str, off: &SimResult, on: &SimResult) {
     let f = f64::to_bits;
     assert_eq!(f(off.avg_delay), f(on.avg_delay), "{label}: avg_delay");

@@ -35,8 +35,6 @@ pub struct Partition {
     edges: EdgeIndex,
     /// Number of edges each shard owns.
     shard_edge_counts: Vec<usize>,
-    /// Each shard's nodes, in ascending id order.
-    shard_nodes: Vec<Vec<NodeId>>,
     /// Edges whose target lives on another shard, in ascending id order.
     cut_edges: Vec<EdgeId>,
 }
@@ -73,7 +71,6 @@ impl Partition {
                 node_shard: Vec::new(),
                 edges: EdgeIndex::Ranges(vec![0, m as u32]),
                 shard_edge_counts: vec![m],
-                shard_nodes: vec![topo.nodes().collect()],
                 cut_edges: Vec::new(),
             };
         }
@@ -110,16 +107,11 @@ impl Partition {
                 .unzip();
             EdgeIndex::Tables { shard, local }
         };
-        let mut shard_nodes = vec![Vec::new(); k];
-        for v in topo.nodes() {
-            shard_nodes[node_shard[v.index()] as usize].push(v);
-        }
         Partition {
             shards: k,
             node_shard,
             edges,
             shard_edge_counts,
-            shard_nodes,
             cut_edges,
         }
     }
@@ -173,12 +165,6 @@ impl Partition {
     #[must_use]
     pub fn shard_edge_count(&self, s: usize) -> usize {
         self.shard_edge_counts[s]
-    }
-
-    /// Nodes of shard `s`, in ascending id order.
-    #[must_use]
-    pub fn shard_nodes(&self, s: usize) -> &[NodeId] {
-        &self.shard_nodes[s]
     }
 
     /// Edges whose target lives in a different shard than their source,
@@ -284,20 +270,5 @@ mod tests {
         assert!(!p.cut_edges().is_empty());
         let single = Partition::contiguous(&topo, 1);
         assert!(single.cut_edges().is_empty());
-    }
-
-    #[test]
-    fn shard_nodes_cover_all_nodes_once() {
-        let topo = Hypercube::new(5);
-        let p = Partition::contiguous(&topo, 4);
-        let mut seen = vec![false; topo.num_nodes()];
-        for s in 0..p.shards() {
-            for &v in p.shard_nodes(s) {
-                assert_eq!(p.node_shard(v), s);
-                assert!(!seen[v.index()]);
-                seen[v.index()] = true;
-            }
-        }
-        assert!(seen.iter().all(|&b| b));
     }
 }

@@ -160,8 +160,9 @@ enum Ev {
     /// departure reads the edge record and the packet side by side instead
     /// of finding the packet through the edge's queue head.
     Departure { edge: u32, pid: u32 },
-    /// A packet handed over from another shard resumes at its slab slot.
-    Handoff(u32),
+    /// A packet handed over from another shard, parked at slab slot
+    /// `pid`, resumes routing at `node`, the cut edge's target.
+    Handoff { pid: u32, node: NodeId },
     /// Slot boundary (slotted mode) for this shard's sources.
     Slot,
     /// Warmup boundary.
@@ -356,9 +357,6 @@ where
     edges: Vec<EdgeState>,
     qtrack: Vec<QTrack>,
     packets: Vec<Packet<R::State>>,
-    /// Resume node for packets delivered by `Ev::Handoff`, parallel to
-    /// `packets`.
-    hand_node: Vec<NodeId>,
     qnext: Vec<u32>,
     free: Vec<u32>,
     queue: LaneQueue<Ev>,
@@ -413,7 +411,6 @@ where
                 Vec::new()
             },
             packets: Vec::with_capacity(1024),
-            hand_node: Vec::with_capacity(1024),
             qnext: Vec::with_capacity(1024),
             free: Vec::new(),
             queue: LaneQueue::new(CalendarQueue::for_simulation(4 * sources.len().max(1))),
@@ -521,9 +518,9 @@ where
                 self.queue.schedule(now + dt, Ev::Arrival(gi));
             }
             Ev::Departure { edge, pid } => self.depart(now, edge, pid)?,
-            Ev::Handoff(pid) => {
+            Ev::Handoff { pid, node } => {
                 self.cut_handoffs += 1;
-                self.forward(now, self.hand_node[pid as usize], pid)?;
+                self.forward(now, node, pid)?;
             }
             Ev::Slot => {
                 let tau = self.sim.cfg.slot.expect("slot event without a slot width");
@@ -549,8 +546,7 @@ where
         Ok(())
     }
 
-    /// Allocates a packet slot from the free list (or grows the slab);
-    /// `hand_node` grows in lockstep.
+    /// Allocates a packet slot from the free list (or grows the slab).
     fn alloc(&mut self, pk: Packet<R::State>) -> u32 {
         match self.free.pop() {
             Some(id) => {
@@ -559,7 +555,6 @@ where
             }
             None => {
                 self.packets.push(pk);
-                self.hand_node.push(NodeId(0));
                 (self.packets.len() - 1) as u32
             }
         }
@@ -831,8 +826,8 @@ where
         incoming.sort_by(|a, b| a.time.total_cmp(&b.time));
         for m in incoming {
             let pid = self.alloc(m.packet);
-            self.hand_node[pid as usize] = m.node;
-            self.queue.schedule(m.time, Ev::Handoff(pid));
+            self.queue
+                .schedule(m.time, Ev::Handoff { pid, node: m.node });
         }
         Ok(())
     }

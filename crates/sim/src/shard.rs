@@ -36,10 +36,9 @@
 //!   cause-tallied drop under a fault plan and a
 //!   [`SimError::RouterStalled`] on a healthy topology;
 //! * a **uniform service rate is one service time**: under deterministic
-//!   unit service every service takes 1, with no per-edge state. Only
-//!   per-edge rates (`NetworkSim::with_service_rates`) build a vector of
-//!   deterministic service times, once per run, shared read-only by every
-//!   shard.
+//!   unit service every service takes 1, with no per-edge state. Per-edge
+//!   rates (`NetworkSim::with_service_rates`) are read at each service
+//!   start, which takes `1/rate` under deterministic service.
 //!
 //! With `k = 1` there are no cut edges, so the run is one unbounded window
 //! with no channels and no handoffs: `sharded:1` and `auto` are the same
@@ -306,14 +305,12 @@ impl LocalView for ShardView<'_> {
 
 /// Where a service start takes its duration from, fixed once per run.
 #[derive(Debug, Clone, Copy)]
-enum ServiceTime<'a> {
+enum ServiceTime {
     /// Deterministic service at the uniform unit rate: every service
     /// takes 1.
     Unit,
-    /// Deterministic service at per-edge rates: `1/rate`, precomputed once
-    /// per run and shared read-only by every shard (global indexing).
-    PerEdge(&'a [f64]),
-    /// Drawn from the run's service distribution at the edge's rate.
+    /// Drawn from the run's service distribution at the edge's rate
+    /// (`1/rate` under deterministic service, without touching the RNG).
     Sampled,
 }
 
@@ -346,7 +343,7 @@ where
 {
     sim: &'a NetworkSim<T, R, D>,
     part: &'a Partition,
-    service: ServiceTime<'a>,
+    service: ServiceTime,
     me: usize,
     /// This shard's sources as `(global source index, node)`, in global
     /// order.
@@ -380,7 +377,7 @@ where
     fn new(
         sim: &'a NetworkSim<T, R, D>,
         part: &'a Partition,
-        service: ServiceTime<'a>,
+        service: ServiceTime,
         me: usize,
         sources: &'a [(u32, NodeId)],
     ) -> Self {
@@ -573,7 +570,6 @@ where
     fn start_service(&mut self, le: usize, ge: u32, now: f64) {
         let dur = match self.service {
             ServiceTime::Unit => 1.0,
-            ServiceTime::PerEdge(d) => d[ge as usize],
             ServiceTime::Sampled => self
                 .sim
                 .cfg
@@ -908,14 +904,9 @@ where
             sim.cfg.horizon,
         )
     };
-    let durations: Vec<f64>;
     let service = match (sim.cfg.service, &sim.service_rates) {
         (ServiceKind::Deterministic, None) => ServiceTime::Unit,
-        (ServiceKind::Deterministic, Some(rates)) => {
-            durations = rates.iter().map(|r| 1.0 / r).collect();
-            ServiceTime::PerEdge(&durations)
-        }
-        (ServiceKind::Exponential, _) => ServiceTime::Sampled,
+        _ => ServiceTime::Sampled,
     };
 
     // Shard-local source lists, preserving global order. The global index

@@ -305,8 +305,9 @@ fn faulted_torus_and_hypercube_fingerprints_are_pinned() {
     // the lookahead Δ is that edge's service time, 0.5, until it fails at
     // t = 60, then 1 until its repair at t = 210, then 0.5 again, so the
     // window ends follow a Δ the fault plan changes mid-run.
+    let torus6 = Torus2D::new(6);
     let fast = EdgeId(70); // (2, 5) → (3, 5)
-    let mut rates = vec![1.0; Torus2D::new(6).num_edges()];
+    let mut rates = vec![1.0; torus6.num_edges()];
     rates[fast.index()] = 2.0;
     assert_eq!(rates.iter().filter(|&&r| r > 1.0).count(), 1);
     let rated = Scenario::parse(&format!(
@@ -317,9 +318,9 @@ fn faulted_torus_and_hypercube_fingerprints_are_pinned() {
     .service_rates(rates.clone());
     for shards in [2, 4] {
         for (sc, downed) in [
-            (&torus, downed_cut_edges(&Torus2D::new(6), &torus, shards)),
+            (&torus, downed_cut_edges(&torus6, &torus, shards)),
             (&cube, downed_cut_edges(&Hypercube::new(5), &cube, shards)),
-            (&rated, downed_cut_edges(&Torus2D::new(6), &rated, shards)),
+            (&rated, downed_cut_edges(&torus6, &rated, shards)),
         ] {
             assert!(
                 downed > 0,
@@ -327,7 +328,7 @@ fn faulted_torus_and_hypercube_fingerprints_are_pinned() {
                 sc.spec_string()
             );
         }
-        let part = Partition::contiguous(&Torus2D::new(6), shards);
+        let part = Partition::contiguous(&torus6, shards);
         let fastest: Vec<EdgeId> = part
             .cut_edges()
             .iter()

@@ -65,6 +65,8 @@
 //! merged in `(time, sender, sequence)` order (a stable sort over
 //! concatenated batches in fixed sender order) and scheduled as handoff
 //! events, which route the packet onward from the cut edge's target node.
+//! The exchange checks the lookahead in every build: a handoff that would
+//! land before the window end, in the receiver's past, panics the run.
 //!
 //! # Determinism
 //!
@@ -485,7 +487,7 @@ where
             if last {
                 break;
             }
-            self.exchange(tx_row, rx_row)?;
+            self.exchange(end, tx_row, rx_row)?;
         }
         Ok(self.finish())
     }
@@ -798,12 +800,21 @@ where
         self.queue.schedule(next, Ev::Probe);
     }
 
-    /// The epoch barrier: flush every outbox, then drain every peer, in
-    /// fixed order, and schedule the received packets as handoffs. A
-    /// closed channel means a peer died on its own error — bail with the
-    /// sentinel so the join loop reports theirs.
+    /// The epoch barrier at window end `end`: flush every outbox, then
+    /// drain every peer, in fixed order, and schedule the received packets
+    /// as handoffs. A closed channel means a peer died on its own error —
+    /// bail with the sentinel so the join loop reports theirs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a received handoff lands before `end`, in this shard's
+    /// past: the lookahead schedule (`window_ends`) is wrong. Every
+    /// service starts on a live edge at or after the window start and
+    /// lasts the `1/rate` the window length was computed from, so the
+    /// check holds exactly, rounding included.
     fn exchange(
         &mut self,
+        end: f64,
         tx_row: &[Option<SyncSender<Batch<R::State>>>],
         rx_row: &[Option<Receiver<Batch<R::State>>>],
     ) -> Result<(), Option<SimError>> {
@@ -820,6 +831,14 @@ where
         // Stable sort on time: ties keep (sender, emission) order, which
         // is identical on every rerun.
         incoming.sort_by(|a, b| a.time.total_cmp(&b.time));
+        if let Some(first) = incoming.first() {
+            assert!(
+                first.time >= end,
+                "shard {}: a handoff at t = {} landed before the window end {end}",
+                self.me,
+                first.time
+            );
+        }
         for m in incoming {
             let pid = self.alloc(m.packet);
             self.queue

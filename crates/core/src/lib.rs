@@ -101,5 +101,5 @@ pub mod stats {
 /// Re-export of the simulator crate.
 pub mod sim {
     pub use meshbound_sim::*;
-    pub use meshbound_sim::{copysys, network, ps, queue_sim, runner, scenario};
+    pub use meshbound_sim::{copysys, network, ps, runner, scenario};
 }

@@ -52,7 +52,6 @@ pub mod fault;
 pub mod network;
 pub mod observer;
 pub mod ps;
-pub mod queue_sim;
 pub mod resolve;
 pub mod rng;
 pub mod runner;

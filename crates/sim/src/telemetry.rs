@@ -218,14 +218,17 @@ enum MergeOp {
 struct Series {
     name: String,
     op: MergeOp,
+    /// Picks this series' value out of a tick's [`ProbeSample`].
+    read: fn(&ProbeSample) -> f64,
     data: DecimatingSeries,
 }
 
 impl Series {
-    fn new(name: impl Into<String>, op: MergeOp) -> Self {
+    fn new(name: impl Into<String>, op: MergeOp, read: fn(&ProbeSample) -> f64) -> Self {
         Self {
             name: name.into(),
             op,
+            read,
             data: DecimatingSeries::new(TELEMETRY_CAPACITY),
         }
     }
@@ -277,21 +280,22 @@ impl Recorder {
     pub fn for_shard(spec: &ProbeSpec, horizon: f64, shard: usize) -> Self {
         let mut series = Vec::new();
         if spec.nsys {
-            series.push(Series::new("nsys", MergeOp::Sum));
+            series.push(Series::new("nsys", MergeOp::Sum, |p| p.nsys));
         }
         if spec.maxq {
-            series.push(Series::new("maxq", MergeOp::Max));
+            series.push(Series::new("maxq", MergeOp::Max, |p| p.maxq));
         }
         if spec.drops {
-            series.push(Series::new("drops", MergeOp::Sum));
+            series.push(Series::new("drops", MergeOp::Sum, |p| p.drops));
         }
         if spec.delivered {
-            series.push(Series::new("delivered", MergeOp::Sum));
+            series.push(Series::new("delivered", MergeOp::Sum, |p| p.delivered));
         }
         if spec.shards {
-            for name in ["events", "qmass", "cut"] {
-                series.push(Series::new(format!("shard{shard}:{name}"), MergeOp::Keep));
-            }
+            let name = |s: &str| format!("shard{shard}:{s}");
+            series.push(Series::new(name("events"), MergeOp::Keep, |p| p.events));
+            series.push(Series::new(name("qmass"), MergeOp::Keep, |p| p.qmass));
+            series.push(Series::new(name("cut"), MergeOp::Keep, |p| p.cut));
         }
         Self {
             spec: *spec,
@@ -334,19 +338,7 @@ impl Recorder {
     pub fn record(&mut self, now: f64, sample: &ProbeSample) {
         self.ticks += 1;
         for s in &mut self.series {
-            let v = match s.name.split(':').nth(1) {
-                Some("events") => sample.events,
-                Some("qmass") => sample.qmass,
-                Some("cut") => sample.cut,
-                _ => match s.name.as_str() {
-                    "nsys" => sample.nsys,
-                    "maxq" => sample.maxq,
-                    "drops" => sample.drops,
-                    "delivered" => sample.delivered,
-                    other => unreachable!("unknown telemetry series `{other}`"),
-                },
-            };
-            s.data.record(now, v);
+            s.data.record(now, (s.read)(sample));
         }
     }
 

@@ -9,9 +9,9 @@
 //! | [`fig2`] | Figure 2 — saturated edges, even vs odd `n` |
 //! | [`extensions`] | §4.5/§5/§6 studies: bounds curves, stability, capacity allocation, hypercube/butterfly gaps, randomized greedy, torus, slotted time, non-uniform destinations |
 //!
-//! Every harness accepts a [`Scale`] so that CI and Criterion benches can
+//! Every harness accepts a [`Scale`] so that tests and `repro --quick` can
 //! run reduced but structurally identical versions ([`Scale::quick`]) while
-//! the `repro` binary runs publication-scale sweeps ([`Scale::full`]).
+//! plain `repro` runs publication-scale sweeps ([`Scale::full`]).
 
 pub mod extensions;
 pub mod fig1;
@@ -20,6 +20,7 @@ pub mod table1;
 pub mod table2;
 pub mod table3;
 
+use meshbound_sim::HorizonPolicy;
 use serde::{Deserialize, Serialize};
 
 /// Sizing knobs for a simulation sweep.
@@ -37,7 +38,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Reduced scale for tests and Criterion benches (seconds, not minutes).
+    /// Reduced scale for tests and `repro --quick` (seconds, not minutes).
     #[must_use]
     pub fn quick() -> Self {
         Self {
@@ -61,16 +62,22 @@ impl Scale {
         }
     }
 
-    /// Horizon for a cell at Table-ρ `rho`.
+    /// Horizon for a cell at Table-ρ `rho`: the [`HorizonPolicy::Auto`]
+    /// rule with this scale's base and cap.
     #[must_use]
     pub fn horizon(&self, rho: f64) -> f64 {
-        (self.horizon_base / (1.0 - rho).max(1e-3)).min(self.horizon_cap)
+        self.auto().resolve(rho).0
     }
 
-    /// Warmup used for a cell (one fifth of the horizon).
+    /// Warmup used for a cell: the policy's fifth of the horizon.
     #[must_use]
     pub fn warmup(&self, rho: f64) -> f64 {
-        self.horizon(rho) / 5.0
+        self.auto().resolve(rho).1
+    }
+
+    fn auto(&self) -> HorizonPolicy {
+        let (base, cap) = (self.horizon_base, self.horizon_cap);
+        HorizonPolicy::Auto { base, cap }
     }
 }
 

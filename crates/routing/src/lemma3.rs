@@ -9,7 +9,6 @@
 //! `1/n`, which makes greedy routing with uniform destinations Markovian
 //! (Corollary 4) — the key hypothesis of the Theorem 1 upper bound.
 
-use meshbound_topology::{LinearArray, NodeId};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -103,17 +102,6 @@ impl Lemma3Walk {
         node
     }
 
-    /// Runs the chain returning the node as a [`NodeId`] of `array`
-    /// (0-based).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `array` has a different length than the chain.
-    pub fn run_on(&self, array: &LinearArray, src: NodeId, rng: &mut SmallRng) -> NodeId {
-        assert_eq!(array.len(), self.n);
-        NodeId((self.run(src.index() + 1, rng) - 1) as u32)
-    }
-
     /// Exact absorption distribution from entry node `k`, computed by
     /// dynamic programming (used in tests to verify Lemma 3 analytically).
     #[must_use]
@@ -179,17 +167,6 @@ mod tests {
         for &c in &counts {
             let freq = f64::from(c) / trials as f64;
             assert!((freq - 1.0 / n as f64).abs() < 0.005, "freq {freq}");
-        }
-    }
-
-    #[test]
-    fn run_on_linear_array() {
-        let arr = LinearArray::new(5);
-        let walk = Lemma3Walk::new(5);
-        let mut rng = SmallRng::seed_from_u64(9);
-        for _ in 0..100 {
-            let d = walk.run_on(&arr, NodeId(2), &mut rng);
-            assert!(d.index() < 5);
         }
     }
 

@@ -89,15 +89,6 @@ impl<E: PartialEq> HeapQueue<E> {
             seq: 0,
         }
     }
-
-    /// Creates an empty queue with reserved capacity.
-    #[must_use]
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            heap: BinaryHeap::with_capacity(cap),
-            seq: 0,
-        }
-    }
 }
 
 impl<E: PartialEq> EventQueue<E> for HeapQueue<E> {

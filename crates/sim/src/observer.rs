@@ -64,13 +64,6 @@ impl Observer {
         self.delay_sample = Some(Reservoir::new(capacity, seed));
     }
 
-    /// Whether `now` is past the warmup boundary.
-    #[inline]
-    #[must_use]
-    pub fn measuring(&self, now: f64) -> bool {
-        now >= self.warmup
-    }
-
     /// Discards pre-warmup integrals (call exactly once, at the warmup
     /// boundary).
     pub fn reset_at_warmup(&mut self) {

@@ -1,9 +1,7 @@
 //! Replication aggregation for [`Scenario::run_replicated`](crate::scenario::Scenario::run_replicated).
 //!
 //! The topology-generic front door is [`crate::scenario::Scenario`]; this
-//! module keeps the [`ReplicatedResult`] aggregate it returns. (The
-//! original mesh-only entry points — `MeshSimConfig`, `simulate_mesh` —
-//! lived here as deprecated wrappers until PR 7 removed them.)
+//! module keeps the [`ReplicatedResult`] aggregate it returns.
 
 use crate::network::SimResult;
 use meshbound_stats::Summary;

@@ -1202,7 +1202,7 @@ impl Scenario {
     /// both as typed errors.
     #[must_use]
     pub fn run(&self) -> SimResult {
-        self.run_seeded(self.seed)
+        self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Runs the scenario once, surfacing every failure — invalid
@@ -1218,7 +1218,8 @@ impl Scenario {
     /// solver diverges, and [`ScenarioError::Sim`] when the simulation
     /// itself fails.
     pub fn try_run(&self) -> Result<SimResult, ScenarioError> {
-        self.try_run_seeded(self.seed)
+        self.validate()?;
+        self.run_at(self.try_lambda()?, self.seed)
     }
 
     /// [`Scenario::try_run`] at the λ of a resolution the caller already
@@ -1284,21 +1285,6 @@ impl Scenario {
         // 64-bit golden-ratio constant for full high-bit spread across
         // replication indices.
         splitmix64(self.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
-    /// Panicking wrapper around [`Scenario::try_run_seeded`].
-    pub(crate) fn run_seeded(&self, seed: u64) -> SimResult {
-        self.try_run_seeded(seed).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Runs the scenario once with `seed` as the master seed.
-    ///
-    /// # Errors
-    ///
-    /// See [`Scenario::try_run`].
-    pub fn try_run_seeded(&self, seed: u64) -> Result<SimResult, ScenarioError> {
-        self.validate()?;
-        self.run_at(self.try_lambda()?, seed)
     }
 
     /// One run of a validated scenario at the resolved `lambda`.

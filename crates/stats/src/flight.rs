@@ -18,27 +18,21 @@
 /// A fixed-capacity time series that halves its resolution instead of
 /// growing.
 ///
-/// Two feeding modes cover the two call sites in the simulator:
-///
-/// * [`DecimatingSeries::record`] stores every call. Use it when the
-///   caller can reschedule its sampling clock at the widened
-///   [`DecimatingSeries::stride`] after an overflow (the telemetry
-///   probes do this, so no work is wasted on samples that would be
-///   discarded).
-/// * [`DecimatingSeries::offer`] counts every call but stores only each
-///   `stride`-th one. Use it when the sampling clock is fixed and cannot
-///   be rescheduled (the observer's `N(t)` sampler fires at a
-///   user-chosen interval that other consumers depend on).
-///
-/// Both modes retain identical tick sets for identical call counts.
+/// Every [`DecimatingSeries::record`] call stores its sample. After each
+/// call the caller re-reads [`DecimatingSeries::stride`] and takes its
+/// next sample `stride × Δ` ahead, so once the buffer has decimated no
+/// work is spent on samples it would discard (the telemetry probes
+/// reschedule their sampling events this way).
 ///
 /// # Examples
 ///
 /// ```
 /// use meshbound_stats::DecimatingSeries;
 /// let mut s = DecimatingSeries::new(4);
-/// for k in 1..=32 {
-///     s.offer(k as f64, (k * k) as f64);
+/// let mut k = s.stride();
+/// while k <= 32 {
+///     s.record(k as f64, (k * k) as f64);
+///     k += s.stride();
 /// }
 /// assert!(s.len() <= 4);
 /// assert_eq!(s.stride(), 16);
@@ -49,7 +43,6 @@
 pub struct DecimatingSeries {
     capacity: usize,
     stride: u64,
-    offered: u64,
     samples: Vec<(f64, f64)>,
 }
 
@@ -70,30 +63,16 @@ impl DecimatingSeries {
         Self {
             capacity,
             stride: 1,
-            offered: 0,
             samples: Vec::new(),
         }
     }
 
-    /// Stores `(t, v)` unconditionally, decimating if the buffer is now
-    /// full. Callers in this mode should re-read [`DecimatingSeries::stride`]
-    /// after each call and schedule their next sample `stride × Δ` ahead.
+    /// Stores `(t, v)`, decimating if the buffer is now full. Callers
+    /// should re-read [`DecimatingSeries::stride`] after each call and
+    /// schedule their next sample `stride × Δ` ahead.
     pub fn record(&mut self, t: f64, v: f64) {
-        self.offered += self.stride;
         self.samples.push((t, v));
         self.maybe_decimate();
-    }
-
-    /// Counts a sample taken at a fixed base interval, storing only every
-    /// `stride`-th one. Returns `true` when the sample was stored.
-    pub fn offer(&mut self, t: f64, v: f64) -> bool {
-        self.offered += 1;
-        if !self.offered.is_multiple_of(self.stride) {
-            return false;
-        }
-        self.samples.push((t, v));
-        self.maybe_decimate();
-        true
     }
 
     /// Drops the 0-based even-index samples and doubles the stride once
@@ -118,19 +97,6 @@ impl DecimatingSeries {
     #[must_use]
     pub fn stride(&self) -> u64 {
         self.stride
-    }
-
-    /// Maximum number of samples the series will hold.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Total samples offered or recorded over the series' lifetime (in
-    /// base-interval ticks), independent of how many were retained.
-    #[must_use]
-    pub fn offered(&self) -> u64 {
-        self.offered
     }
 
     /// Number of retained samples.
@@ -186,6 +152,24 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Records `t²` at base ticks `stride, 2·stride, …` up to `ticks`,
+    /// rescheduling at the widened stride after each decimation, the way
+    /// the telemetry probes feed their series. Returns the calls made.
+    fn feed(s: &mut DecimatingSeries, ticks: u64) -> u64 {
+        let mut calls = 0;
+        let mut k = s.stride();
+        while k <= ticks {
+            s.record(k as f64, (k * k) as f64);
+            calls += 1;
+            k += s.stride();
+        }
+        calls
+    }
+
+    fn times(s: &DecimatingSeries) -> Vec<f64> {
+        s.samples().iter().map(|p| p.0).collect()
+    }
+
     #[test]
     #[should_panic(expected = "even number")]
     fn odd_capacity_rejected() {
@@ -195,60 +179,35 @@ mod tests {
     #[test]
     fn below_capacity_keeps_everything() {
         let mut s = DecimatingSeries::new(8);
-        for k in 1..=7u64 {
-            assert!(s.offer(k as f64, k as f64));
-        }
+        assert_eq!(feed(&mut s, 7), 7);
         assert_eq!(s.len(), 7);
         assert_eq!(s.stride(), 1);
-        let times: Vec<f64> = s.samples().iter().map(|p| p.0).collect();
-        assert_eq!(times, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
+        assert_eq!(times(&s), vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
     }
 
     #[test]
     fn first_decimation_keeps_even_ticks() {
         let mut s = DecimatingSeries::new(8);
-        for k in 1..=8u64 {
-            s.offer(k as f64, k as f64);
-        }
+        feed(&mut s, 8);
         assert_eq!(s.stride(), 2);
-        let times: Vec<f64> = s.samples().iter().map(|p| p.0).collect();
-        assert_eq!(times, vec![2.0, 4.0, 6.0, 8.0]);
-        // The next stored offer is tick 10; tick 9 is skipped.
-        assert!(!s.offer(9.0, 9.0));
-        assert!(s.offer(10.0, 10.0));
-    }
-
-    #[test]
-    fn record_mode_matches_offer_mode_tick_sets() {
-        // Offer mode at base interval 1 vs record mode rescheduling at
-        // the widened stride must retain identical tick sets.
-        let mut offered = DecimatingSeries::new(8);
-        for k in 1..=64u64 {
-            offered.offer(k as f64, 0.0);
-        }
-        let mut recorded = DecimatingSeries::new(8);
-        let mut t = 0u64;
-        while t < 64 {
-            t += recorded.stride();
-            if t <= 64 {
-                recorded.record(t as f64, 0.0);
-            }
-        }
-        let a: Vec<f64> = offered.samples().iter().map(|p| p.0).collect();
-        let b: Vec<f64> = recorded.samples().iter().map(|p| p.0).collect();
-        assert_eq!(a, b);
-        assert_eq!(offered.stride(), recorded.stride());
+        assert_eq!(times(&s), vec![2.0, 4.0, 6.0, 8.0]);
+        // The caller schedules its next sample one widened stride on, at
+        // tick 10, so the retained ticks stay contiguous.
+        s.record(10.0, 100.0);
+        assert_eq!(times(&s), vec![2.0, 4.0, 6.0, 8.0, 10.0]);
     }
 
     #[test]
     fn million_offers_stay_bounded() {
         let mut s = DecimatingSeries::new(64);
-        for k in 1..=1_000_000u64 {
-            s.offer(k as f64, k as f64);
-        }
+        let calls = feed(&mut s, 1_000_000);
         assert!(s.len() <= 64);
         assert!(s.stride().is_power_of_two());
-        assert_eq!(s.offered(), 1_000_000);
+        let newest = s.samples().last().unwrap().0 as u64;
+        assert!(1_000_000 - newest < s.stride());
+        // Rescheduling at the widened stride costs about `capacity / 2`
+        // calls per doubling, not one per base tick.
+        assert!(calls <= 64 + 32 * u64::from(s.stride().trailing_zeros()));
     }
 
     proptest! {
@@ -259,9 +218,7 @@ mod tests {
         ) {
             let capacity = 2 * half_cap;
             let mut s = DecimatingSeries::new(capacity);
-            for k in 1..=ticks {
-                s.offer(k as f64, (k as f64).sin());
-            }
+            feed(&mut s, ticks);
             // Bounded memory.
             prop_assert!(s.len() <= capacity);
             // Stride is a power of two.
@@ -276,7 +233,7 @@ mod tests {
             }
             // Once at least `stride` ticks have elapsed, something is
             // retained and the newest retained tick is within one
-            // stride of the latest offer.
+            // stride of the horizon.
             if ticks >= stride {
                 prop_assert!(!s.is_empty());
                 prop_assert!(ticks - last_stored < stride);

@@ -2,10 +2,9 @@
 //!
 //! This crate provides the graph substrate of the `meshbound` workspace: the
 //! two-dimensional array network of Mitzenmacher's paper ([`Mesh2D`]), plus
-//! every other topology the paper discusses — the linear array
-//! ([`LinearArray`], Lemma 3), the torus ([`Torus2D`], §6), the hypercube and
-//! butterfly ([`Hypercube`], [`Butterfly`], §4.5) and `k`-dimensional meshes
-//! ([`MeshKD`], §5.2).
+//! the other topologies the paper simulates or bounds — the torus
+//! ([`Torus2D`], §6), the hypercube and butterfly ([`Hypercube`],
+//! [`Butterfly`], §4.5) and `k`-dimensional meshes ([`MeshKD`], §5.2).
 //!
 //! All topologies use **directed** edges: each neighbouring pair of nodes is
 //! joined by two edges, one per direction, exactly as in the paper's model
@@ -25,7 +24,6 @@ pub mod butterfly;
 pub mod hypercube;
 pub mod ids;
 pub mod layering;
-pub mod linear;
 pub mod mesh;
 pub mod meshkd;
 pub mod partition;
@@ -37,7 +35,6 @@ pub use butterfly::Butterfly;
 pub use hypercube::Hypercube;
 pub use ids::{EdgeId, NodeId};
 pub use layering::{check_layered, lemma2_label};
-pub use linear::LinearArray;
 pub use mesh::{Direction, Mesh2D};
 pub use meshkd::MeshKD;
 pub use partition::Partition;

@@ -14,6 +14,7 @@
 //! 4. the copy ("rushed") system of Theorem 10, whose population equals
 //!    `Σ_e N_{M/D/1}(λ_e)` and is at most `d̄·E[N_FIFO]`.
 
+use meshbound::queueing::jackson::mean_number_unit;
 use meshbound::queueing::remaining::dbar_closed;
 use meshbound::queueing::single::md1_mean_number;
 use meshbound::routing::dest::UniformDest;
@@ -70,7 +71,7 @@ fn main() {
     );
 
     let rates = mesh_thm6_rates(&mesh, lambda);
-    let product_form: f64 = rates.iter().map(|&l| l / (1.0 - l)).sum();
+    let product_form = mean_number_unit(&rates);
     println!("   product form Σ λe/(1−λe):    E[N] = {product_form:>8.2}");
 
     let copies = CopySystemSim::new(mesh.clone(), GreedyXY, UniformDest, cfg).run();

@@ -9,6 +9,7 @@
 
 use meshbound::sim::fault::FaultPlan;
 use meshbound::sim::SimResult;
+use meshbound::stats::{t_quantile, Summary};
 use meshbound::topology::{EdgeId, Hypercube, Partition, Topology, Torus2D};
 use meshbound::{EngineSpec, Load, RouterSpec, Scenario, TrafficSpec};
 use proptest::prelude::*;
@@ -566,36 +567,45 @@ fn one_shard_matches_the_calendar_engine_bit_for_bit() {
     }
 }
 
+/// Asserts that two replication sets of one metric share a mean: a
+/// two-sided Welch t-test at the 99.9% level, on the Welch–Satterthwaite
+/// degrees of freedom rounded down.
+fn assert_same_mean(what: &str, a: &Summary, b: &Summary) {
+    let var = |s: &Summary| s.std_dev().powi(2) / s.count() as f64;
+    let (va, vb) = (var(a), var(b));
+    let t = (a.mean() - b.mean()) / (va + vb).sqrt();
+    let dof = (va + vb).powi(2)
+        / (va.powi(2) / (a.count() - 1) as f64 + vb.powi(2) / (b.count() - 1) as f64);
+    let critical = t_quantile(0.9995, dof as u64);
+    assert!(
+        t.abs() <= critical,
+        "{what}: {:.4} vs {:.4} over {} replications each, |t| = {:.2} > {critical:.2}",
+        a.mean(),
+        b.mean(),
+        a.count(),
+        t.abs()
+    );
+}
+
 #[test]
 fn sharded_engine_agrees_statistically_with_the_oracle() {
     // At shards >= 2 the partition changes the per-shard RNG streams, so
     // results differ bitwise from the one-shard oracle — but they
-    // simulate the same system, so the summary statistics must agree
-    // within sampling noise.
+    // simulate the same system, so the replication means must agree.
+    // Sized so that handoffs landing 0.05 late fail the test.
+    const REPS: usize = 16;
     for sc in sharded_cases() {
-        let sc = sc.horizon(900.0).warmup(90.0).seed(41);
+        let sc = sc.horizon(1800.0).warmup(180.0).seed(41);
         let label = sc.spec_string();
-        let oracle = sc.clone().engine(EngineSpec::Auto).run();
+        let oracle = sc.clone().engine(EngineSpec::Auto).run_replicated(REPS);
         for shards in [2, 4] {
-            let res = sc.clone().engine(EngineSpec::Sharded { shards }).run();
-            assert!(
-                res.completed > 0,
-                "{label} shards={shards}: nothing delivered"
-            );
-            let rel = (res.avg_delay - oracle.avg_delay).abs() / oracle.avg_delay;
-            assert!(
-                rel < 0.15,
-                "{label} shards={shards}: delay {} vs oracle {} (rel {rel:.3})",
-                res.avg_delay,
-                oracle.avg_delay
-            );
-            let rel_n = (res.time_avg_n - oracle.time_avg_n).abs() / oracle.time_avg_n;
-            assert!(
-                rel_n < 0.15,
-                "{label} shards={shards}: N {} vs oracle {} (rel {rel_n:.3})",
-                res.time_avg_n,
-                oracle.time_avg_n
-            );
+            let res = sc
+                .clone()
+                .engine(EngineSpec::Sharded { shards })
+                .run_replicated(REPS);
+            let what = |m: &str| format!("{label} shards={shards}: {m}");
+            assert_same_mean(&what("avg_delay"), &res.delay, &oracle.delay);
+            assert_same_mean(&what("time_avg_n"), &res.n, &oracle.n);
         }
     }
 }

@@ -1,10 +1,11 @@
 //! Fault-injection determinism: a materialized `FaultPlan` is a pure
 //! function of `(seed, FaultSpec, topology)`, `faults=none` reproduces
 //! the pre-fault golden fingerprints bit for bit on every topology
-//! family, and the calendar and sharded engines agree on what a faulted
-//! network delivers.
+//! family, and one-shard and sharded runs agree on what a faulted network
+//! delivers.
 
-use meshbound::sim::{FaultPlan, SimResult};
+use meshbound::sim::{FaultPlan, ReplicatedResult, SimResult};
+use meshbound::stats::{t_quantile, Summary};
 use meshbound::topology::{Butterfly, Hypercube, Mesh2D, MeshKD, Topology, Torus2D};
 use meshbound::{EngineSpec, FaultSpec, Scenario};
 use proptest::prelude::*;
@@ -183,37 +184,58 @@ fn faults_none_reproduces_the_pre_fault_fingerprints() {
     }
 }
 
+/// Asserts that `metric` has the same mean on both engines' replications:
+/// a two-sided paired t-test at the 99.9% level. Replication `i` runs one
+/// seed, and so one fault plan, on both engines, so the difference of a
+/// pair cancels the plan's share of the variance.
+fn assert_same_paired_mean(
+    what: &str,
+    a: &ReplicatedResult,
+    b: &ReplicatedResult,
+    metric: fn(&SimResult) -> f64,
+) {
+    let diffs: Vec<f64> = a
+        .runs
+        .iter()
+        .zip(&b.runs)
+        .map(|(x, y)| metric(x) - metric(y))
+        .collect();
+    let d = Summary::from_values(&diffs);
+    let t = d.mean() / (d.std_dev() / (d.count() as f64).sqrt());
+    let critical = t_quantile(0.9995, d.count() - 1);
+    assert!(
+        t.abs() <= critical,
+        "{what}: mean difference {:.4} over {} paired replications, |t| = {:.2} > {critical:.2}",
+        d.mean(),
+        d.count(),
+        t.abs()
+    );
+}
+
 #[test]
 fn calendar_and_sharded_agree_on_faulted_delivery_statistically() {
     // Shards >= 2 re-stream the RNG, so faulted results differ bitwise
-    // from the one-shard (calendar-queue) `auto` oracle — but both replay
-    // the *same* fault plan, so the delivered fraction and the drop mass
-    // must agree within sampling noise.
+    // from the one-shard `auto` oracle — but both replay the same fault
+    // plan per replication, so the delivered fraction and the drop total
+    // must agree in the mean. Sized so that losing one handoff in twenty
+    // fails the test.
+    const REPS: usize = 16;
     let sc = Scenario::parse(
         "mesh:8,lambda=0.12,faults=links:0.1+at:100,horizon=1200,warmup=120,seed=13",
     )
     .unwrap();
-    let oracle = sc.clone().engine(EngineSpec::Auto).run();
-    assert!(oracle.dropped.total() > 0, "oracle saw no drops");
-    assert!(oracle.delivered_fraction < 1.0);
-    let sharded = sc.engine(EngineSpec::Sharded { shards: 2 }).run();
-    let rel_delivered =
-        (sharded.delivered_fraction - oracle.delivered_fraction).abs() / oracle.delivered_fraction;
+    let oracle = sc.clone().engine(EngineSpec::Auto).run_replicated(REPS);
+    let sharded = sc
+        .engine(EngineSpec::Sharded { shards: 2 })
+        .run_replicated(REPS);
     assert!(
-        rel_delivered < 0.10,
-        "delivered {} vs oracle {} (rel {rel_delivered:.3})",
-        sharded.delivered_fraction,
-        oracle.delivered_fraction
+        oracle.runs.iter().all(|r| r.dropped.total() > 0),
+        "an oracle run saw no drops"
     );
-    let (d, o) = (
-        sharded.dropped.total() as f64,
-        oracle.dropped.total() as f64,
-    );
-    let rel_dropped = (d - o).abs() / o;
-    assert!(
-        rel_dropped < 0.35,
-        "dropped {d} vs oracle {o} (rel {rel_dropped:.3})"
-    );
+    assert_same_paired_mean("delivered_fraction", &sharded, &oracle, |r| {
+        r.delivered_fraction
+    });
+    assert_same_paired_mean("dropped", &sharded, &oracle, |r| r.dropped.total() as f64);
 }
 
 #[test]

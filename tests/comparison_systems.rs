@@ -29,6 +29,54 @@ fn cfg(lambda: f64, seed: u64) -> NetConfig {
     }
 }
 
+/// The PS and copy networks' outputs, bit for bit: PS `(completed,
+/// time_avg_n, avg_delay)` and copies `(generated, time_avg_copies)` on
+/// `mesh:4` and `torus:5`, one operating point each.
+#[test]
+fn ps_and_copy_outputs_are_pinned() {
+    use meshbound::routing::TorusGreedy;
+    use meshbound::topology::Torus2D;
+    let at = |lambda, seed| NetConfig {
+        lambda,
+        horizon: 3_000.0,
+        warmup: 300.0,
+        seed,
+        ..NetConfig::default()
+    };
+    let mesh = (
+        PsNetworkSim::new(Mesh2D::square(4), GreedyXY, UniformDest, at(0.2, 7)).run(),
+        CopySystemSim::new(Mesh2D::square(4), GreedyXY, UniformDest, at(0.2, 7)).run(),
+    );
+    let torus = (
+        PsNetworkSim::new(Torus2D::new(5), TorusGreedy, UniformDest, at(0.3, 8)).run(),
+        CopySystemSim::new(Torus2D::new(5), TorusGreedy, UniformDest, at(0.3, 8)).run(),
+    );
+    let got: Vec<_> = [mesh, torus]
+        .iter()
+        .map(|(ps, copies)| {
+            (
+                (
+                    ps.completed,
+                    ps.time_avg_n.to_bits(),
+                    ps.avg_delay.to_bits(),
+                ),
+                (copies.generated, copies.time_avg_copies.to_bits()),
+            )
+        })
+        .collect();
+    let pinned = [
+        (
+            (8667, 0x4023_6b5b_7584_bad7, 0x4008_2857_6f60_cfa8),
+            (8209, 0x4021_ea88_eda0_d58f),
+        ),
+        (
+            (20219, 0x4035_d5cf_7bcd_d3ca, 0x4007_4f67_82a8_a650),
+            (19509, 0x4034_1e12_586c_d7eb),
+        ),
+    ];
+    assert_eq!(got, pinned, "mesh:4 then torus:5, bits in hex: {got:#x?}");
+}
+
 #[test]
 fn theorem5_ps_dominates_fifo_across_loads() {
     for &(n, rho) in &[(4usize, 0.5), (5, 0.7), (6, 0.85)] {

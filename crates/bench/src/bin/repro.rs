@@ -361,9 +361,10 @@ fn usage() -> String {
          `|`-separated alternatives. Sweep keys:\n\
          {}\
          \n\
-         `repro timeline <spec>` runs a spec (defaulting probes=all) and\n\
-         prints each telemetry series as an ASCII trajectory; `--telemetry`\n\
-         also defaults probes=all, `--progress` probes=nsys.",
+         `repro timeline <spec>` runs a spec and prints each telemetry\n\
+         series as an ASCII trajectory. `timeline` and `--telemetry` probe\n\
+         all series unless the spec names some; probes=none, the default,\n\
+         names none. `--progress` alone probes nsys.",
         flags_of(Command::Artifacts),
         names.join("|"),
         flags_of(Command::Scenario),
@@ -500,8 +501,8 @@ fn artifacts(cli: &Cli) -> ExitCode {
 fn scenarios(cli: &Cli) -> ExitCode {
     let timeline = cli.command == Command::Timeline;
     // `timeline` and `--telemetry` need series to report; `--progress`
-    // needs ticks to fire. A spec that already says `probes=` keeps its
-    // own selection.
+    // needs ticks to fire. A spec that names series keeps its own
+    // selection; `probes=none` is the default, so it selects nothing.
     let probes = match (timeline || cli.telemetry.is_some(), cli.progress) {
         (true, _) => "all",
         (false, true) => "nsys",
@@ -522,17 +523,12 @@ fn scenarios(cli: &Cli) -> ExitCode {
             Ok(res) => res,
             Err(code) => return code,
         };
+        // `timeline` and `--telemetry` always run probed (see above).
+        let Some(tel) = &res.telemetry else { continue };
         if timeline {
-            match &res.telemetry {
-                Some(tel) => out!("{}", tel.render_timeline()),
-                None => out!("  (no telemetry: spec says probes=none)\n"),
-            }
+            out!("{}", tel.render_timeline());
         }
         if let Some(path) = &cli.telemetry {
-            let Some(tel) = &res.telemetry else {
-                err!("repro: `--telemetry` needs probes — spec says probes=none\n");
-                return ExitCode::from(2);
-            };
             if let Err(e) = std::fs::write(path, tel.to_json_pretty()) {
                 err!("repro: cannot write `{path}`: {e}\n");
                 return ExitCode::FAILURE;

@@ -88,6 +88,33 @@ fn faulted_reruns_are_bit_identical_on_both_engines() {
     }
 }
 
+#[test]
+fn timeline_probes_every_series_when_the_spec_says_probes_none() {
+    // `probes=none` is the default, so it names no series, and `timeline`
+    // probes them all.
+    let out = repro(&["timeline", "mesh:4 probes=none horizon=100 warmup=10"]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for series in [
+        "nsys",
+        "maxq",
+        "drops",
+        "delivered",
+        "shard0:events",
+        "shard0:qmass",
+        "shard0:cut",
+    ] {
+        assert!(
+            stdout.lines().any(|l| l.trim_start().starts_with(series)),
+            "no `{series}` series:\n{stdout}"
+        );
+    }
+}
+
 /// Asserts the CLI's error contract: a failed run exits nonzero with a
 /// `repro: …` line on stderr, and no run ever panics.
 fn assert_clean_exit(args: &[&str], out: &Output) {

@@ -38,7 +38,7 @@
 //! | Name a scenario on a command line | [`Scenario::parse`] |
 //! | Regenerate a paper table/figure | [`experiments`] |
 //! | Topologies / routers / formulas | [`topology`], [`routing`], [`queueing`] |
-//! | Generic simulator internals | [`sim::NetworkSim`] |
+//! | The PS and copy comparison networks | [`Scenario::run_ps`], [`Scenario::run_copies`] |
 //!
 //! ## Quickstart
 //!

@@ -136,7 +136,9 @@ pub struct SweepCellReport {
     /// Mean delay across replications.
     pub delay_mean: f64,
     /// 95% Student-t half-width across replications (0 for one
-    /// replication).
+    /// replication). In a faulted cell each replication draws its own
+    /// fault plan from its seed, so the interval spans plan-to-plan spread
+    /// as well as simulation noise.
     pub delay_half_width: f64,
     /// Mean time-averaged number-in-system across replications.
     pub time_avg_n: f64,
@@ -320,6 +322,12 @@ impl SweepReport {
             self.spec, self.num_cells, self.reps, self.workers
         );
         out.push_str(&t.render());
+        if self.cells.iter().any(|c| c.scenario.faults.is_some()) {
+            out.push_str(
+                "note: a faulted cell's ± spans fault plans as well as simulation noise \
+                 (each replication draws its own plan)\n",
+            );
+        }
         out.push_str(&format!(
             "wall {:.2}s, cells {:.2}s, speedup {:.2}x, bounds {}\n",
             self.wall_s,
@@ -588,6 +596,8 @@ mod tests {
         // Each workload's simulated delay respects the bounds computed
         // from its own edge-rate vector.
         assert!(report.all_within_bounds, "{}", report.to_text());
+        // A healthy grid carries no fault-plan note.
+        assert!(!report.to_text().contains("fault plans"));
         // And the JSON carries the labels.
         let json = report.to_json();
         assert!(json.contains("\"traffic\":\"transpose\""));
@@ -621,6 +631,8 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"faults\":\"links:0.1\""));
         assert!(json.contains("\"degradation\":{"));
+        // The text table says what a faulted cell's interval spans.
+        assert!(report.to_text().contains("spans fault plans"));
     }
 
     #[test]

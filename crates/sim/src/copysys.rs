@@ -9,14 +9,18 @@
 //! `E[N̄] ≤ d·E[N]` and `E[N̄] ≤ d̄·E[N]` against the real network; this
 //! simulator verifies both the product value and the inequalities
 //! empirically.
+//!
+//! [`Scenario::run_copies`](crate::Scenario::run_copies) runs it over the
+//! same run description as the FIFO engine, on every family with an
+//! oblivious router.
 
 use crate::events::{EventQueue, HeapQueue};
-use crate::network::NetConfig;
+use crate::network::{NetworkSim, SimError, System};
 use crate::rng::{derive_rng, exp_sample};
 use meshbound_routing::dest::DestSampler;
 use meshbound_routing::Router;
 use meshbound_stats::TimeWeighted;
-use meshbound_topology::{NodeId, Topology};
+use meshbound_topology::Topology;
 use serde::{Deserialize, Serialize};
 
 /// Output of a copy-system run.
@@ -35,82 +39,64 @@ enum Ev {
     Warmup,
 }
 
-/// Simulates the Theorem 10 copy network `Q₁` for any router/topology.
-pub struct CopySystemSim<T, R, D>
-where
-    T: Topology,
-    R: Router<T>,
-    D: DestSampler<T>,
-{
-    topo: T,
-    router: R,
-    dest: D,
-    cfg: NetConfig,
-}
+/// The Theorem 10 copy network `Q₁`.
+pub(crate) struct Copies;
 
-impl<T, R, D> CopySystemSim<T, R, D>
-where
-    T: Topology,
-    R: Router<T>,
-    D: DestSampler<T>,
-{
-    /// Creates the simulator; every node is a source.
-    pub fn new(topo: T, router: R, dest: D, cfg: NetConfig) -> Self {
-        assert!(cfg.slot.is_none(), "copy system uses continuous arrivals");
-        Self {
-            topo,
-            router,
-            dest,
-            cfg,
-        }
-    }
+impl System for Copies {
+    type Output = CopyResult;
 
-    /// Runs to the horizon.
-    #[must_use]
-    pub fn run(self) -> CopyResult {
-        let cfg = self.cfg.clone();
-        let mut rng = derive_rng(cfg.seed, 2);
-        let sources: Vec<NodeId> = self.topo.nodes().collect();
-        let num_edges = self.topo.num_edges();
-        // Per-edge: number queued and next free service-start time.
+    fn simulate<T, R, D>(self, sim: &NetworkSim<'_, T, R, D>) -> Result<CopyResult, SimError>
+    where
+        T: Topology + Sync,
+        R: Router<T> + Sync,
+        D: DestSampler<T> + Sync,
+    {
+        let sc = sim.sc;
+        let mut rng = derive_rng(sim.seed, 2);
+        let num_edges = sim.topo.num_edges();
+        // Per-edge: copies queued, the one in service included.
         let mut backlog: Vec<u32> = vec![0; num_edges];
         let mut queue: HeapQueue<Ev> = HeapQueue::new();
         let mut copies = TimeWeighted::new(0.0, 0.0);
         let mut generated = 0u64;
 
-        for i in 0..sources.len() {
-            queue.schedule(exp_sample(&mut rng, cfg.lambda), Ev::Arrival(i as u32));
+        for i in 0..sim.sources.len() {
+            let rate = sim.source_rate(i);
+            if rate > 0.0 {
+                queue.schedule(exp_sample(&mut rng, rate), Ev::Arrival(i as u32));
+            }
         }
-        if cfg.warmup > 0.0 {
-            queue.schedule(cfg.warmup, Ev::Warmup);
+        if sc.warmup > 0.0 {
+            queue.schedule(sc.warmup, Ev::Warmup);
         }
 
         while let Some((now, ev)) = queue.next() {
-            if now > cfg.horizon {
+            if now > sc.horizon {
                 break;
             }
             match ev {
-                Ev::Warmup => copies.reset(cfg.warmup),
+                Ev::Warmup => copies.reset(sc.warmup),
                 Ev::Arrival(i) => {
-                    let src = sources[i as usize];
-                    let dst = self.dest.sample(&self.topo, src, &mut rng);
+                    let src = sim.sources[i as usize];
+                    let dst = sim.dest.sample(&sim.topo, src, &mut rng);
                     if src != dst {
-                        if now >= cfg.warmup {
+                        if now >= sc.warmup {
                             generated += 1;
                         }
-                        let state = self.router.init_state(&self.topo, src, dst, &mut rng);
+                        let state = sim.router.init_state(&sim.topo, src, dst, &mut rng);
                         let mut cur = src;
-                        while let Some(e) = self.router.next_edge(&self.topo, cur, dst, state) {
+                        while let Some(e) = sim.router.next_edge(&sim.topo, cur, dst, state) {
                             let ei = e.index();
                             copies.add(now, 1.0);
                             backlog[ei] += 1;
                             if backlog[ei] == 1 {
                                 queue.schedule(now + 1.0, Ev::Departure(ei as u32));
                             }
-                            cur = self.topo.edge_target(e);
+                            cur = sim.topo.edge_target(e);
                         }
                     }
-                    queue.schedule(now + exp_sample(&mut rng, cfg.lambda), Ev::Arrival(i));
+                    let dt = exp_sample(&mut rng, sim.source_rate(i as usize));
+                    queue.schedule(now + dt, Ev::Arrival(i));
                 }
                 Ev::Departure(e) => {
                     let ei = e as usize;
@@ -124,62 +110,41 @@ where
             }
         }
 
-        let measure = (cfg.horizon - cfg.warmup).max(f64::MIN_POSITIVE);
-        CopyResult {
-            time_avg_copies: copies.integral(cfg.horizon) / measure,
+        let measure = (sc.horizon - sc.warmup).max(f64::MIN_POSITIVE);
+        Ok(CopyResult {
+            time_avg_copies: copies.integral(sc.horizon) / measure,
             generated,
-        }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::ps::tests::{assert_covers, workloads};
+    use crate::{Load, Scenario};
     use meshbound_queueing::single::md1_mean_number;
-    use meshbound_routing::dest::UniformDest;
-    use meshbound_routing::GreedyXY;
-    use meshbound_topology::Mesh2D;
 
     #[test]
     fn copy_population_matches_sum_of_md1_queues() {
         // Linearity of expectation across *dependent* M/D/1 queues: the
         // crucial step in Theorem 10's proof, verified by simulation.
-        let n = 4;
-        let mesh = Mesh2D::square(n);
-        let lambda = 0.3;
-        let cfg = NetConfig {
-            lambda,
-            horizon: 40_000.0,
-            warmup: 2_000.0,
-            seed: 31,
-            ..NetConfig::default()
-        };
-        let res = CopySystemSim::new(mesh.clone(), GreedyXY, UniformDest, cfg).run();
-        let rates = meshbound_routing::rates::mesh_thm6_rates(&mesh, lambda);
-        let expect: f64 = rates.iter().map(|&l| md1_mean_number(l)).sum();
-        let rel = (res.time_avg_copies - expect).abs() / expect;
-        assert!(
-            rel < 0.05,
-            "copy system E[N̄] = {}, Σ M/D/1 = {expect}",
-            res.time_avg_copies
-        );
+        for sc in workloads() {
+            let expect: f64 = sc.edge_rates().iter().map(|&l| md1_mean_number(l)).sum();
+            assert_covers(&sc, expect, |sc| sc.run_copies().unwrap().time_avg_copies);
+        }
     }
 
     #[test]
     fn thm12_inequality_against_fifo_network() {
         // E[N̄] ≤ d̄ · E[N] with d̄ = n − 1/2.
-        use crate::network::NetworkSim;
         let n = 5;
-        let mesh = Mesh2D::square(n);
-        let cfg = NetConfig {
-            lambda: 0.35,
-            horizon: 30_000.0,
-            warmup: 2_000.0,
-            seed: 32,
-            ..NetConfig::default()
-        };
-        let fifo = NetworkSim::new(mesh.clone(), GreedyXY, UniformDest, cfg.clone()).run();
-        let copies = CopySystemSim::new(mesh, GreedyXY, UniformDest, cfg).run();
+        let sc = Scenario::mesh(n)
+            .load(Load::Lambda(0.35))
+            .horizon(30_000.0)
+            .warmup(2_000.0)
+            .seed(32);
+        let fifo = sc.run();
+        let copies = sc.run_copies().unwrap();
         let dbar = n as f64 - 0.5;
         assert!(
             copies.time_avg_copies <= dbar * fifo.time_avg_n,

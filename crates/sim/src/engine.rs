@@ -1,4 +1,4 @@
-//! Engine selection for [`NetworkSim::run`](crate::NetworkSim::run).
+//! Engine selection for [`Scenario::run`](crate::Scenario::run).
 //!
 //! The simulator has one engine, the shard loop in `crate::shard`;
 //! [`EngineSpec`] only says how many node shards it runs on. `auto` is one

@@ -6,8 +6,10 @@
 //! time and infinite buffers — as well as every variant the paper analyzes:
 //!
 //! * **Jackson mode** (exponential transmission times, §3.3) and
-//!   **processor-sharing mode** (the Theorem 1/5 comparison system, [`ps`]);
-//! * the **copy/"rushed" reference system** of Theorem 10 ([`copysys`]);
+//!   **processor-sharing mode** (the Theorem 1/5 comparison system, [`ps`],
+//!   run by [`Scenario::run_ps`]);
+//! * the **copy/"rushed" reference system** of Theorem 10 ([`copysys`], run
+//!   by [`Scenario::run_copies`]);
 //! * **variable per-edge service rates** for the §5.1 capacity experiments;
 //! * **slotted time** with batch Poisson arrivals (§5.2);
 //! * alternative topologies (torus, hypercube, butterfly, `k`-d meshes) and
@@ -67,7 +69,7 @@ pub use engine::EngineSpec;
 pub use fault::{DropCause, DropCounts, FaultPlan, FaultSpec};
 pub use meshbound_queueing::load::Load;
 pub use meshbound_routing::pattern::PermutationKind;
-pub use network::{EdgeThroughputStats, NetworkSim, SimError, SimResult};
+pub use network::{EdgeThroughputStats, SimError, SimResult};
 pub use resolve::{RateClass, Resolution};
 pub use runner::ReplicatedResult;
 pub use scenario::{RouterSpec, Scenario, ScenarioError, TopologySpec};

@@ -1,80 +1,29 @@
-//! The packet-level FIFO network simulator (the paper's standard model and
-//! its Jackson variant): configuration, results and the [`NetworkSim`]
-//! builder.
+//! The packet-level FIFO network (the paper's standard model and its
+//! Jackson variant): the description of one run, and the result it
+//! produces.
 //!
 //! Each directed edge is a server with its own FIFO queue and service rate.
 //! Packets are generated at source nodes by Poisson processes (or in batch
 //! at slot boundaries in slotted mode, §5.2), routed hop by hop by a
 //! [`Router`], and leave the system on reaching their destination.
 //!
-//! [`NetworkSim::run`] hands the model to the one engine in
-//! [`crate::shard`], on one node shard for [`EngineSpec::Auto`] and on `N`
-//! for [`EngineSpec::Sharded`].
+//! [`Scenario`]'s one dispatch builds each run's description, `NetworkSim`:
+//! the concrete topology, router and destination sampler, the sources and
+//! their rates, the saturated-edge mask and the fault plan, next to the
+//! validated scenario itself, the resolved λ and the replication seed. The
+//! one engine in [`crate::shard`] runs it ([`Scenario::run`]), and so do
+//! the comparison networks in [`crate::ps`] ([`Scenario::run_ps`]) and
+//! [`crate::copysys`] ([`Scenario::run_copies`]).
 
-use crate::engine::EngineSpec;
 use crate::fault::{DropCounts, FaultPlan};
-use crate::service::ServiceKind;
-use crate::telemetry::{ProbeSpec, TelemetryReport};
+use crate::scenario::Scenario;
+use crate::telemetry::TelemetryReport;
+use meshbound_queueing::remaining::saturated_edges;
 use meshbound_routing::dest::DestSampler;
+use meshbound_routing::pattern::PatternTopology;
 use meshbound_routing::{Router, ZeroView};
-use meshbound_topology::{EdgeId, NodeId, Topology};
+use meshbound_topology::{NodeId, Topology};
 use serde::{Deserialize, Serialize};
-
-/// Tuning parameters common to all topologies.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct NetConfig {
-    /// Per-source Poisson arrival rate λ.
-    pub lambda: f64,
-    /// Simulated end time.
-    pub horizon: f64,
-    /// Warmup time; statistics start here.
-    pub warmup: f64,
-    /// Master RNG seed.
-    pub seed: u64,
-    /// Transmission-time distribution.
-    pub service: ServiceKind,
-    /// Whether packets with `source == destination` count (delay 0). The
-    /// paper's model allows them, and the default counts them. For how the
-    /// paper's printed Table I simulation column treats them, see
-    /// ROADMAP.md, direction 2.
-    pub include_self_packets: bool,
-    /// Slotted-time mode: packets arrive in Poisson batches of mean `λ·τ`
-    /// at multiples of `τ` (§5.2).
-    pub slot: Option<f64>,
-    /// Track delay quantiles with a bounded reservoir sample.
-    pub delay_quantiles: bool,
-    /// Track per-edge time-averaged queue lengths (the §4.4 "middle queues
-    /// are larger" diagnostic). Adds one integrator update per enqueue and
-    /// dequeue.
-    pub track_edge_queues: bool,
-    /// Telemetry probes: which time series to sample at deterministic
-    /// sim-clock ticks, `N(t)` among them. `None` (the default) schedules
-    /// no probe events and leaves every result field bit-identical to a
-    /// pre-telemetry build; `Some` attaches a [`TelemetryReport`] without
-    /// perturbing any other field — probes read engine state but never
-    /// mutate it.
-    pub probes: Option<ProbeSpec>,
-    /// How many node shards the engine runs on. `auto` is one shard.
-    pub engine: EngineSpec,
-}
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        Self {
-            lambda: 0.1,
-            horizon: 1_000.0,
-            warmup: 100.0,
-            seed: 1,
-            service: ServiceKind::Deterministic,
-            include_self_packets: true,
-            slot: None,
-            delay_quantiles: false,
-            track_edge_queues: false,
-            probes: None,
-            engine: EngineSpec::Auto,
-        }
-    }
-}
 
 /// Aggregated output of one simulation run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -144,7 +93,7 @@ pub struct SimResult {
     /// Per-edge time-averaged queue length (including the packet in
     /// service), when `track_edge_queues` was enabled.
     pub edge_mean_queue: Option<Vec<f64>>,
-    /// Flight-recorder telemetry, when [`NetConfig::probes`] was set.
+    /// Flight-recorder telemetry, when [`Scenario::probes`] was set.
     /// Purely additive: every other field is bit-identical to the same
     /// run with probes off.
     pub telemetry: Option<TelemetryReport>,
@@ -165,15 +114,11 @@ pub struct EdgeThroughputStats {
     pub std_dev: f64,
 }
 
-/// A structural failure inside a simulation run.
-///
-/// A router stall is always a router/topology contract violation on a
-/// *healthy* topology (greedy routers are total; under a fault plan an
-/// unroutable packet becomes an accounted drop instead), so
-/// [`NetworkSim::run`] panics on it; [`NetworkSim::try_run`] surfaces it
-/// as a value for callers that prefer to handle it. An unsupported
-/// configuration means the engine cannot honor the run's parameters at
-/// all.
+/// A structural failure inside a simulation run: a router/topology
+/// contract violation on a *healthy* topology. Greedy routers are total
+/// there; under a fault plan an unroutable packet becomes an accounted drop
+/// instead. [`Scenario::run`] panics on it, and [`Scenario::try_run`]
+/// surfaces it as [`ScenarioError::Sim`](crate::ScenarioError::Sim).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// The router produced no next edge at `node` for a packet destined
@@ -186,26 +131,15 @@ pub enum SimError {
         /// Type name of the offending router.
         router: &'static str,
     },
-    /// The engine cannot honor the run's configuration (e.g. a slot width
-    /// that is not positive, or exponential service on more than one
-    /// shard, where no conservative lookahead exists).
-    UnsupportedConfig {
-        /// What the engine cannot do, and why.
-        reason: String,
-    },
 }
 
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SimError::RouterStalled { node, dst, router } => write!(
-                f,
-                "router {router} stalled at {node} before reaching destination {dst}"
-            ),
-            SimError::UnsupportedConfig { reason } => {
-                write!(f, "unsupported configuration: {reason}")
-            }
-        }
+        let SimError::RouterStalled { node, dst, router } = self;
+        write!(
+            f,
+            "router {router} stalled at {node} before reaching destination {dst}"
+        )
     }
 }
 
@@ -223,28 +157,22 @@ pub(crate) fn stall<R: ?Sized>(node: NodeId, dst: NodeId) -> SimError {
     }
 }
 
-/// The generic FIFO network simulator.
-///
-/// Construct with [`NetworkSim::new`], optionally adjust sources, service
-/// rates or the saturated-edge set, then call [`NetworkSim::run`].
-pub struct NetworkSim<T, R, D>
-where
-    T: Topology,
-    R: Router<T>,
-    D: DestSampler<T>,
-{
+/// One run of a validated [`Scenario`]: the concrete network its dispatch
+/// built, with the λ and seed of this run. Every other setting is read from
+/// `sc`.
+pub(crate) struct NetworkSim<'a, T, R, D> {
+    pub(crate) sc: &'a Scenario,
+    /// Mean per-source Poisson rate λ.
+    pub(crate) lambda: f64,
+    /// Master seed of this run: the scenario's, or a replication's.
+    pub(crate) seed: u64,
     pub(crate) topo: T,
     pub(crate) router: R,
     pub(crate) dest: D,
-    pub(crate) cfg: NetConfig,
     pub(crate) sources: Vec<NodeId>,
-    /// Per-source Poisson rates (`None` = every source at `cfg.lambda`,
-    /// the historical scalar path — kept as `None` so the uniform case
-    /// stays on the exact same code path, bit for bit).
+    /// Per-source Poisson rates, positional with `sources` (`None` = every
+    /// source at `lambda`, the scalar path).
     pub(crate) source_rates: Option<Vec<f64>>,
-    /// Per-edge service rates (`None` = every edge at unit rate: a uniform
-    /// rate stays one number, so no per-edge vector exists on that path).
-    pub(crate) service_rates: Option<Vec<f64>>,
     /// Saturated-edge mask; empty unless saturated edges are tracked.
     pub(crate) sat_edge: Vec<bool>,
     /// Materialized failure timeline ([`FaultPlan::is_empty`] = healthy
@@ -252,152 +180,82 @@ where
     pub(crate) fault_plan: FaultPlan,
 }
 
-impl<T, R, D> NetworkSim<T, R, D>
+/// A network simulated over a run description: the FIFO engine or one of
+/// the comparison networks.
+pub(crate) trait System {
+    type Output;
+
+    fn simulate<T, R, D>(self, sim: &NetworkSim<'_, T, R, D>) -> Result<Self::Output, SimError>
+    where
+        T: Topology + Sync,
+        R: Router<T> + Sync,
+        D: DestSampler<T> + Sync;
+}
+
+/// The FIFO network, run by the engine in [`crate::shard`].
+pub(crate) struct Fifo;
+
+impl System for Fifo {
+    type Output = SimResult;
+
+    fn simulate<T, R, D>(self, sim: &NetworkSim<'_, T, R, D>) -> Result<SimResult, SimError>
+    where
+        T: Topology + Sync,
+        R: Router<T> + Sync,
+        D: DestSampler<T> + Sync,
+    {
+        crate::shard::run(sim)
+    }
+}
+
+impl<'a, T, R, D> NetworkSim<'a, T, R, D>
 where
-    // `Sync` lets the engine borrow the simulator from its shard threads;
-    // every concrete topology/router/sampler is plain data.
     T: Topology + Sync,
     R: Router<T> + Sync,
     D: DestSampler<T> + Sync,
 {
-    /// Creates a simulator over `topo` where every node is a source and all
-    /// edges have unit service rate.
-    pub fn new(topo: T, router: R, dest: D, cfg: NetConfig) -> Self {
-        let sources = topo.nodes().collect();
+    /// The run of `sc` at `lambda` and `seed` on `topo`, routed by `router`
+    /// to destinations drawn from `dest`. `sources` = `None` makes every
+    /// node a source. The fault plan is drawn from `seed`.
+    pub(crate) fn new(
+        sc: &'a Scenario,
+        lambda: f64,
+        seed: u64,
+        topo: T,
+        router: R,
+        dest: D,
+        sources: Option<Vec<NodeId>>,
+    ) -> Self
+    where
+        T: PatternTopology,
+    {
+        let fault_plan = sc.faults.as_ref().map_or_else(FaultPlan::default, |spec| {
+            FaultPlan::materialize(spec, seed, &topo)
+        });
+        // Figure 2 defines the saturated edge classes on square meshes only.
+        let sat = match topo.as_mesh() {
+            Some(mesh) if sc.track_saturated && mesh.is_square() => saturated_edges(mesh),
+            _ => Vec::new(),
+        };
+        let mut sat_edge = vec![false; if sat.is_empty() { 0 } else { topo.num_edges() }];
+        for e in sat {
+            sat_edge[e.index()] = true;
+        }
+        let source_rates = sc
+            .source_weights()
+            .map(|weights| weights.into_iter().map(|w| w * lambda).collect());
         Self {
+            sc,
+            lambda,
+            seed,
+            sources: sources.unwrap_or_else(|| topo.nodes().collect()),
             topo,
             router,
             dest,
-            cfg,
-            sources,
-            source_rates: None,
-            service_rates: None,
-            sat_edge: Vec::new(),
-            fault_plan: FaultPlan::default(),
+            source_rates,
+            sat_edge,
+            fault_plan,
         }
-    }
-
-    /// Installs a materialized fault plan (see [`FaultPlan::materialize`]).
-    /// The engine replays its timeline: failed edges stop accepting
-    /// packets, waiting packets drop where they stand, and unroutable
-    /// packets become accounted drops instead of [`SimError`]s.
-    #[must_use]
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
-        self
-    }
-
-    /// Restricts packet generation to the given sources (e.g. butterfly
-    /// level-0 nodes). Call before [`NetworkSim::with_source_rates`] —
-    /// rates are positional, so installing them against the wrong source
-    /// list would silently misassign them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if per-source rates were already installed, or `sources` is
-    /// empty.
-    #[must_use]
-    pub fn with_sources(mut self, sources: Vec<NodeId>) -> Self {
-        assert!(
-            self.source_rates.is_none(),
-            "set the source list before the per-source rates (rates are positional)"
-        );
-        assert!(!sources.is_empty());
-        self.sources = sources;
-        self
-    }
-
-    /// Sets **per-source** Poisson rates, one per entry of the source
-    /// list, generalizing the scalar `NetConfig::lambda`. Zero-rate
-    /// sources generate nothing (their arrival events are never
-    /// scheduled).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length differs from the source count, any rate is
-    /// negative or non-finite, or all rates are zero.
-    #[must_use]
-    pub fn with_source_rates(mut self, rates: Vec<f64>) -> Self {
-        assert_eq!(rates.len(), self.sources.len(), "one rate per source");
-        assert!(rates.iter().all(|&r| r >= 0.0 && r.is_finite()));
-        assert!(rates.iter().any(|&r| r > 0.0), "all source rates are zero");
-        self.source_rates = Some(rates);
-        self
-    }
-
-    /// Sets per-edge service rates (the §5.1 variable-transmission-rate
-    /// model).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length differs from the edge count or any rate is not
-    /// positive.
-    #[must_use]
-    pub fn with_service_rates(mut self, rates: Vec<f64>) -> Self {
-        assert_eq!(rates.len(), self.topo.num_edges());
-        assert!(rates.iter().all(|&r| r > 0.0));
-        self.service_rates = Some(rates);
-        self
-    }
-
-    /// Marks the saturated edges so `R_s(t)` is tracked (Table III).
-    #[must_use]
-    pub fn with_saturated_edges(mut self, edges: &[EdgeId]) -> Self {
-        if !edges.is_empty() && self.sat_edge.is_empty() {
-            self.sat_edge = vec![false; self.topo.num_edges()];
-        }
-        for &e in edges {
-            self.sat_edge[e.index()] = true;
-        }
-        self
-    }
-
-    /// Runs the simulation to the horizon and returns aggregate statistics.
-    ///
-    /// [`NetConfig::engine`] picks the shard count. `auto` and `sharded:1`
-    /// are the same run; more shards are bit-identical per
-    /// `(seed, shards)` pair and statistically equivalent to one shard
-    /// (see `crate::shard`).
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`SimError`] message if the run fails (a router
-    /// stall or an unsupported configuration); use
-    /// [`NetworkSim::try_run`] to handle it as a value.
-    #[must_use]
-    pub fn run(self) -> SimResult {
-        self.try_run().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Runs the simulation, surfacing structural failures as a value.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::RouterStalled`] if the router returns no next edge for
-    /// an undelivered packet, naming the stuck `(node, dst, router)`
-    /// triple; [`SimError::UnsupportedConfig`] for a slot width or probe
-    /// interval that is not positive and finite, or for exponential
-    /// service on more than one shard.
-    pub fn try_run(self) -> Result<SimResult, SimError> {
-        // `NetworkSim` can be built without `Scenario::validate`, so the
-        // parameters the event loop relies on are checked here.
-        if let Some(tau) = self.cfg.slot {
-            if !(tau > 0.0 && tau.is_finite()) {
-                return Err(SimError::UnsupportedConfig {
-                    reason: format!("slot width {tau} must be positive and finite"),
-                });
-            }
-        }
-        if let Some(probes) = &self.cfg.probes {
-            probes
-                .check()
-                .map_err(|reason| SimError::UnsupportedConfig { reason })?;
-        }
-        let shards = match self.cfg.engine {
-            EngineSpec::Auto => 1,
-            EngineSpec::Sharded { shards } => shards,
-        };
-        crate::shard::run(self, shards)
     }
 
     /// The Poisson rate of source `i` (by position in the source list).
@@ -405,14 +263,14 @@ where
     pub(crate) fn source_rate(&self, i: usize) -> f64 {
         match &self.source_rates {
             Some(r) => r[i],
-            None => self.cfg.lambda,
+            None => self.lambda,
         }
     }
 
     /// The service rate of edge `e` (by global index).
     #[inline]
     pub(crate) fn service_rate(&self, e: usize) -> f64 {
-        match &self.service_rates {
+        match &self.sc.service_rates {
             Some(r) => r[e],
             None => 1.0,
         }
@@ -452,33 +310,34 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meshbound_routing::dest::UniformDest;
-    use meshbound_routing::GreedyXY;
+    use crate::engine::EngineSpec;
+    use crate::fault::FaultSpec;
+    use crate::service::ServiceKind;
+    use crate::telemetry::ProbeSpec;
+    use crate::{Load, ScenarioError};
     use meshbound_topology::Mesh2D;
 
-    fn tiny_cfg() -> NetConfig {
-        NetConfig {
-            lambda: 0.05,
-            horizon: 500.0,
-            warmup: 50.0,
-            seed: 3,
-            ..NetConfig::default()
-        }
+    /// An `n × n` mesh at `lambda`, run over `[0, horizon]` with the given
+    /// warmup and seed.
+    fn mesh(n: usize, lambda: f64, (horizon, warmup): (f64, f64), seed: u64) -> Scenario {
+        Scenario::mesh(n)
+            .load(Load::Lambda(lambda))
+            .horizon(horizon)
+            .warmup(warmup)
+            .seed(seed)
+    }
+
+    fn tiny() -> Scenario {
+        mesh(4, 0.05, (500.0, 50.0), 3)
     }
 
     #[test]
     fn light_load_delay_near_mean_distance() {
-        let mesh = Mesh2D::square(5);
-        let cfg = NetConfig {
-            lambda: 0.001,
-            horizon: 40_000.0,
-            warmup: 100.0,
-            ..tiny_cfg()
-        };
-        let res = NetworkSim::new(mesh.clone(), GreedyXY, UniformDest, cfg).run();
+        let res = mesh(5, 0.001, (40_000.0, 100.0), 3).run();
         // At vanishing load every hop costs exactly 1: T → n̄ = 3.2.
+        let n_bar = Mesh2D::square(5).mean_distance();
         assert!(
-            (res.avg_delay - mesh.mean_distance()).abs() < 0.15,
+            (res.avg_delay - n_bar).abs() < 0.15,
             "delay {}",
             res.avg_delay
         );
@@ -486,14 +345,7 @@ mod tests {
 
     #[test]
     fn littles_law_holds_in_simulation() {
-        let mesh = Mesh2D::square(5);
-        let cfg = NetConfig {
-            lambda: 0.1,
-            horizon: 20_000.0,
-            warmup: 1_000.0,
-            ..tiny_cfg()
-        };
-        let res = NetworkSim::new(mesh, GreedyXY, UniformDest, cfg).run();
+        let res = mesh(5, 0.1, (20_000.0, 1_000.0), 3).run();
         // With self-packets included on both sides, Little's law gives
         // avg_delay = E[N] / (total throughput incl. zero-distance packets):
         // zero-distance packets contribute 0 to both the N-integral and the
@@ -508,36 +360,18 @@ mod tests {
 
     #[test]
     fn zero_distance_packets_counted_when_enabled() {
-        let mesh = Mesh2D::square(3);
-        let cfg = NetConfig {
-            lambda: 0.02,
-            horizon: 5_000.0,
-            warmup: 0.0,
-            ..tiny_cfg()
-        };
-        let with = NetworkSim::new(mesh.clone(), GreedyXY, UniformDest, cfg.clone()).run();
-        let cfg_no = NetConfig {
-            include_self_packets: false,
-            ..cfg
-        };
-        let without = NetworkSim::new(mesh, GreedyXY, UniformDest, cfg_no).run();
+        let sc = mesh(3, 0.02, (5_000.0, 0.0), 3);
+        let with = sc.run();
+        let without = sc.include_self_packets(false).run();
         // Excluding zero-delay packets raises the average delay.
         assert!(without.avg_delay > with.avg_delay);
     }
 
     #[test]
     fn edge_throughput_matches_thm6_rates() {
-        let n = 4;
-        let mesh = Mesh2D::square(n);
         let lambda = 0.2;
-        let cfg = NetConfig {
-            lambda,
-            horizon: 50_000.0,
-            warmup: 1_000.0,
-            seed: 11,
-            ..NetConfig::default()
-        };
-        let res = NetworkSim::new(mesh.clone(), GreedyXY, UniformDest, cfg).run();
+        let res = mesh(4, lambda, (50_000.0, 1_000.0), 11).run();
+        let mesh = Mesh2D::square(4);
         let expect = meshbound_routing::rates::mesh_thm6_rates(&mesh, lambda);
         for e in mesh.edges() {
             let got = res.edge_throughput[e.index()];
@@ -550,21 +384,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "before the per-source rates")]
-    fn sources_cannot_change_under_installed_rates() {
-        // Rates are positional; swapping the source list afterwards would
-        // silently misassign them, so the builder refuses.
-        let mesh = Mesh2D::square(3);
-        let _ = NetworkSim::new(mesh.clone(), GreedyXY, UniformDest, tiny_cfg())
-            .with_source_rates(vec![0.1; 9])
-            .with_sources(vec![meshbound_topology::NodeId(0)]);
-    }
-
-    #[test]
     fn deterministic_given_seed() {
-        let mesh = Mesh2D::square(4);
-        let a = NetworkSim::new(mesh.clone(), GreedyXY, UniformDest, tiny_cfg()).run();
-        let b = NetworkSim::new(mesh, GreedyXY, UniformDest, tiny_cfg()).run();
+        let a = tiny().run();
+        let b = tiny().run();
         assert_eq!(a.avg_delay, b.avg_delay);
         assert_eq!(a.generated, b.generated);
         assert_eq!(a.time_avg_n, b.time_avg_n);
@@ -573,11 +395,8 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let mesh = Mesh2D::square(4);
-        let a = NetworkSim::new(mesh.clone(), GreedyXY, UniformDest, tiny_cfg()).run();
-        let mut cfg = tiny_cfg();
-        cfg.seed = 999;
-        let b = NetworkSim::new(mesh, GreedyXY, UniformDest, cfg).run();
+        let a = tiny().run();
+        let b = tiny().seed(999).run();
         assert_ne!(a.avg_delay, b.avg_delay);
     }
 
@@ -586,40 +405,19 @@ mod tests {
     /// tracking option turned on at once.
     #[test]
     fn engines_are_bit_identical() {
-        let mesh = Mesh2D::square(4);
-        let saturated: Vec<_> = mesh
-            .edges()
-            .filter(|&e| mesh.crossing_index(e) == 2)
-            .collect();
         for fancy in [false, true] {
-            let base = NetConfig {
-                lambda: 0.2,
-                horizon: 2_000.0,
-                warmup: 200.0,
-                seed: 21,
-                track_edge_queues: fancy,
-                delay_quantiles: fancy,
-                service: if fancy {
+            let base = mesh(4, 0.2, (2_000.0, 200.0), 21)
+                .track_edge_queues(fancy)
+                .delay_quantiles(fancy)
+                .track_saturated(fancy)
+                .service(if fancy {
                     ServiceKind::Exponential
                 } else {
                     ServiceKind::Deterministic
-                },
-                ..NetConfig::default()
-            };
-            let run = |engine: EngineSpec| {
-                let cfg = NetConfig {
-                    engine,
-                    ..base.clone()
-                };
-                let mut sim = NetworkSim::new(mesh.clone(), GreedyXY, UniformDest, cfg)
-                    .with_service_rates(vec![1.25; mesh.num_edges()]);
-                if fancy {
-                    sim = sim.with_saturated_edges(&saturated);
-                }
-                sim.run()
-            };
-            let auto = run(EngineSpec::Auto);
-            let one = run(EngineSpec::Sharded { shards: 1 });
+                })
+                .service_rates(vec![1.25; 48]);
+            let auto = base.clone().run();
+            let one = base.engine(EngineSpec::Sharded { shards: 1 }).run();
             assert_eq!(auto.avg_delay.to_bits(), one.avg_delay.to_bits());
             assert_eq!(auto.generated, one.generated);
             assert_eq!(auto.completed, one.completed);
@@ -634,21 +432,9 @@ mod tests {
 
     #[test]
     fn slotted_mode_close_to_continuous() {
-        let mesh = Mesh2D::square(5);
-        let lambda = 0.1;
-        let base = NetConfig {
-            lambda,
-            horizon: 30_000.0,
-            warmup: 1_000.0,
-            seed: 5,
-            ..NetConfig::default()
-        };
-        let cont = NetworkSim::new(mesh.clone(), GreedyXY, UniformDest, base.clone()).run();
-        let slotted_cfg = NetConfig {
-            slot: Some(1.0),
-            ..base
-        };
-        let slot = NetworkSim::new(mesh, GreedyXY, UniformDest, slotted_cfg).run();
+        let cont = mesh(5, 0.1, (30_000.0, 1_000.0), 5);
+        let slot = cont.clone().slot(1.0).run();
+        let cont = cont.run();
         // §5.2: the slotted average is within τ of the continuous one
         // (plus simulation noise).
         assert!(
@@ -661,23 +447,8 @@ mod tests {
 
     #[test]
     fn saturated_tracking_counts_central_edges() {
-        let n = 4;
-        let mesh = Mesh2D::square(n);
-        let classes: Vec<_> = {
-            // crossing index n/2 = 2
-            mesh.edges()
-                .filter(|&e| mesh.crossing_index(e) == 2)
-                .collect()
-        };
-        let cfg = NetConfig {
-            lambda: 0.2,
-            horizon: 10_000.0,
-            warmup: 500.0,
-            seed: 4,
-            ..NetConfig::default()
-        };
-        let res = NetworkSim::new(mesh, GreedyXY, UniformDest, cfg)
-            .with_saturated_edges(&classes)
+        let res = mesh(4, 0.2, (10_000.0, 500.0), 4)
+            .track_saturated(true)
             .run();
         assert!(res.time_avg_rs > 0.0);
         assert!(res.rs_ratio > 0.0 && res.rs_ratio < res.r_ratio);
@@ -685,18 +456,9 @@ mod tests {
 
     #[test]
     fn variable_service_rates_speed_up_network() {
-        let mesh = Mesh2D::square(4);
-        let cfg = NetConfig {
-            lambda: 0.15,
-            horizon: 20_000.0,
-            warmup: 1_000.0,
-            seed: 6,
-            ..NetConfig::default()
-        };
-        let slow = NetworkSim::new(mesh.clone(), GreedyXY, UniformDest, cfg.clone()).run();
-        let fast = NetworkSim::new(mesh.clone(), GreedyXY, UniformDest, cfg)
-            .with_service_rates(vec![2.0; mesh.num_edges()])
-            .run();
+        let slow = mesh(4, 0.15, (20_000.0, 1_000.0), 6);
+        let fast = slow.clone().service_rates(vec![2.0; 48]).run();
+        let slow = slow.run();
         assert!(
             fast.avg_delay < slow.avg_delay * 0.7,
             "fast {} vs slow {}",
@@ -707,10 +469,11 @@ mod tests {
 
     /// The structured stall error: a router that refuses to route
     /// surfaces the stuck (node, dst, router) triple as a `SimError`
-    /// value from `try_run`, and `run` panics with the same message.
+    /// value.
     #[test]
     fn router_stall_reports_the_stuck_triple() {
-        use meshbound_topology::{EdgeId, NodeId};
+        use meshbound_routing::dest::UniformDest;
+        use meshbound_topology::EdgeId;
         use rand::rngs::SmallRng;
 
         /// A router that always stalls.
@@ -726,34 +489,50 @@ mod tests {
             }
         }
 
-        let make = || {
-            NetworkSim::new(
-                Mesh2D::square(3),
-                Stuck,
-                UniformDest,
-                NetConfig {
-                    lambda: 0.5,
-                    horizon: 100.0,
-                    warmup: 0.0,
-                    ..NetConfig::default()
-                },
-            )
-        };
-        let err = make().try_run().unwrap_err();
-        match &err {
-            SimError::RouterStalled { node, dst, router } => {
-                assert_ne!(node, dst);
-                assert_eq!(*router, "Stuck");
-            }
-            other => panic!("expected a stall, got {other}"),
-        }
+        let sc = mesh(3, 0.5, (100.0, 0.0), 1);
+        let sim = NetworkSim::new(
+            &sc,
+            0.5,
+            sc.seed,
+            Mesh2D::square(3),
+            Stuck,
+            UniformDest,
+            None,
+        );
+        let err = Fifo.simulate(&sim).unwrap_err();
+        let SimError::RouterStalled { node, dst, router } = &err;
+        assert_ne!(node, dst);
+        assert_eq!(*router, "Stuck");
         let msg = err.to_string();
         assert!(msg.contains("Stuck") && msg.contains("stalled"), "{msg}");
-        // `run()` panics with the same structured message.
-        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| make().run()))
-            .expect_err("run() must panic on a stall");
-        let text = panic.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(text.contains("stalled"), "{text}");
+    }
+
+    /// Destinations drawn through the Lemma 3 chain reproduce the
+    /// uniform-destination run statistically: same delay within noise
+    /// (Corollary 4 made executable end to end).
+    #[test]
+    fn lemma3_destinations_reproduce_uniform_simulation() {
+        use meshbound_routing::dest::Lemma3Dest;
+        use meshbound_routing::GreedyXY;
+        let sc = mesh(5, 0.3, (10_000.0, 1_000.0), 11);
+        let uniform = sc.run();
+        let sim = NetworkSim::new(
+            &sc,
+            0.3,
+            sc.seed,
+            Mesh2D::square(5),
+            GreedyXY,
+            Lemma3Dest,
+            None,
+        );
+        let lemma3 = Fifo.simulate(&sim).unwrap();
+        let rel = (uniform.avg_delay - lemma3.avg_delay).abs() / uniform.avg_delay;
+        assert!(
+            rel < 0.05,
+            "uniform {} vs Lemma 3 chain {}",
+            uniform.avg_delay,
+            lemma3.avg_delay
+        );
     }
 
     /// A fault plan turns unroutable packets into accounted drops — the
@@ -761,27 +540,12 @@ mod tests {
     /// `sharded:1` stay the same run.
     #[test]
     fn fault_plan_drops_packets_instead_of_stalling() {
-        use crate::fault::{FaultPlan, FaultSpec};
-        let mesh = Mesh2D::square(4);
-        let plan = FaultPlan::materialize(&FaultSpec::links(0.2), 9, &mesh);
-        let run = |engine: EngineSpec| {
-            let cfg = NetConfig {
-                lambda: 0.2,
-                horizon: 2_000.0,
-                warmup: 100.0,
-                seed: 9,
-                engine,
-                ..NetConfig::default()
-            };
-            NetworkSim::new(mesh.clone(), GreedyXY, UniformDest, cfg)
-                .with_fault_plan(plan.clone())
-                .run()
-        };
-        let auto = run(EngineSpec::Auto);
+        let sc = mesh(4, 0.2, (2_000.0, 100.0), 9).faults(FaultSpec::links(0.2));
+        let auto = sc.run();
         assert!(auto.dropped.total() > 0, "{:?}", auto.dropped);
         assert!(auto.delivered_fraction < 1.0);
         assert!(auto.completed > 0, "some pairs must survive 20% link loss");
-        let one = run(EngineSpec::Sharded { shards: 1 });
+        let one = sc.engine(EngineSpec::Sharded { shards: 1 }).run();
         assert_eq!(auto.avg_delay.to_bits(), one.avg_delay.to_bits());
         assert_eq!(auto.dropped, one.dropped);
         assert_eq!(auto.completed, one.completed);
@@ -792,24 +556,10 @@ mod tests {
     /// `[50, 250)`, more packets complete than under permanent failures.
     #[test]
     fn repairs_restore_delivery() {
-        use crate::fault::{FaultPlan, FaultSpec};
-        let mesh = Mesh2D::square(4);
-        let cfg = NetConfig {
-            lambda: 0.15,
-            horizon: 4_000.0,
-            warmup: 0.0,
-            seed: 12,
-            ..NetConfig::default()
-        };
-        let forever = FaultPlan::materialize(&FaultSpec::links(0.25).at(50.0), 12, &mesh);
-        let transient =
-            FaultPlan::materialize(&FaultSpec::links(0.25).at(50.0).repair(200.0), 12, &mesh);
-        let broken = NetworkSim::new(mesh.clone(), GreedyXY, UniformDest, cfg.clone())
-            .with_fault_plan(forever)
-            .run();
-        let healed = NetworkSim::new(mesh, GreedyXY, UniformDest, cfg)
-            .with_fault_plan(transient)
-            .run();
+        let sc = mesh(4, 0.15, (4_000.0, 0.0), 12);
+        let forever = FaultSpec::links(0.25).at(50.0);
+        let broken = sc.clone().faults(forever.clone()).run();
+        let healed = sc.faults(forever.repair(200.0)).run();
         assert!(
             healed.delivered_fraction > broken.delivered_fraction,
             "healed {} vs broken {}",
@@ -822,15 +572,8 @@ mod tests {
     /// `N(t)` is sampled by the `nsys` probe.
     #[test]
     fn n_sampling_produces_trajectory() {
-        let mesh = Mesh2D::square(4);
-        let cfg = NetConfig {
-            lambda: 0.1,
-            horizon: 100.0,
-            warmup: 0.0,
-            probes: ProbeSpec::parse_token("nsys@10").unwrap(),
-            ..NetConfig::default()
-        };
-        let res = NetworkSim::new(mesh, GreedyXY, UniformDest, cfg).run();
+        let probes = ProbeSpec::parse_token("nsys@10").unwrap().unwrap();
+        let res = mesh(4, 0.1, (100.0, 0.0), 1).probes(probes).run();
         let telemetry = res.telemetry.expect("probed run");
         let nsys = &telemetry.series[0];
         assert_eq!(nsys.name, "nsys");
@@ -840,46 +583,39 @@ mod tests {
         }
     }
 
-    /// `NetworkSim` can be built without `Scenario::validate`: a slot
-    /// width the event loop cannot step by is a typed error, not a panic.
+    /// A slot width the event loop cannot step by is a typed error from
+    /// `Scenario::validate`, on one shard and on two.
     #[test]
     fn nonpositive_slot_width_is_an_unsupported_config() {
-        for (slot, shards) in [(0.0, 1), (-1.0, 1), (f64::NAN, 1), (0.0, 2)] {
-            let cfg = NetConfig {
-                slot: Some(slot),
-                engine: EngineSpec::Sharded { shards },
-                ..tiny_cfg()
-            };
-            let err = NetworkSim::new(Mesh2D::square(3), GreedyXY, UniformDest, cfg)
-                .try_run()
-                .unwrap_err();
-            assert!(
-                matches!(&err, SimError::UnsupportedConfig { reason } if reason.contains("slot width")),
-                "{err}"
-            );
+        for slot in [0.0, -1.0, f64::NAN] {
+            for shards in [1, 2] {
+                let sc = Scenario::mesh(3)
+                    .slot(slot)
+                    .engine(EngineSpec::Sharded { shards });
+                let err = sc.validate().unwrap_err();
+                assert!(
+                    matches!(&err, ScenarioError::Unsupported(m) if m.contains("slot width")),
+                    "{err}"
+                );
+                assert!(matches!(sc.try_run(), Err(ScenarioError::Unsupported(_))));
+            }
         }
     }
 }
 
 #[cfg(test)]
 mod quantile_tests {
-    use super::*;
-    use meshbound_routing::dest::UniformDest;
-    use meshbound_routing::GreedyXY;
-    use meshbound_topology::Mesh2D;
+    use crate::{Load, Scenario};
 
     #[test]
     fn delay_quantiles_tracked_when_enabled() {
-        let mesh = Mesh2D::square(5);
-        let cfg = NetConfig {
-            lambda: 0.3,
-            horizon: 5_000.0,
-            warmup: 500.0,
-            seed: 8,
-            delay_quantiles: true,
-            ..NetConfig::default()
-        };
-        let res = NetworkSim::new(mesh, GreedyXY, UniformDest, cfg).run();
+        let res = Scenario::mesh(5)
+            .load(Load::Lambda(0.3))
+            .horizon(5_000.0)
+            .warmup(500.0)
+            .seed(8)
+            .delay_quantiles(true)
+            .run();
         let p50 = res.delay_p50.expect("median tracked");
         let p95 = res.delay_p95.expect("p95 tracked");
         let p99 = res.delay_p99.expect("p99 tracked");
@@ -893,14 +629,11 @@ mod quantile_tests {
 
     #[test]
     fn quantiles_absent_when_disabled() {
-        let mesh = Mesh2D::square(4);
-        let cfg = NetConfig {
-            lambda: 0.1,
-            horizon: 500.0,
-            warmup: 0.0,
-            ..NetConfig::default()
-        };
-        let res = NetworkSim::new(mesh, GreedyXY, UniformDest, cfg).run();
+        let res = Scenario::mesh(4)
+            .load(Load::Lambda(0.1))
+            .horizon(500.0)
+            .warmup(0.0)
+            .run();
         assert!(res.delay_p50.is_none());
     }
 }

@@ -11,9 +11,14 @@
 //! this network's total population stochastically dominates the FIFO
 //! network's; its equilibrium is product-form, equal to the Jackson model's
 //! (§2.2, §3.3).
+//!
+//! [`Scenario::run_ps`](crate::Scenario::run_ps) runs it over the same run
+//! description as the FIFO engine, so it covers every family with an
+//! oblivious router, the butterfly's level-0 sources and weighted sources
+//! included.
 
 use crate::events::{EventQueue, HeapQueue};
-use crate::network::NetConfig;
+use crate::network::{stall, NetworkSim, SimError, System};
 use crate::rng::{derive_rng, exp_sample};
 use meshbound_routing::dest::DestSampler;
 use meshbound_routing::Router;
@@ -77,50 +82,25 @@ impl PsEdge {
     }
 }
 
-/// Simulates the PS version of a network (unit work per edge crossing).
+/// The PS version of a network (unit work per edge crossing).
 ///
 /// Only the total-population and delay statistics are tracked; this
-/// simulator exists to verify Theorem 5 (`E[N_FIFO] ≤ E[N_PS]`) and the
+/// network exists to verify Theorem 5 (`E[N_FIFO] ≤ E[N_PS]`) and the
 /// product-form equilibrium of §2.2.
-pub struct PsNetworkSim<T, R, D>
-where
-    T: Topology,
-    R: Router<T>,
-    D: DestSampler<T>,
-{
-    topo: T,
-    router: R,
-    dest: D,
-    cfg: NetConfig,
-}
+pub(crate) struct Ps;
 
-impl<T, R, D> PsNetworkSim<T, R, D>
-where
-    T: Topology,
-    R: Router<T>,
-    D: DestSampler<T>,
-{
-    /// Creates the simulator; every node is a source.
-    pub fn new(topo: T, router: R, dest: D, cfg: NetConfig) -> Self {
-        assert!(
-            cfg.slot.is_none(),
-            "PS simulator does not implement slotted arrivals"
-        );
-        Self {
-            topo,
-            router,
-            dest,
-            cfg,
-        }
-    }
+impl System for Ps {
+    type Output = PsResult;
 
-    /// Runs to the horizon.
-    #[must_use]
-    pub fn run(self) -> PsResult {
-        let cfg = self.cfg.clone();
-        let mut rng = derive_rng(cfg.seed, 1);
-        let num_edges = self.topo.num_edges();
-        let sources: Vec<NodeId> = self.topo.nodes().collect();
+    fn simulate<T, R, D>(self, sim: &NetworkSim<'_, T, R, D>) -> Result<PsResult, SimError>
+    where
+        T: Topology + Sync,
+        R: Router<T> + Sync,
+        D: DestSampler<T> + Sync,
+    {
+        let sc = sim.sc;
+        let mut rng = derive_rng(sim.seed, 1);
+        let num_edges = sim.topo.num_edges();
         let mut queue: HeapQueue<Ev> = HeapQueue::new();
         let mut edges: Vec<PsEdge> = (0..num_edges).map(|_| PsEdge::default()).collect();
         let mut packets: Vec<Packet<R::State>> = Vec::new();
@@ -129,11 +109,14 @@ where
         let mut n_sys = meshbound_stats::TimeWeighted::new(0.0, 0.0);
         let mut completed = 0u64;
 
-        for i in 0..sources.len() {
-            queue.schedule(exp_sample(&mut rng, cfg.lambda), Ev::Arrival(i as u32));
+        for i in 0..sim.sources.len() {
+            let rate = sim.source_rate(i);
+            if rate > 0.0 {
+                queue.schedule(exp_sample(&mut rng, rate), Ev::Arrival(i as u32));
+            }
         }
-        if cfg.warmup > 0.0 {
-            queue.schedule(cfg.warmup, Ev::Warmup);
+        if sc.warmup > 0.0 {
+            queue.schedule(sc.warmup, Ev::Warmup);
         }
 
         let enqueue =
@@ -148,21 +131,21 @@ where
             };
 
         while let Some((now, ev)) = queue.next() {
-            if now > cfg.horizon {
+            if now > sc.horizon {
                 break;
             }
             match ev {
-                Ev::Warmup => n_sys.reset(cfg.warmup),
+                Ev::Warmup => n_sys.reset(sc.warmup),
                 Ev::Arrival(i) => {
-                    let src = sources[i as usize];
-                    let dst = self.dest.sample(&self.topo, src, &mut rng);
+                    let src = sim.sources[i as usize];
+                    let dst = sim.dest.sample(&sim.topo, src, &mut rng);
                     if src == dst {
-                        if cfg.include_self_packets && now >= cfg.warmup {
+                        if sc.include_self_packets && now >= sc.warmup {
                             delays.push(0.0);
                             completed += 1;
                         }
                     } else {
-                        let state = self.router.init_state(&self.topo, src, dst, &mut rng);
+                        let state = sim.router.init_state(&sim.topo, src, dst, &mut rng);
                         let pid = match free.pop() {
                             Some(id) => {
                                 packets[id as usize] = Packet {
@@ -182,13 +165,14 @@ where
                             }
                         };
                         n_sys.add(now, 1.0);
-                        let first = self
+                        let first = sim
                             .router
-                            .next_edge(&self.topo, src, dst, state)
-                            .expect("first edge");
+                            .next_edge(&sim.topo, src, dst, state)
+                            .ok_or_else(|| stall::<R>(src, dst))?;
                         enqueue(&mut edges, &mut queue, first.index(), pid, now);
                     }
-                    queue.schedule(now + exp_sample(&mut rng, cfg.lambda), Ev::Arrival(i));
+                    let dt = exp_sample(&mut rng, sim.source_rate(i as usize));
+                    queue.schedule(now + dt, Ev::Arrival(i));
                 }
                 Ev::Completion(e, epoch) => {
                     let ei = e as usize;
@@ -206,57 +190,88 @@ where
                         let t = edges[ei].head_completion(now);
                         queue.schedule(t, Ev::Completion(e, edges[ei].epoch));
                     }
-                    let cur = self.topo.edge_target(EdgeId(e));
+                    let cur = sim.topo.edge_target(EdgeId(e));
                     let pk = packets[pid as usize];
                     if cur == pk.dst {
                         n_sys.add(now, -1.0);
-                        if pk.gen_time >= cfg.warmup {
+                        if pk.gen_time >= sc.warmup {
                             delays.push(now - pk.gen_time);
                             completed += 1;
                         }
                         free.push(pid);
                     } else {
-                        let next = self
+                        let next = sim
                             .router
-                            .next_edge(&self.topo, cur, pk.dst, pk.state)
-                            .expect("router stalled");
+                            .next_edge(&sim.topo, cur, pk.dst, pk.state)
+                            .ok_or_else(|| stall::<R>(cur, pk.dst))?;
                         enqueue(&mut edges, &mut queue, next.index(), pid, now);
                     }
                 }
             }
         }
 
-        let measure = (cfg.horizon - cfg.warmup).max(f64::MIN_POSITIVE);
-        PsResult {
+        let measure = (sc.horizon - sc.warmup).max(f64::MIN_POSITIVE);
+        Ok(PsResult {
             avg_delay: delays.mean(),
-            time_avg_n: n_sys.integral(cfg.horizon) / measure,
+            time_avg_n: n_sys.integral(sc.horizon) / measure,
             completed,
-        }
+        })
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use meshbound_routing::dest::UniformDest;
-    use meshbound_routing::GreedyXY;
-    use meshbound_topology::Mesh2D;
+pub(crate) mod tests {
+    use crate::{FaultSpec, Load, RouterSpec, Scenario, ScenarioError, ServiceKind, SourceSpec};
+    use meshbound_queueing::jackson::mean_number_unit;
+    use meshbound_stats::Summary;
+
+    /// Asserts that the 99.9% t-interval of `metric` over 8 replications
+    /// of `sc`, one derived seed each, covers `expect`.
+    pub(crate) fn assert_covers(sc: &Scenario, expect: f64, metric: impl Fn(&Scenario) -> f64) {
+        let runs: Vec<f64> = (0..8)
+            .map(|i| metric(&sc.clone().seed(sc.replication_seed(i))))
+            .collect();
+        let ci = Summary::from_values(&runs).confidence_interval(0.999);
+        assert!(
+            ci.contains(expect),
+            "{}: {:.4} ± {:.4} misses {expect:.4}",
+            sc.spec_string(),
+            ci.mean,
+            ci.half_width
+        );
+    }
+
+    /// The oblivious workloads both comparison networks are judged on:
+    /// the butterfly's level-0 sources and weighted sources included.
+    pub(crate) fn workloads() -> [Scenario; 4] {
+        [
+            Scenario::mesh(4),
+            Scenario::butterfly(3),
+            Scenario::hypercube(4),
+            Scenario::mesh(5).source(SourceSpec::Hotspot {
+                node: None,
+                weight: 4.0,
+            }),
+        ]
+        .map(|sc| {
+            sc.load(Load::Utilization(0.5))
+                .horizon(4_000.0)
+                .warmup(400.0)
+        })
+    }
 
     #[test]
     fn ps_single_packet_crosses_in_unit_time_per_edge() {
         // With negligible load a packet is alone at each edge: PS equals
         // FIFO and the delay is the distance.
-        let mesh = Mesh2D::square(4);
-        let cfg = NetConfig {
-            lambda: 0.0005,
-            horizon: 60_000.0,
-            warmup: 0.0,
-            seed: 21,
-            ..NetConfig::default()
-        };
-        let res = PsNetworkSim::new(mesh.clone(), GreedyXY, UniformDest, cfg).run();
+        let sc = Scenario::mesh(4)
+            .load(Load::Lambda(0.0005))
+            .horizon(60_000.0)
+            .warmup(0.0)
+            .seed(21);
+        let res = sc.run_ps().unwrap();
         assert!(
-            (res.avg_delay - mesh.mean_distance()).abs() < 0.2,
+            (res.avg_delay - sc.mean_distance()).abs() < 0.2,
             "delay {}",
             res.avg_delay
         );
@@ -266,46 +281,49 @@ mod tests {
     fn ps_matches_product_form() {
         // §2.2: the PS equilibrium is product-form with geometric queues:
         // E[N] = Σ_e λ_e/(1−λ_e).
-        let n = 4;
-        let mesh = Mesh2D::square(n);
-        let lambda = 0.25; // Table-ρ 0.25·n/4 = 0.25 at n=4
-        let cfg = NetConfig {
-            lambda,
-            horizon: 60_000.0,
-            warmup: 2_000.0,
-            seed: 22,
-            ..NetConfig::default()
-        };
-        let res = PsNetworkSim::new(mesh.clone(), GreedyXY, UniformDest, cfg).run();
-        let rates = meshbound_routing::rates::mesh_thm6_rates(&mesh, lambda);
-        let expect: f64 = rates.iter().map(|&l| l / (1.0 - l)).sum();
-        let rel = (res.time_avg_n - expect).abs() / expect;
-        assert!(
-            rel < 0.06,
-            "PS E[N] = {}, product form = {expect}",
-            res.time_avg_n
-        );
+        for sc in workloads() {
+            let expect = mean_number_unit(&sc.edge_rates());
+            assert_covers(&sc, expect, |sc| sc.run_ps().unwrap().time_avg_n);
+        }
     }
 
     #[test]
     fn ps_dominates_fifo() {
         // Theorem 5: E[N_PS] ≥ E[N_FIFO] for the same parameters.
-        use crate::network::NetworkSim;
-        let mesh = Mesh2D::square(4);
-        let cfg = NetConfig {
-            lambda: 0.3,
-            horizon: 30_000.0,
-            warmup: 2_000.0,
-            seed: 23,
-            ..NetConfig::default()
-        };
-        let fifo = NetworkSim::new(mesh.clone(), GreedyXY, UniformDest, cfg.clone()).run();
-        let ps = PsNetworkSim::new(mesh, GreedyXY, UniformDest, cfg).run();
+        let sc = Scenario::mesh(4)
+            .load(Load::Lambda(0.3))
+            .horizon(30_000.0)
+            .warmup(2_000.0)
+            .seed(23);
+        let fifo = sc.run();
+        let ps = sc.run_ps().unwrap();
         assert!(
             ps.time_avg_n > fifo.time_avg_n,
             "PS {} vs FIFO {}",
             ps.time_avg_n,
             fifo.time_avg_n
         );
+    }
+
+    #[test]
+    fn comparison_networks_refuse_what_they_do_not_model() {
+        for sc in [
+            Scenario::mesh(4).router(RouterSpec::OddEven),
+            Scenario::mesh(4).service(ServiceKind::Exponential),
+            Scenario::mesh(4).service_rates(vec![2.0; 48]),
+            Scenario::mesh(4).slot(1.0),
+            Scenario::mesh(4).faults(FaultSpec::links(0.1)),
+        ] {
+            assert!(sc.validate().is_ok());
+            let spec = sc.spec_string();
+            assert!(
+                matches!(sc.run_ps(), Err(ScenarioError::Unsupported(_))),
+                "{spec}"
+            );
+            assert!(
+                matches!(sc.run_copies(), Err(ScenarioError::Unsupported(_))),
+                "{spec}"
+            );
+        }
     }
 }

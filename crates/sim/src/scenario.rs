@@ -3,12 +3,14 @@
 //!
 //! A [`Scenario`] names a complete experiment — topology, router, a
 //! [`TrafficSpec`] workload (source model + destination model), load, and
-//! every [`NetConfig`] knob — for any of the paper's network families: the
+//! every simulation setting — for any of the paper's network families: the
 //! 2-D array (the paper's subject), the torus (§6), the hypercube and
 //! butterfly (§4.5), and `k`-dimensional meshes (§5.2). One internal
-//! dispatch point maps the specification onto the right concrete
-//! [`NetworkSim`] instantiation, so callers never touch the generic
-//! machinery:
+//! dispatch point maps the specification onto concrete topology, router
+//! and sampler types and builds each run's description from them, so
+//! callers never touch the generic machinery. The FIFO network runs
+//! ([`Scenario::run`]) on it, and so do the comparison networks of the
+//! paper's proofs ([`Scenario::run_ps`], [`Scenario::run_copies`]):
 //!
 //! ```
 //! use meshbound_sim::{Load, Scenario, TrafficSpec};
@@ -34,9 +36,11 @@
 //! `"mesh:8,traffic=transpose,util=0.5"` (see [`Scenario::spec_string`]
 //! for the inverse).
 
+use crate::copysys::{Copies, CopyResult};
 use crate::engine::{EngineSpec, STREAMING_STATS_MAX_EDGES};
 use crate::fault::{reachable_fraction, FaultPlan, FaultSpec};
-use crate::network::{NetConfig, NetworkSim, SimError, SimResult};
+use crate::network::{Fifo, NetworkSim, SimError, SimResult, System};
+use crate::ps::{Ps, PsResult};
 use crate::resolve::Resolution;
 use crate::rng::splitmix64;
 use crate::runner::ReplicatedResult;
@@ -45,7 +49,6 @@ use crate::spec::{self, Form};
 use crate::telemetry::ProbeSpec;
 use crate::traffic::{PatternSpec, SourceSpec, TrafficSpec};
 use meshbound_queueing::load::Load;
-use meshbound_queueing::remaining::saturated_edges;
 use meshbound_routing::dest::{BernoulliDest, ButterflyOutput, DestSampler, NearbyWalk};
 use meshbound_routing::pattern::{
     GenericDest, HotspotDest, MatrixDest, PatternTopology, PermutationDest, PermutationKind,
@@ -373,14 +376,17 @@ trait OnNetwork {
         D: DestSampler<T> + Sync;
 }
 
-/// One simulation run.
-struct Run<'a> {
+/// One run of a validated scenario at the resolved `lambda` and the
+/// replication `seed`, on the network `system` simulates.
+struct Run<'a, S> {
     sc: &'a Scenario,
-    net: NetConfig,
+    lambda: f64,
+    seed: u64,
+    system: S,
 }
 
-impl OnNetwork for Run<'_> {
-    type Output = Result<SimResult, ScenarioError>;
+impl<S: System> OnNetwork for Run<'_, S> {
+    type Output = Result<S::Output, ScenarioError>;
 
     fn on<T, R, D>(self, topo: T, router: R, dest: D, sources: Option<Vec<NodeId>>) -> Self::Output
     where
@@ -388,34 +394,8 @@ impl OnNetwork for Run<'_> {
         R: Router<T> + Sync,
         D: DestSampler<T> + Sync,
     {
-        let Run { sc, net } = self;
-        let lambda = net.lambda;
-        let plan = sc
-            .faults
-            .as_ref()
-            .map(|spec| FaultPlan::materialize(spec, net.seed, &topo));
-        // Figure 2 defines the saturated edge classes on square meshes only.
-        let sat = match topo.as_mesh() {
-            Some(mesh) if sc.track_saturated && mesh.is_square() => saturated_edges(mesh),
-            _ => Vec::new(),
-        };
-        let mut sim = NetworkSim::new(topo, router, dest, net);
-        if let Some(plan) = plan.filter(|p| !p.is_empty()) {
-            sim = sim.with_fault_plan(plan);
-        }
-        if let Some(s) = sources {
-            sim = sim.with_sources(s);
-        }
-        if let Some(weights) = sc.source_weights() {
-            sim = sim.with_source_rates(weights.into_iter().map(|w| w * lambda).collect());
-        }
-        if !sat.is_empty() {
-            sim = sim.with_saturated_edges(&sat);
-        }
-        if let Some(rates) = &sc.service_rates {
-            sim = sim.with_service_rates(rates.clone());
-        }
-        sim.try_run().map_err(ScenarioError::Sim)
+        let sim = NetworkSim::new(self.sc, self.lambda, self.seed, topo, router, dest, sources);
+        self.system.simulate(&sim).map_err(ScenarioError::Sim)
     }
 }
 
@@ -552,7 +532,10 @@ pub struct Scenario {
     /// Transmission-time distribution (deterministic = standard model,
     /// exponential = Jackson model).
     pub service: ServiceKind,
-    /// Count source-=-destination packets (delay 0) in the average.
+    /// Count source-=-destination packets (delay 0) in the average. The
+    /// paper's model allows them, and the default counts them. For how the
+    /// paper's printed Table I simulation column treats them, see
+    /// ROADMAP.md, direction 2.
     pub include_self_packets: bool,
     /// Track the remaining-saturated-services integral (Table III).
     /// Honored on square meshes, where Figure 2 defines the saturated
@@ -1289,20 +1272,66 @@ impl Scenario {
 
     /// One run of a validated scenario at the resolved `lambda`.
     fn run_at(&self, lambda: f64, seed: u64) -> Result<SimResult, ScenarioError> {
-        let net = NetConfig {
+        self.on_network(Run {
+            sc: self,
             lambda,
-            horizon: self.horizon,
-            warmup: self.warmup,
             seed,
-            service: self.service,
-            include_self_packets: self.include_self_packets,
-            slot: self.slot,
-            delay_quantiles: self.delay_quantiles,
-            track_edge_queues: self.track_edge_queues,
-            probes: self.probes,
-            engine: self.engine,
-        };
-        self.on_network(Run { sc: self, net })
+            system: Fifo,
+        })
+    }
+
+    /// Runs the scenario once on the processor-sharing network of
+    /// Theorems 1 and 5: every packet queued at an edge gets an equal
+    /// share of its server, one unit of work per hop. Its population
+    /// dominates the FIFO network's, and its equilibrium is the product
+    /// form of §2.2.
+    ///
+    /// # Errors
+    ///
+    /// What [`Scenario::try_run`] returns, and
+    /// [`ScenarioError::Unsupported`] for what the network does not model:
+    /// an adaptive router, exponential service, per-edge service rates,
+    /// slotted time or faults. The engine and tracking settings do not
+    /// apply to it.
+    pub fn run_ps(&self) -> Result<PsResult, ScenarioError> {
+        self.run_comparison(Ps)
+    }
+
+    /// Runs the scenario once on the copy network `Q₁` of Theorem 10: each
+    /// packet leaves a copy at every queue on its route at once, and each
+    /// copy takes one unit of FIFO service. Its population is the sum of
+    /// the edges' M/D/1 populations.
+    ///
+    /// # Errors
+    ///
+    /// As [`Scenario::run_ps`].
+    pub fn run_copies(&self) -> Result<CopyResult, ScenarioError> {
+        self.run_comparison(Copies)
+    }
+
+    fn run_comparison<S: System>(&self, system: S) -> Result<S::Output, ScenarioError> {
+        self.validate()?;
+        let unmodelled = [
+            (self.router.is_adaptive(), "adaptive routers"),
+            (
+                self.service == ServiceKind::Exponential,
+                "exponential service",
+            ),
+            (self.service_rates.is_some(), "per-edge service rates"),
+            (self.slot.is_some(), "slotted time"),
+            (self.faults.is_some(), "faults"),
+        ];
+        if let Some((_, what)) = unmodelled.iter().find(|(asked, _)| *asked) {
+            return Err(ScenarioError::unsupported(format!(
+                "the PS and copy networks do not model {what}"
+            )));
+        }
+        self.on_network(Run {
+            sc: self,
+            lambda: self.try_lambda()?,
+            seed: self.seed,
+            system,
+        })
     }
 
     /// The single dispatch point: maps the topology × router pair onto
@@ -1428,7 +1457,6 @@ impl Scenario {
 mod tests {
     use super::*;
     use crate::resolve::RateClass;
-    use meshbound_routing::dest::UniformDest;
     use meshbound_routing::rates::{torus_row_rates, total_rate};
 
     #[test]
@@ -1451,31 +1479,6 @@ mod tests {
             assert!(res.completed > 0, "{} delivered nothing", sc.label());
             assert!(res.avg_delay > 0.0, "{}", sc.label());
         }
-    }
-
-    #[test]
-    fn mesh_scenario_matches_direct_network_sim() {
-        let sc = Scenario::mesh(5)
-            .load(Load::Lambda(0.12))
-            .horizon(900.0)
-            .warmup(90.0)
-            .seed(11);
-        let via_scenario = sc.run();
-        let direct = NetworkSim::new(
-            Mesh2D::square(5),
-            GreedyXY,
-            UniformDest,
-            NetConfig {
-                lambda: 0.12,
-                horizon: 900.0,
-                warmup: 90.0,
-                seed: 11,
-                ..NetConfig::default()
-            },
-        )
-        .run();
-        assert_eq!(via_scenario.avg_delay.to_bits(), direct.avg_delay.to_bits());
-        assert_eq!(via_scenario.generated, direct.generated);
     }
 
     #[test]

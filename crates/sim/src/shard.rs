@@ -1,5 +1,5 @@
 //! The simulation engine: one event loop over `k` node shards
-//! ([`EngineSpec`](crate::EngineSpec)). `engine=auto` runs `k = 1`;
+//! ([`EngineSpec`]). `engine=auto` runs `k = 1`;
 //! `sharded:<N>` asks for `N` shards, one thread each.
 //!
 //! # The loop
@@ -37,7 +37,7 @@
 //!   [`SimError::RouterStalled`] on a healthy topology;
 //! * a **uniform service rate is one service time**: under deterministic
 //!   unit service every service takes 1, with no per-edge state. Per-edge
-//!   rates (`NetworkSim::with_service_rates`) are read at each service
+//!   rates (the scenario's `service_rates`) are read at each service
 //!   start, which takes `1/rate` under deterministic service.
 //!
 //! With `k = 1` there are no cut edges, so the run is one unbounded window
@@ -53,7 +53,8 @@
 //! epoch `j` can only affect other shards at times `≥ (j+1)·Δ` — each shard
 //! may therefore run epoch `j` to completion without hearing from its
 //! peers. Because the lookahead must be known in advance, shards > 1
-//! requires [`ServiceKind::Deterministic`] service times.
+//! requires [`ServiceKind::Deterministic`] service times, which
+//! [`Scenario::validate`] enforces.
 //!
 //! Cross-shard transfers are *sent at service start*: when a cut edge
 //! begins serving a packet at `t`, its completion time `t + 1/rate` is
@@ -91,12 +92,14 @@
 //! reservoir samples through a fresh reservoir, which is a uniform
 //! subsample of a uniform subsample rather than of the raw stream.
 
+use crate::engine::EngineSpec;
 use crate::engine::STREAMING_STATS_MAX_EDGES;
 use crate::events::{CalendarQueue, EventQueue, LaneQueue};
 use crate::fault::{ttl_budget, DropCause, DropCounts, FaultPlan};
 use crate::network::{stall, EdgeThroughputStats, NetworkSim, SimError, SimResult};
 use crate::observer::Observer;
 use crate::rng::{derive_rng, exp_sample, poisson_sample};
+use crate::scenario::Scenario;
 use crate::service::ServiceKind;
 use crate::telemetry::{ProbeSample, Recorder};
 use meshbound_routing::dest::DestSampler;
@@ -343,7 +346,10 @@ where
     R: Router<T>,
     D: DestSampler<T>,
 {
-    sim: &'a NetworkSim<T, R, D>,
+    sim: &'a NetworkSim<'a, T, R, D>,
+    /// The run's scenario, one hop from `self`: the settings the event
+    /// loop reads.
+    sc: &'a Scenario,
     part: &'a Partition,
     service: ServiceTime,
     me: usize,
@@ -377,13 +383,13 @@ where
 {
     /// Allocates shard `me`'s state and primes its event list.
     fn new(
-        sim: &'a NetworkSim<T, R, D>,
+        sim: &'a NetworkSim<'a, T, R, D>,
         part: &'a Partition,
         service: ServiceTime,
         me: usize,
         sources: &'a [(u32, NodeId)],
     ) -> Self {
-        let cfg = &sim.cfg;
+        let sc = sim.sc;
         let local_edges = part.shard_edge_count(me);
         let mut edges: Vec<EdgeState> = (0..local_edges).map(|_| EdgeState::default()).collect();
         for &e in part.cut_edges() {
@@ -391,20 +397,21 @@ where
                 edges[part.edge_local(me, e)].cut = true;
             }
         }
-        let mut obs = Observer::new(local_edges, cfg.warmup);
-        if cfg.delay_quantiles {
-            obs.enable_delay_quantiles(RESERVOIR_CAPACITY, cfg.seed ^ 0x5EED);
+        let mut obs = Observer::new(local_edges, sc.warmup);
+        if sc.delay_quantiles {
+            obs.enable_delay_quantiles(RESERVOIR_CAPACITY, sim.seed ^ 0x5EED);
         }
         let mut shard = Shard {
             sim,
+            sc,
             part,
             service,
             me,
             sources,
-            rng: derive_rng(cfg.seed, me as u64),
+            rng: derive_rng(sim.seed, me as u64),
             obs,
             edges,
-            qtrack: if cfg.track_edge_queues {
+            qtrack: if sc.track_edge_queues {
                 vec![QTrack::default(); local_edges]
             } else {
                 Vec::new()
@@ -426,7 +433,7 @@ where
 
         // Prime the event list. Zero-rate sources never get an arrival
         // event; every positive-rate source draws in list order.
-        match cfg.slot {
+        match sc.slot {
             None => {
                 for &(gi, _) in sources {
                     let rate = sim.source_rate(gi as usize);
@@ -438,18 +445,18 @@ where
             }
             Some(tau) => shard.queue.schedule(tau, Ev::Slot),
         }
-        if cfg.warmup > 0.0 {
-            shard.queue.schedule(cfg.warmup, Ev::Warmup);
+        if sc.warmup > 0.0 {
+            shard.queue.schedule(sc.warmup, Ev::Warmup);
         }
         for (k, fe) in sim.fault_plan.events.iter().enumerate() {
-            if fe.time <= cfg.horizon {
+            if fe.time <= sc.horizon {
                 shard.queue.schedule(fe.time, Ev::Fault(k as u32));
             }
         }
         // Probe priming comes last, after everything an unprobed run
         // schedules, so probes shift no other event's sequence number.
-        if let Some(spec) = &cfg.probes {
-            let rec = Recorder::for_shard(spec, cfg.horizon, me);
+        if let Some(spec) = &sc.probes {
+            let rec = Recorder::for_shard(spec, sc.horizon, me);
             shard.queue.schedule(rec.base(), Ev::Probe);
             shard.recorder = Some(rec);
         }
@@ -470,11 +477,7 @@ where
             let last = wi + 1 == windows.len();
             // A window runs the events strictly before its end; the last
             // one runs everything up to and including the horizon.
-            let stop = if last {
-                self.sim.cfg.horizon.next_up()
-            } else {
-                end
-            };
+            let stop = if last { self.sc.horizon.next_up() } else { end };
             while let Some((t, ev)) = self.queue.next() {
                 if t >= stop {
                     self.defer(t, ev);
@@ -522,7 +525,7 @@ where
                 self.forward(now, node, pid)?;
             }
             Ev::Slot => {
-                let tau = self.sim.cfg.slot.expect("slot event without a slot width");
+                let tau = self.sc.slot.expect("slot event without a slot width");
                 for &(gi, src) in self.sources {
                     let mean = self.sim.source_rate(gi as usize) * tau;
                     for _ in 0..poisson_sample(&mut self.rng, mean) {
@@ -533,7 +536,7 @@ where
             }
             Ev::Warmup => {
                 self.obs.reset_at_warmup();
-                let warmup = self.sim.cfg.warmup;
+                let warmup = self.sc.warmup;
                 for (edge, tq) in self.edges.iter().zip(self.qtrack.iter_mut()) {
                     qtick(tq, edge.qlen, warmup);
                     tq.integral = 0.0;
@@ -573,8 +576,7 @@ where
         let dur = match self.service {
             ServiceTime::Unit => 1.0,
             ServiceTime::Sampled => self
-                .sim
-                .cfg
+                .sc
                 .service
                 .sample(self.sim.service_rate(ge as usize), &mut self.rng),
         };
@@ -600,7 +602,7 @@ where
     #[inline]
     fn enqueue(&mut self, e: EdgeId, pid: u32, now: f64) {
         let le = self.part.edge_local(self.me, e);
-        if self.sim.cfg.track_edge_queues {
+        if self.sc.track_edge_queues {
             qtick(&mut self.qtrack[le], self.edges[le].qlen, now);
         }
         self.edges[le].push(&mut self.qnext, pid);
@@ -614,7 +616,7 @@ where
     fn depart(&mut self, now: f64, ge: u32, pid: u32) -> Result<(), Stalled> {
         let ei = ge as usize;
         let le = self.part.edge_local(self.me, EdgeId(ge));
-        if self.sim.cfg.track_edge_queues {
+        if self.sc.track_edge_queues {
             qtick(&mut self.qtrack[le], self.edges[le].qlen, now);
         }
         let edge = &mut self.edges[le];
@@ -642,7 +644,7 @@ where
         let sim = self.sim;
         let dst = sim.dest.sample(&sim.topo, src, &mut self.rng);
         if src == dst {
-            if sim.cfg.include_self_packets {
+            if self.sc.include_self_packets {
                 self.obs.zero_distance_packet(now);
             }
             return Ok(());
@@ -748,7 +750,7 @@ where
             }
             return;
         }
-        if self.sim.cfg.track_edge_queues {
+        if self.sc.track_edge_queues {
             qtick(&mut self.qtrack[le], self.edges[le].qlen, now);
         }
         // The in-flight transmission (if any) finishes; everything waiting
@@ -794,7 +796,7 @@ where
         if self.me == 0 {
             // One writer only: shard 0 speaks for the run (its event
             // count, the shared clock).
-            crate::telemetry::emit_progress(now, self.sim.cfg.horizon, sample.events as u64);
+            crate::telemetry::emit_progress(now, self.sc.horizon, sample.events as u64);
         }
         let next = now + rec.interval();
         self.queue.schedule(next, Ev::Probe);
@@ -850,8 +852,8 @@ where
     /// Closes the queue integrals at the horizon and hands back what the
     /// merge needs.
     fn finish(mut self) -> ShardOut {
-        let horizon = self.sim.cfg.horizon;
-        let queue_integrals = self.sim.cfg.track_edge_queues.then(|| {
+        let horizon = self.sc.horizon;
+        let queue_integrals = self.sc.track_edge_queues.then(|| {
             self.edges
                 .iter()
                 .zip(self.qtrack.iter_mut())
@@ -875,37 +877,31 @@ where
     }
 }
 
-/// Runs `sim` on `shards` node shards (clamped to `[1, num_nodes]`):
-/// partitions the topology, runs shard 0 on the calling thread and every
-/// other shard on a thread of its own, and merges the per-shard statistics
-/// into one [`SimResult`].
+/// Runs `sim` on the shard count its scenario's engine names (clamped to
+/// `[1, num_nodes]`): partitions the topology, runs shard 0 on the calling
+/// thread and every other shard on a thread of its own, and merges the
+/// per-shard statistics into one [`SimResult`].
 ///
 /// # Errors
 ///
-/// [`SimError::UnsupportedConfig`] when `shards > 1` produces cut edges
-/// under a non-deterministic service distribution (no finite lookahead
-/// exists); shard-local [`SimError`]s are collected through the barrier
-/// protocol rather than unwinding across worker threads.
+/// Shard-local [`SimError`]s, collected through the barrier protocol
+/// rather than unwinding across worker threads.
 ///
 /// # Panics
 ///
 /// Panics only when a shard itself panics (the panic is propagated).
-pub(crate) fn run<T, R, D>(sim: NetworkSim<T, R, D>, shards: usize) -> Result<SimResult, SimError>
+pub(crate) fn run<T, R, D>(sim: &NetworkSim<'_, T, R, D>) -> Result<SimResult, SimError>
 where
     T: Topology + Sync,
     R: Router<T> + Sync,
     D: DestSampler<T> + Sync,
 {
+    let shards = match sim.sc.engine {
+        EngineSpec::Auto => 1,
+        EngineSpec::Sharded { shards } => shards,
+    };
     let part = Partition::contiguous(&sim.topo, shards);
     let k = part.shards();
-    if !part.cut_edges().is_empty() && sim.cfg.service != ServiceKind::Deterministic {
-        return Err(SimError::UnsupportedConfig {
-            reason: "the sharded engine requires deterministic service times when shards > 1: \
-                     the conservative lookahead is the minimum cut-edge service time, which \
-                     only exists when service times are bounded below"
-                .into(),
-        });
-    }
     // Epoch `j` covers event times `[w_j, w_{j+1})` where the window ends
     // come from the fault-aware lookahead schedule; the final epoch is
     // unbounded and terminates on the horizon. All handoffs emitted during
@@ -920,10 +916,10 @@ where
             part.cut_edges(),
             |e| 1.0 / sim.service_rate(e.index()),
             &sim.fault_plan,
-            sim.cfg.horizon,
+            sim.sc.horizon,
         )
     };
-    let service = match (sim.cfg.service, &sim.service_rates) {
+    let service = match (sim.sc.service, &sim.sc.service_rates) {
         (ServiceKind::Deterministic, None) => ServiceTime::Unit,
         _ => ServiceTime::Sampled,
     };
@@ -949,7 +945,7 @@ where
         }
     }
 
-    let (sim_ref, part_ref) = (&sim, &part);
+    let (sim_ref, part_ref) = (sim, &part);
     let (sources_ref, windows_ref) = (&source_lists, &windows);
     let shard = move |me: usize, tx_row: TxRow<R::State>, rx_row: RxRow<R::State>| {
         Shard::new(sim_ref, part_ref, service, me, &sources_ref[me]).run(
@@ -994,7 +990,7 @@ where
     }
     assert_eq!(outs.len(), k, "a shard aborted without reporting an error");
 
-    Ok(merge(&sim, &part, outs))
+    Ok(merge(sim, &part, outs))
 }
 
 /// The epoch cutoffs of the conservative window protocol, fault-aware.
@@ -1058,14 +1054,18 @@ fn window_ends(
 /// assembly. Per-edge figures are read in global edge order from each
 /// edge's owning shard, so no global per-edge vector is materialized
 /// beyond what the result itself carries.
-fn merge<T, R, D>(sim: &NetworkSim<T, R, D>, part: &Partition, mut outs: Vec<ShardOut>) -> SimResult
+fn merge<T, R, D>(
+    sim: &NetworkSim<'_, T, R, D>,
+    part: &Partition,
+    mut outs: Vec<ShardOut>,
+) -> SimResult
 where
     T: Topology + Sync,
     R: Router<T> + Sync,
     D: DestSampler<T> + Sync,
 {
-    let cfg = &sim.cfg;
-    let measure_time = (cfg.horizon - cfg.warmup).max(f64::MIN_POSITIVE);
+    let sc = sim.sc;
+    let measure_time = (sc.horizon - sc.warmup).max(f64::MIN_POSITIVE);
 
     // Per-shard telemetry recorders merge deterministically in shard
     // order: all shards ran the identical probe tick schedule, so shared
@@ -1086,9 +1086,9 @@ where
     let mut events_processed = 0u64;
     for o in &outs {
         delay.merge(&o.obs.delay);
-        n_integral += o.obs.n_sys.integral(cfg.horizon);
-        r_integral += o.obs.r_total.integral(cfg.horizon);
-        rs_integral += o.obs.rs_total.integral(cfg.horizon);
+        n_integral += o.obs.n_sys.integral(sc.horizon);
+        r_integral += o.obs.r_total.integral(sc.horizon);
+        rs_integral += o.obs.rs_total.integral(sc.horizon);
         final_n += o.obs.n_sys.value();
         peak_n += o.obs.n_sys.peak();
         generated += o.obs.generated;
@@ -1124,8 +1124,8 @@ where
         rates.push(edge_rate(ei));
     }
 
-    let quantiles = cfg.delay_quantiles.then(|| {
-        let mut merged = Reservoir::new(RESERVOIR_CAPACITY, cfg.seed ^ 0x5EED);
+    let quantiles = sc.delay_quantiles.then(|| {
+        let mut merged = Reservoir::new(RESERVOIR_CAPACITY, sim.seed ^ 0x5EED);
         for o in &outs {
             if let Some(r) = &o.obs.delay_sample {
                 for &x in r.samples() {
@@ -1136,7 +1136,7 @@ where
         merged
     });
 
-    let edge_mean_queue = cfg.track_edge_queues.then(|| {
+    let edge_mean_queue = sc.track_edge_queues.then(|| {
         (0..num_edges)
             .map(|ei| {
                 let (o, le) = owner(ei);
@@ -1205,24 +1205,23 @@ where
 #[cfg(test)]
 mod tests {
     use crate::engine::EngineSpec;
-    use crate::network::{NetConfig, NetworkSim, SimResult};
-    use crate::service::ServiceKind;
-    use meshbound_routing::dest::UniformDest;
-    use meshbound_routing::GreedyXY;
-    use meshbound_topology::Mesh2D;
+    use crate::network::SimResult;
+    use crate::{Load, Scenario};
+
+    fn mesh(engine: EngineSpec) -> Scenario {
+        Scenario::mesh(5)
+            .load(Load::Lambda(0.15))
+            .horizon(800.0)
+            .warmup(80.0)
+            .seed(9)
+            .engine(engine)
+    }
 
     fn run(engine: EngineSpec) -> SimResult {
-        let cfg = NetConfig {
-            lambda: 0.15,
-            horizon: 800.0,
-            warmup: 80.0,
-            seed: 9,
-            delay_quantiles: true,
-            track_edge_queues: true,
-            engine,
-            ..NetConfig::default()
-        };
-        NetworkSim::new(Mesh2D::square(5), GreedyXY, UniformDest, cfg).run()
+        mesh(engine)
+            .delay_quantiles(true)
+            .track_edge_queues(true)
+            .run()
     }
 
     fn assert_bits(a: &SimResult, b: &SimResult) {
@@ -1274,17 +1273,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "deterministic service times")]
-    fn exponential_service_is_rejected_when_shards_cut_edges() {
-        let cfg = NetConfig {
-            service: ServiceKind::Exponential,
-            engine: EngineSpec::Sharded { shards: 2 },
-            ..NetConfig::default()
-        };
-        let _ = NetworkSim::new(Mesh2D::square(4), GreedyXY, UniformDest, cfg).run();
-    }
-
-    #[test]
     fn shard_count_beyond_node_count_is_clamped_and_deterministic() {
         let a = run(EngineSpec::Sharded { shards: 64 });
         let b = run(EngineSpec::Sharded { shards: 64 });
@@ -1293,21 +1281,8 @@ mod tests {
     }
 
     fn run_faulted(engine: EngineSpec) -> SimResult {
-        use crate::fault::{FaultPlan, FaultSpec};
-        let cfg = NetConfig {
-            lambda: 0.15,
-            horizon: 800.0,
-            warmup: 80.0,
-            seed: 9,
-            engine,
-            ..NetConfig::default()
-        };
-        let topo = Mesh2D::square(5);
-        let spec = FaultSpec::links(0.2).at(100.0);
-        let plan = FaultPlan::materialize(&spec, cfg.seed, &topo);
-        NetworkSim::new(topo, GreedyXY, UniformDest, cfg)
-            .with_fault_plan(plan)
-            .run()
+        use crate::fault::FaultSpec;
+        mesh(engine).faults(FaultSpec::links(0.2).at(100.0)).run()
     }
 
     #[test]

@@ -13,42 +13,29 @@
 //!    equilibrium to the PS network and to the product form,
 //! 4. the copy ("rushed") system of Theorem 10, whose population equals
 //!    `Σ_e N_{M/D/1}(λ_e)` and is at most `d̄·E[N_FIFO]`.
+//!
+//! It exits with status 1 when any ordering fails to hold.
 
 use meshbound::queueing::jackson::mean_number_unit;
 use meshbound::queueing::remaining::dbar_closed;
 use meshbound::queueing::single::md1_mean_number;
-use meshbound::routing::dest::UniformDest;
 use meshbound::routing::rates::mesh_thm6_rates;
-use meshbound::routing::GreedyXY;
-use meshbound::sim::copysys::CopySystemSim;
-use meshbound::sim::network::NetConfig;
-use meshbound::sim::ps::PsNetworkSim;
 use meshbound::sim::ServiceKind;
 use meshbound::topology::Mesh2D;
 use meshbound::{Load, Scenario};
 use meshbound_repro::banner;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let n = 6;
     let rho: f64 = 0.7;
-    let lambda = 4.0 * rho / n as f64;
-    let mesh = Mesh2D::square(n);
-    // The FIFO and Jackson systems go through the unified Scenario front
-    // door; the PS and copy comparison systems are simulator internals the
-    // paper's proofs reason about, so they use their dedicated engines
-    // with the same NetConfig.
+    // One operating point for all four systems.
     let scenario = Scenario::mesh(n)
         .load(Load::TableRho(rho))
         .horizon(40_000.0)
         .warmup(4_000.0)
         .seed(99);
-    let cfg = NetConfig {
-        lambda,
-        horizon: 40_000.0,
-        warmup: 4_000.0,
-        seed: 99,
-        ..NetConfig::default()
-    };
+    let lambda = scenario.lambda();
 
     banner(&format!("n = {n}, Table-ρ = {rho} (λ = {lambda:.3})"));
 
@@ -58,23 +45,27 @@ fn main() {
         fifo.time_avg_n, fifo.avg_delay
     );
 
-    let ps = PsNetworkSim::new(mesh.clone(), GreedyXY, UniformDest, cfg.clone()).run();
+    let ps = scenario
+        .run_ps()
+        .expect("the PS network models this scenario");
     println!(
         "2. processor sharing:           E[N] = {:>8.2}   T = {:.3}",
         ps.time_avg_n, ps.avg_delay
     );
 
-    let jackson = scenario.service(ServiceKind::Exponential).run();
+    let jackson = scenario.clone().service(ServiceKind::Exponential).run();
     println!(
         "3. Jackson (exp. service):      E[N] = {:>8.2}   T = {:.3}",
         jackson.time_avg_n, jackson.avg_delay
     );
 
-    let rates = mesh_thm6_rates(&mesh, lambda);
+    let rates = mesh_thm6_rates(&Mesh2D::square(n), lambda);
     let product_form = mean_number_unit(&rates);
     println!("   product form Σ λe/(1−λe):    E[N] = {product_form:>8.2}");
 
-    let copies = CopySystemSim::new(mesh.clone(), GreedyXY, UniformDest, cfg).run();
+    let copies = scenario
+        .run_copies()
+        .expect("the copy network models this scenario");
     let md1_sum: f64 = rates.iter().map(|&l| md1_mean_number(l)).sum();
     println!(
         "4. copy system (Thm 10):        E[N̄] = {:>7.2}   (Σ M/D/1 = {md1_sum:.2})",
@@ -107,5 +98,10 @@ fn main() {
     ];
     for (label, ok) in checks {
         println!("{}  {label}", if ok { "✓" } else { "✗" });
+    }
+    if checks.iter().all(|&(_, ok)| ok) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

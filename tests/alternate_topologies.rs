@@ -1,21 +1,17 @@
 //! End-to-end tests on the non-array topologies: the §4.5 hypercube and
-//! butterfly studies, the §6 torus (including its unlayerability), and the
-//! Lemma 3 destination process on the full mesh simulator.
+//! butterfly studies and the §6 torus, including its unlayerability.
 
-use meshbound::routing::dest::{BernoulliDest, ButterflyOutput, Lemma3Dest, UniformDest};
-use meshbound::routing::{ButterflyRouter, DimOrder, GreedyXY, ObliviousRouter, TorusGreedy};
-use meshbound::sim::network::{NetConfig, NetworkSim};
+use meshbound::routing::{GreedyXY, ObliviousRouter, TorusGreedy};
 use meshbound::topology::layering::find_layering;
-use meshbound::topology::{Butterfly, Hypercube, Mesh2D, Topology, Torus2D};
+use meshbound::topology::{Hypercube, Mesh2D, Topology, Torus2D};
+use meshbound::{Load, Scenario, TrafficSpec};
 
-fn cfg(lambda: f64, seed: u64) -> NetConfig {
-    NetConfig {
-        lambda,
-        horizon: 10_000.0,
-        warmup: 1_000.0,
-        seed,
-        ..NetConfig::default()
-    }
+/// `sc` at `lambda` over a horizon of 10 000.
+fn at(sc: Scenario, lambda: f64, seed: u64) -> Scenario {
+    sc.load(Load::Lambda(lambda))
+        .horizon(10_000.0)
+        .warmup(1_000.0)
+        .seed(seed)
 }
 
 #[test]
@@ -58,13 +54,8 @@ fn hypercube_simulation_matches_upper_bound_shape() {
     let d = 5;
     let p = 0.5;
     let lambda = 1.0; // λp = 0.5
-    let sim = NetworkSim::new(
-        Hypercube::new(d),
-        DimOrder,
-        BernoulliDest::new(p),
-        cfg(lambda, 3),
-    )
-    .run();
+    let cube = Scenario::hypercube(d).traffic(TrafficSpec::bernoulli(p));
+    let sim = at(cube, lambda, 3).run();
     let upper = meshbound::queueing::bounds::hypercube::upper_bound_delay(d, lambda, p);
     let lower = meshbound::queueing::bounds::hypercube::thm12_lower(d, lambda, p);
     assert!(
@@ -87,7 +78,8 @@ fn hypercube_edge_throughput_is_lambda_p() {
     let p = 0.3;
     let lambda = 0.8;
     let h = Hypercube::new(d);
-    let sim = NetworkSim::new(h.clone(), DimOrder, BernoulliDest::new(p), cfg(lambda, 5)).run();
+    let cube = Scenario::hypercube(d).traffic(TrafficSpec::bernoulli(p));
+    let sim = at(cube, lambda, 5).run();
     let expect = lambda * p;
     for e in h.edges() {
         let got = sim.edge_throughput[e.index()];
@@ -103,11 +95,8 @@ fn butterfly_delay_at_least_d_and_within_bounds() {
     let d = 4;
     let util: f64 = 0.6;
     let lambda = 2.0 * util;
-    let b = Butterfly::new(d);
-    let sources: Vec<_> = (0..b.rows()).map(|w| b.node(0, w)).collect();
-    let sim = NetworkSim::new(b, ButterflyRouter, ButterflyOutput, cfg(lambda, 7))
-        .with_sources(sources)
-        .run();
+    // Only the level-0 inputs generate packets.
+    let sim = at(Scenario::butterfly(d), lambda, 7).run();
     assert!(sim.avg_delay >= d as f64, "every packet crosses d edges");
     let upper = meshbound::queueing::bounds::butterfly::upper_bound_delay(d, lambda);
     assert!(
@@ -118,30 +107,13 @@ fn butterfly_delay_at_least_d_and_within_bounds() {
 }
 
 #[test]
-fn lemma3_destinations_reproduce_uniform_simulation() {
-    // Running the full simulator with destinations drawn via the Lemma 3
-    // chain must match the uniform-destination run statistically: same
-    // delay within noise (Corollary 4 made executable end-to-end).
-    let mesh = Mesh2D::square(5);
-    let uniform = NetworkSim::new(mesh.clone(), GreedyXY, UniformDest, cfg(0.3, 11)).run();
-    let lemma3 = NetworkSim::new(mesh, GreedyXY, Lemma3Dest, cfg(0.3, 11)).run();
-    let rel = (uniform.avg_delay - lemma3.avg_delay).abs() / uniform.avg_delay;
-    assert!(
-        rel < 0.05,
-        "uniform {} vs Lemma 3 chain {}",
-        uniform.avg_delay,
-        lemma3.avg_delay
-    );
-}
-
-#[test]
 fn torus_outperforms_array_near_array_capacity() {
     // At λ just under the array's threshold, the torus (double capacity,
     // shorter routes) has far lower delay.
     let n = 6;
     let lambda = 0.6; // array threshold 4/6 ≈ 0.667
-    let array = NetworkSim::new(Mesh2D::square(n), GreedyXY, UniformDest, cfg(lambda, 13)).run();
-    let torus = NetworkSim::new(Torus2D::new(n), TorusGreedy, UniformDest, cfg(lambda, 13)).run();
+    let array = at(Scenario::mesh(n), lambda, 13).run();
+    let torus = at(Scenario::torus(n), lambda, 13).run();
     assert!(
         torus.avg_delay < 0.6 * array.avg_delay,
         "torus {} vs array {}",

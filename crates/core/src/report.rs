@@ -6,6 +6,10 @@
 //! `meshbound_queueing::bounds` where the paper derives them and the
 //! solved edge-rate vector otherwise.
 //! [`BoundsReport::compute`] remains as the square-mesh shorthand.
+//!
+//! The report depends on the workload and the load alone, never on a
+//! seed: a fault spec leaves it untouched, and the fault plans a run
+//! draws are surveyed next to that run ([`DegradationReport::survey`]).
 
 use meshbound_queueing::bounds::estimate::{estimate_from_rates, paper_queue_number};
 use meshbound_queueing::bounds::{
@@ -14,30 +18,19 @@ use meshbound_queueing::bounds::{
 use meshbound_queueing::load::{mesh_stability_threshold, optimal_stability_threshold, Load};
 use meshbound_queueing::remaining::{dbar_closed, light_load_r, sbar_closed};
 use meshbound_queueing::single::md1_mean_number;
-use meshbound_sim::{DropCounts, RateClass, Resolution, Scenario, TopologySpec};
+use meshbound_sim::{RateClass, Resolution, Scenario, TopologySpec};
 use meshbound_topology::Mesh2D;
 use serde::{Deserialize, Serialize};
 
-/// Degradation summary of a faulted scenario: how far delivery falls
-/// short of the healthy model and why.
-///
-/// The analytic half (`dead_edges`, `reachable_fraction`,
-/// `post_fault_lambda_star`) is filled by
-/// [`BoundsReport::compute_for`] from the materialized fault plan at the
-/// scenario's own seed. The measured half (`delivered_fraction`,
-/// `dropped`) starts zeroed and is populated by the sweep executor from
-/// the simulated replications — the analytic report alone cannot know
-/// it.
+/// How the fault plans of a scenario's runs cut its network: the edges
+/// they kill, the reachability they leave and the stability estimate
+/// that follows, averaged over the plans [`DegradationReport::survey`]
+/// is given. `repro scenario` surveys the plan of its one run; a faulted
+/// sweep cell surveys the plans of its replications.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DegradationReport {
-    /// Fraction of post-warmup generated packets actually delivered
-    /// (simulated; 0 until a simulation fills it in).
-    pub delivered_fraction: f64,
-    /// Per-cause drop tally over the simulated replications (zeroed until
-    /// a simulation fills it in).
-    pub dropped: DropCounts,
-    /// Distinct edges the fault plan takes down at least once.
-    pub dead_edges: usize,
+    /// Distinct edges a plan takes down at least once.
+    pub dead_edges: f64,
     /// Fraction of sampled source–destination pairs the router still
     /// connects with every failing edge permanently dead (worst case
     /// over the timeline — repairs only help).
@@ -50,6 +43,35 @@ pub struct DegradationReport {
     pub post_fault_lambda_star: f64,
 }
 
+impl DegradationReport {
+    /// Surveys the fault plans of the runs at `seeds`
+    /// ([`Scenario::fault_reachability`]; at least one seed) and averages
+    /// them, scaling the healthy `λ*` of `bounds` (the scenario's analytic
+    /// report); `None` for a healthy scenario.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sc` fails [`Scenario::validate`].
+    #[must_use]
+    pub fn survey(
+        sc: &Scenario,
+        bounds: &BoundsReport,
+        seeds: impl IntoIterator<Item = u64>,
+    ) -> Option<Self> {
+        let plans: Vec<(usize, f64)> = seeds
+            .into_iter()
+            .map(|seed| sc.fault_reachability(seed))
+            .collect::<Option<_>>()?;
+        let n = plans.len() as f64;
+        let reachable_fraction = plans.iter().map(|p| p.1).sum::<f64>() / n;
+        Some(Self {
+            dead_edges: plans.iter().map(|p| p.0 as f64).sum::<f64>() / n,
+            reachable_fraction,
+            post_fault_lambda_star: bounds.stability_lambda * reachable_fraction,
+        })
+    }
+}
+
 /// Every closed-form quantity the paper derives for a scenario at a given
 /// load, gathered in one structure.
 ///
@@ -57,9 +79,10 @@ pub struct DegradationReport {
 /// [`BoundsReport::compute`] as the square-mesh shorthand, and
 /// [`BoundsReport::to_text`] for a human-readable summary. Theorem-specific
 /// fields that the paper does not derive for a topology are set to `0.0`
-/// (they are vacuous lower bounds, so `lower_best` stays correct); the
-/// torus has no proven upper bound (§6's open problem), so its `upper` is
-/// `∞`. Simulated values are *not* included here — see
+/// (they are vacuous lower bounds, so `lower_best` stays correct). The
+/// torus has no proven upper bound (§6's open problem), and neither has a
+/// router that reads queue state, so their `upper` is `∞`. Simulated
+/// values are *not* included here — see
 /// [`crate::experiments`] and [`Scenario::run`] for the measurement
 /// harnesses.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -81,7 +104,7 @@ pub struct BoundsReport {
     /// Mean greedy route length over the destination distribution.
     pub mean_distance: f64,
     /// Theorem 5/7 upper bound on the mean delay (`∞` for the torus, where
-    /// the upper bound is §6's open problem).
+    /// the upper bound is §6's open problem, and for adaptive routers).
     pub upper: f64,
     /// §4.2 estimate, paper's printed form (Table I "Est.").
     pub est_paper: f64,
@@ -120,10 +143,6 @@ pub struct BoundsReport {
     /// mostly-zero matrix cannot masquerade as a healthy all-sources
     /// workload (the offered load concentrates on the speaking rows).
     pub silent_sources: usize,
-    /// Degradation summary when the scenario injects faults (`None` for
-    /// healthy scenarios — every field above describes the fault-free
-    /// topology either way).
-    pub degradation: Option<DegradationReport>,
 }
 
 impl BoundsReport {
@@ -157,7 +176,6 @@ impl BoundsReport {
             stability_lambda: mesh_stability_threshold(n),
             optimal_stability_lambda: optimal_stability_threshold(n),
             silent_sources: 0,
-            degradation: None,
         }
     }
 
@@ -185,27 +203,13 @@ impl BoundsReport {
     /// no second solve.
     #[must_use]
     pub fn compute_with(sc: &Scenario, rates: &Resolution) -> Self {
-        let mut report = match &rates.class {
+        match &rates.class {
             RateClass::Mesh(n) => Self::compute(*n, Load::Lambda(rates.lambda)),
             RateClass::Torus(n) => Self::torus_report(sc, rates, *n),
             RateClass::Hypercube(dim, p) => Self::hypercube_report(sc, rates, *dim, *p),
             RateClass::Butterfly(k) => Self::butterfly_report(sc, rates, *k),
             RateClass::Solved(_) => Self::generic_report(sc, rates),
-        };
-        // Every bound above describes the fault-free topology; a fault
-        // spec additionally gets the surviving-reachability analysis.
-        // The measured half of the degradation (delivered fraction,
-        // drops) is filled in by whoever runs the simulation.
-        if let Some((dead_edges, reachable_fraction)) = sc.fault_reachability() {
-            report.degradation = Some(DegradationReport {
-                delivered_fraction: 0.0,
-                dropped: DropCounts::default(),
-                dead_edges,
-                reachable_fraction,
-                post_fault_lambda_star: report.stability_lambda * reachable_fraction,
-            });
         }
-        report
     }
 
     /// What every resolved report shares: the scenario's identity and
@@ -294,7 +298,10 @@ impl BoundsReport {
     /// workloads. Uses the generic Theorem 5 product form and Theorem 10
     /// copy bound from the exact per-edge rates of the *actual* workload.
     /// On the torus the upper bound stays `∞` for every workload — §6's
-    /// layerability obstruction does not depend on the traffic.
+    /// layerability obstruction does not depend on the traffic. So does
+    /// an adaptive router's: Theorem 5 rests on the processor-sharing
+    /// comparison, which the paper makes for Markovian routing
+    /// (Corollary 4), and a router that reads queue state is not.
     fn generic_report(sc: &Scenario, res: &Resolution) -> Self {
         let (rates, gamma, trivial) = (res.edge_rates(), res.gamma, res.mean_distance);
         let d_max = sc.topology.max_distance() as f64;
@@ -305,7 +312,7 @@ impl BoundsReport {
             other => other.num_nodes(),
         };
         Self {
-            upper: if matches!(sc.topology, TopologySpec::Torus { .. }) {
+            upper: if matches!(sc.topology, TopologySpec::Torus { .. }) || sc.router.is_adaptive() {
                 f64::INFINITY
             } else {
                 upper::upper_bound_from_rates(&rates, gamma)
@@ -346,7 +353,9 @@ impl BoundsReport {
                 self.upper
             ));
         } else {
-            s.push_str("  upper bound                open (§6) or saturated\n");
+            s.push_str(
+                "  upper bound                open (torus §6, adaptive router) or saturated\n",
+            );
         }
         s.push_str(&format!(
             "  estimate (paper / M/D/1)   T ≈ {:.4} / {:.4}\n",
@@ -384,23 +393,6 @@ impl BoundsReport {
                  the offered load concentrates on the remaining sources\n",
                 self.silent_sources, self.nodes
             ));
-        }
-        if let Some(d) = &self.degradation {
-            s.push_str(&format!(
-                "  degradation: {} dead edges, reachability {:.4}, post-fault λ* ≈ {:.4}\n",
-                d.dead_edges, d.reachable_fraction, d.post_fault_lambda_star
-            ));
-            if d.delivered_fraction > 0.0 || d.dropped.total() > 0 {
-                s.push_str(&format!(
-                    "  delivered {:.4} of generated; drops: dead-end {}, local-min {}, \
-                     ttl {}, link-down {}\n",
-                    d.delivered_fraction,
-                    d.dropped.dead_end,
-                    d.dropped.local_minimum,
-                    d.dropped.ttl_exceeded,
-                    d.dropped.link_down
-                ));
-            }
         }
         s
     }
@@ -512,10 +504,14 @@ mod tests {
                 r.utilization
             );
             // Every topology except the torus has a finite proven upper
-            // bound below saturation.
-            if !matches!(sc.topology, TopologySpec::Torus { .. }) {
+            // bound below saturation, for every router that does not read
+            // queue state.
+            if !matches!(sc.topology, TopologySpec::Torus { .. }) && !sc.router.is_adaptive() {
                 assert!(r.upper.is_finite(), "{}", r.label);
                 assert!(r.est_md1 <= r.upper + 1e-9, "{}", r.label);
+            }
+            if sc.router.is_adaptive() {
+                assert!(r.upper.is_infinite(), "{}", r.label);
             }
         }
     }
@@ -602,35 +598,30 @@ mod tests {
     fn faulted_scenarios_grow_a_degradation_section() {
         use meshbound_sim::FaultSpec;
         let healthy = Scenario::mesh(6).load(Load::TableRho(0.5));
-        assert!(BoundsReport::compute_for(&healthy).degradation.is_none());
+        let base = BoundsReport::compute_for(&healthy);
+        assert_eq!(DegradationReport::survey(&healthy, &base, [1, 2]), None);
+        // The analytic report ignores the fault spec: it is the healthy
+        // one, bit for bit.
         let faulted = healthy.clone().faults(FaultSpec::links(0.1));
         let r = BoundsReport::compute_for(&faulted);
-        let d = r.degradation.as_ref().expect("faults => degradation");
-        assert!(d.dead_edges > 0);
+        assert_eq!(serde::json::to_string(&r), serde::json::to_string(&base));
+        assert_eq!(r.to_text(), base.to_text());
+        // The survey averages the plans the runs at the given seeds draw.
+        let seeds = [faulted.replication_seed(0), faulted.replication_seed(1)];
+        let plans = seeds.map(|seed| faulted.fault_reachability(seed).unwrap());
+        let d = DegradationReport::survey(&faulted, &r, seeds).expect("faults => degradation");
+        assert_eq!(d.dead_edges, (plans[0].0 + plans[1].0) as f64 / 2.0);
+        assert_eq!(d.reachable_fraction, (plans[0].1 + plans[1].1) / 2.0);
+        assert!(d.dead_edges > 0.0);
         assert!((0.0..=1.0).contains(&d.reachable_fraction));
-        assert!(
-            (d.post_fault_lambda_star - r.stability_lambda * d.reachable_fraction).abs() < 1e-12
-        );
-        // The measured half starts zeroed — the simulation fills it in.
-        assert_eq!(d.delivered_fraction, 0.0);
-        assert_eq!(d.dropped.total(), 0);
-        // The healthy bounds themselves are untouched by the fault spec.
-        let base = BoundsReport::compute_for(&healthy);
-        assert_eq!(r.upper.to_bits(), base.upper.to_bits());
-        assert_eq!(r.lower_best.to_bits(), base.lower_best.to_bits());
-        assert!(r.to_text().contains("degradation:"));
-        assert!(!base.to_text().contains("degradation:"));
-        // Same seed, same spec → same plan → same reachability.
-        let again = BoundsReport::compute_for(&faulted);
         assert_eq!(
-            d.reachable_fraction.to_bits(),
-            again
-                .degradation
-                .as_ref()
-                .unwrap()
-                .reachable_fraction
-                .to_bits()
+            d.post_fault_lambda_star,
+            r.stability_lambda * d.reachable_fraction
         );
+        // One seed is one plan; the same seeds give the same survey.
+        let one = DegradationReport::survey(&faulted, &r, [seeds[0]]).unwrap();
+        assert_eq!(one.reachable_fraction, plans[0].1);
+        assert_eq!(DegradationReport::survey(&faulted, &r, seeds), Some(d));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! order. Only the wall-clock fields differ; strip them with
 //! [`SweepReport::without_timings`] before comparing reports.
 
-use crate::report::BoundsReport;
+use crate::report::{BoundsReport, DegradationReport};
 use meshbound_sim::{DropCounts, FaultSpec, Scenario, SweepError, SweepSpec, TelemetryReport};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -44,8 +44,11 @@ use std::time::Instant;
 /// `telemetry` flight-recorder report (schema `meshbound.telemetry/v1`) —
 /// unprobed sweeps serialize byte-identically to v6 apart from this
 /// schema tag; v8 dropped `sample_every` from each cell's `scenario`
-/// object (the `probes=nsys` series is the one `N(t)` sampler).
-pub const SCHEMA: &str = "meshbound.sweep/v8";
+/// object (the `probes=nsys` series is the one `N(t)` sampler); v9 moved
+/// `degradation` out of each cell's bounds report into the cell, as the
+/// survey of the fault plans its replications ran, with
+/// `delivered_fraction`/`dropped` kept once, on the cell.
+pub const SCHEMA: &str = "meshbound.sweep/v9";
 
 /// Tolerance for judging a simulated mean delay against analytic bounds.
 ///
@@ -111,8 +114,7 @@ impl Jobs {
 ///
 /// `Serialize` is hand-written (field order matches declaration order,
 /// like the derive) so the optional `telemetry` section is omitted —
-/// rather than emitted as `null` — when the cell ran without probes,
-/// keeping unprobed report JSON byte-identical to schema v6.
+/// rather than emitted as `null` — when the cell ran without probes.
 #[derive(Debug, Clone, Deserialize)]
 pub struct SweepCellReport {
     /// The cell's full scenario spec string (round-trips through
@@ -159,6 +161,11 @@ pub struct SweepCellReport {
     /// Fault-induced drops by cause, summed over replications (all zero
     /// for healthy cells).
     pub dropped: DropCounts,
+    /// The fault plans of the cell's replications, surveyed and averaged
+    /// ([`DegradationReport::survey`] at
+    /// [`Scenario::replication_seed`]`(0..reps)`); `None` for a healthy
+    /// cell.
+    pub degradation: Option<DegradationReport>,
     /// Future-event-list events processed, summed over replications
     /// (deterministic: a pure work measure).
     pub events_processed: u64,
@@ -179,8 +186,8 @@ pub struct SweepCellReport {
     /// none, and saturated loads push the Theorem 7 bound to `∞`).
     pub upper_bound_finite: bool,
     /// Wall-clock seconds of cell setup: the cell's one rate resolution
-    /// ([`Scenario::resolve`]) and the analytic [`BoundsReport`] built
-    /// from it.
+    /// ([`Scenario::resolve`]), the analytic [`BoundsReport`] built from
+    /// it and, in a faulted cell, the survey of its fault plans.
     pub setup_s: f64,
     /// Wall-clock seconds of the replication hot loop
     /// ([`Scenario::run_replicated_at`]), which runs at the resolved λ and
@@ -215,6 +222,7 @@ impl Serialize for SweepCellReport {
         w.field("completed", &self.completed);
         w.field("delivered_fraction", &self.delivered_fraction);
         w.field("dropped", &self.dropped);
+        w.field("degradation", &self.degradation);
         w.field("events_processed", &self.events_processed);
         w.field("events_per_sec", &self.events_per_sec);
         w.field("bounds", &self.bounds);
@@ -406,7 +414,9 @@ pub fn run_cells(spec: &str, cells: Vec<Scenario>, reps: usize, jobs: Jobs) -> S
 fn run_cell(sc: &Scenario, reps: usize, check: BoundsCheck) -> SweepCellReport {
     let t0 = Instant::now();
     let rates = sc.resolve().unwrap_or_else(|e| panic!("{e}"));
-    let mut bounds = BoundsReport::compute_with(sc, &rates);
+    let bounds = BoundsReport::compute_with(sc, &rates);
+    let seeds = (0..reps).map(|i| sc.replication_seed(i));
+    let degradation = DegradationReport::survey(sc, &bounds, seeds);
     let setup_s = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
     let rep = sc.run_replicated_at(rates, reps);
@@ -433,12 +443,6 @@ fn run_cell(sc: &Scenario, reps: usize, check: BoundsCheck) -> SweepCellReport {
     } else {
         0.0
     };
-    // The simulated half of the degradation section lives here — the
-    // analytic report only knows the fault plan, not the outcome.
-    if let Some(d) = bounds.degradation.as_mut() {
-        d.delivered_fraction = delivered_fraction;
-        d.dropped = dropped;
-    }
     // Healthy analytic bounds do not constrain a faulted topology:
     // faulted cells pass vacuously, like cells with no finite upper
     // bound.
@@ -469,6 +473,7 @@ fn run_cell(sc: &Scenario, reps: usize, check: BoundsCheck) -> SweepCellReport {
         completed,
         delivered_fraction,
         dropped,
+        degradation,
         events_processed,
         events_per_sec,
         within_bounds,
@@ -576,7 +581,8 @@ mod tests {
         assert!(json.contains("\"faults\":\"none\""));
         assert!(json.contains("\"delivered_fraction\":"));
         assert!(json.contains("\"link_down\":0"));
-        assert!(json.contains("\"degradation\":null"));
+        // v9: the degradation section sits on the cell, null when healthy.
+        assert!(json.contains("\"link_down\":0},\"degradation\":null"));
         // The torus's open upper bound serializes as null, not Infinity.
         assert!(json.contains("\"upper\":null"));
         assert!(!json.contains("inf"));
@@ -615,24 +621,46 @@ mod tests {
         let healthy = &report.cells[0];
         let faulted = &report.cells[1];
         assert_eq!(healthy.faults, "none");
-        assert!(healthy.bounds.degradation.is_none());
+        assert!(healthy.degradation.is_none());
         assert_eq!(healthy.dropped.total(), 0);
         assert_eq!(faulted.faults, "links:0.1");
         assert!(faulted.dropped.total() > 0, "{}", faulted.spec);
         assert!(faulted.delivered_fraction < healthy.delivered_fraction);
         assert!(faulted.within_bounds, "faulted verdicts are vacuous");
         assert!(report.all_within_bounds);
-        let d = faulted.bounds.degradation.as_ref().unwrap();
-        assert!(d.dead_edges > 0);
+        let d = faulted.degradation.as_ref().unwrap();
+        assert!(d.dead_edges > 0.0);
         assert!((0.0..=1.0).contains(&d.reachable_fraction));
-        assert!((d.delivered_fraction - faulted.delivered_fraction).abs() < 1e-15);
-        assert_eq!(d.dropped, faulted.dropped);
-        // The labels and the degradation section reach the JSON.
+        // The labels and the degradation section reach the JSON, and the
+        // delivered fraction and the drops appear there once.
         let json = report.to_json();
         assert!(json.contains("\"faults\":\"links:0.1\""));
         assert!(json.contains("\"degradation\":{"));
+        let cell = serde::json::to_string(faulted);
+        assert_eq!(cell.matches("\"delivered_fraction\":").count(), 1);
+        assert_eq!(cell.matches("\"dropped\":").count(), 1);
         // The text table says what a faulted cell's interval spans.
         assert!(report.to_text().contains("spans fault plans"));
+    }
+
+    #[test]
+    fn faulted_cells_survey_the_plans_their_replications_ran() {
+        let spec = SweepSpec::parse(
+            "topo=mesh:8 load=lambda:0.12 faults=links:0.1 reps=2 horizon=300 warmup=30",
+        )
+        .unwrap();
+        let report = run_sweep(&spec, Jobs::Sequential).unwrap();
+        let cell = &report.cells[0];
+        let sc = &cell.scenario;
+        let plans: Vec<(usize, f64)> = (0..2)
+            .map(|i| sc.fault_reachability(sc.replication_seed(i)).unwrap())
+            .collect();
+        let d = cell.degradation.as_ref().unwrap();
+        assert_eq!(d.reachable_fraction, (plans[0].1 + plans[1].1) / 2.0);
+        assert_eq!(d.dead_edges, (plans[0].0 + plans[1].0) as f64 / 2.0);
+        // Not the plan of the cell's own seed, which no replication runs.
+        let own = sc.fault_reachability(sc.seed).unwrap().1;
+        assert_ne!(d.reachable_fraction, own);
     }
 
     #[test]
@@ -647,7 +675,7 @@ mod tests {
         // An unprobed report carries no telemetry key at all.
         let plain_json = plain.to_json();
         assert!(!plain_json.contains("telemetry"));
-        assert!(plain_json.starts_with("{\"schema\":\"meshbound.sweep/v8\""));
+        assert!(plain_json.starts_with("{\"schema\":\"meshbound.sweep/v9\""));
         assert!(plain.cells[0].telemetry.is_none());
         // The probed twin shares the cell seed and every simulated number
         // bit for bit; only the telemetry section differs.

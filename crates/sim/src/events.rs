@@ -13,7 +13,9 @@
 //!   `now + 1` with `now` non-decreasing) append to the FIFO; everything
 //!   else, and any offer that would break the FIFO's order, goes to the
 //!   calendar. Both lanes stay sorted by `(time, seq)`, so popping the
-//!   smaller head gives the order of one queue holding everything.
+//!   smaller head gives the order of one queue holding everything. Its
+//!   bounded pop ([`LaneQueue::next_before`]) stops at a window end and
+//!   leaves every later event as it was.
 //!
 //! All three pop events in exactly the same `(time, seq)` order, so a
 //! simulation produces bit-identical results whichever queue drives it —
@@ -562,6 +564,31 @@ impl<E> LaneQueue<E> {
             _ => self.fifo.push_back(Scheduled { time, seq, event }),
         }
     }
+
+    /// [`EventQueue::next`] bounded by `end`: removes and returns the
+    /// earliest event if it fires before `end`, and otherwise returns
+    /// `None` and leaves every event in place, its sequence number
+    /// included.
+    #[inline]
+    pub fn next_before(&mut self, end: f64) -> Option<(f64, E)> {
+        // The calendar scan stops at the FIFO head's bucket, so its cursor
+        // never runs ahead of the earliest pending event.
+        let head = self.fifo.front().map(|f| (f.time, f.seq));
+        let limit_vb = head.map_or(u64::MAX, |(t, _)| self.cal.vbucket(t));
+        let cal = self
+            .cal
+            .scan(limit_vb)
+            .filter(|&c| head.is_none_or(|f| c < f));
+        if cal.or(head)?.0 >= end {
+            return None;
+        }
+        let s = if cal.is_some() {
+            self.cal.pop()
+        } else {
+            self.fifo.pop_front()?
+        };
+        Some((s.time, s.event))
+    }
 }
 
 impl<E> EventQueue<E> for LaneQueue<E> {
@@ -573,16 +600,7 @@ impl<E> EventQueue<E> for LaneQueue<E> {
 
     #[inline]
     fn next(&mut self) -> Option<(f64, E)> {
-        // The calendar scan stops at the FIFO head's bucket, so its cursor
-        // never runs ahead of the earliest pending event.
-        let head = self.fifo.front().map(|f| (f.time, f.seq));
-        let limit_vb = head.map_or(u64::MAX, |(t, _)| self.cal.vbucket(t));
-        let s = match (self.cal.scan(limit_vb), head) {
-            (Some(c), Some(f)) if f < c => self.fifo.pop_front(),
-            (Some(_), _) => Some(self.cal.pop()),
-            (None, _) => self.fifo.pop_front(),
-        }?;
-        Some((s.time, s.event))
+        self.next_before(f64::INFINITY)
     }
 
     fn len(&self) -> usize {
@@ -902,6 +920,52 @@ mod tests {
                 }
                 id += 1;
                 prop_assert_eq!(heap.len(), lane.len());
+            }
+            loop {
+                let a = heap.next();
+                prop_assert_eq!(a, lane.next());
+                if a.is_none() { break; }
+            }
+        }
+
+        /// The bounded pop as the sharded engine drives it: windows that
+        /// each pop what fires before their end, between ordered offers,
+        /// calendar schedules and events tied with a window end. A pop
+        /// never returns an event at or past the bound, a window leaves
+        /// nothing before its end behind, and the pops taken together
+        /// come in the heap's order.
+        #[test]
+        fn prop_bounded_pop_stops_at_the_bound_in_heap_order(
+            ops in proptest::collection::vec((0u8..4, 0usize..4, 0.0f64..8.0), 1..400),
+        ) {
+            let mut heap = HeapQueue::new();
+            let mut lane = LaneQueue::new(CalendarQueue::new(8, 0.5));
+            let mut id = 0u32;
+            let mut now = 0.0f64;
+            for (kind, d, x) in ops {
+                let t = match kind {
+                    0 => {
+                        let end = now + x.floor();
+                        while let Some((t, e)) = lane.next_before(end) {
+                            prop_assert!(t < end);
+                            prop_assert_eq!(heap.next(), Some((t, e)));
+                        }
+                        prop_assert!(heap.heap.peek().is_none_or(|s| s.time >= end));
+                        prop_assert_eq!(heap.len(), lane.len());
+                        now = end;
+                        continue;
+                    }
+                    1 => now + [0.5, 1.0, 1.0, 2.0][d],
+                    2 => now + x,
+                    _ => now + x.floor(),
+                };
+                heap.schedule(t, id);
+                if kind == 1 {
+                    lane.schedule_ordered(t, id);
+                } else {
+                    lane.schedule(t, id);
+                }
+                id += 1;
             }
             loop {
                 let a = heap.next();

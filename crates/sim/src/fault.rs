@@ -271,8 +271,9 @@ impl FaultSpec {
     /// # Errors
     ///
     /// A message naming the violated constraint: rates outside `[0, 1]`,
-    /// ids out of range, non-finite or negative times, or a schedule that
-    /// fails every edge of the topology at once.
+    /// ids out of range, non-finite or negative times, or a schedule
+    /// without repair whose explicit ids and rounded draw fail every link
+    /// or every node.
     pub fn check(&self, num_nodes: usize, num_edges: usize) -> Result<(), String> {
         for (label, rate) in [("links", self.link_rate), ("nodes", self.node_rate)] {
             if !(0.0..=1.0).contains(&rate) {
@@ -300,15 +301,30 @@ impl FaultSpec {
                 return Err(format!("repair delay `repair:{dt}` must be finite and > 0"));
             }
         }
-        if self.link_rate >= 1.0 && self.repair.is_none() {
-            return Err(
-                "failing every link forever leaves nothing to simulate — lower the \
-                 `links:` rate or add a `repair:` delay"
-                    .into(),
-            );
+        if self.repair.is_none() {
+            // What `materialize` kills: the distinct explicit ids plus the
+            // rounded draw.
+            for (what, ids, rate, total) in [
+                ("link", &self.links, self.link_rate, num_edges),
+                ("node", &self.nodes, self.node_rate, num_nodes),
+            ] {
+                let distinct = ids.iter().collect::<std::collections::BTreeSet<_>>().len();
+                if distinct + rate_draw(rate, total) >= total {
+                    return Err(format!(
+                        "failing every {what} forever leaves nothing to simulate — fail \
+                         fewer {what}s or add a `repair:` delay"
+                    ));
+                }
+            }
         }
         Ok(())
     }
+}
+
+/// How many of `total` links or nodes a `rate` draw fails.
+#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+fn rate_draw(rate: f64, total: usize) -> usize {
+    (rate * total as f64).round() as usize
 }
 
 /// One scheduled liveness transition of one edge.
@@ -352,10 +368,12 @@ impl FaultPlan {
         }
         // Rate-drawn links first, then nodes — a fixed visit order keeps
         // the RNG stream (and therefore the plan) reproducible.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let link_target = (spec.link_rate * num_edges as f64).round() as usize;
+        // Each draw stops at what is still alive: explicit ids may already
+        // hold part of a full rate.
+        let link_target =
+            rate_draw(spec.link_rate, num_edges).min(num_edges.saturating_sub(dead.len()));
         let mut drawn = 0usize;
-        while drawn < link_target.min(num_edges) {
+        while drawn < link_target {
             let e = EdgeId(rng.gen_range(0..num_edges as u32));
             if dead.insert(e) {
                 drawn += 1;
@@ -365,10 +383,10 @@ impl FaultPlan {
         for &id in &spec.nodes {
             dead_nodes.insert(id);
         }
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let node_target = (spec.node_rate * num_nodes as f64).round() as usize;
+        let node_target =
+            rate_draw(spec.node_rate, num_nodes).min(num_nodes.saturating_sub(dead_nodes.len()));
         let mut drawn_nodes = 0usize;
-        while drawn_nodes < node_target.min(num_nodes) {
+        while drawn_nodes < node_target {
             let v = rng.gen_range(0..num_nodes as u32);
             if dead_nodes.insert(v) {
                 drawn_nodes += 1;
@@ -567,6 +585,36 @@ mod tests {
             ..FaultSpec::default()
         };
         assert!(explicit_node.check(16, 48).is_err());
+    }
+
+    #[test]
+    fn full_draws_beside_explicit_ids_stop_at_the_last_live_element() {
+        let topo = Mesh2D::square(4);
+        for token in [
+            "link:3+links:1+repair:10",
+            "link:3+links:0.99+repair:10",
+            "node:5+nodes:1+repair:10",
+        ] {
+            let spec = FaultSpec::parse_token(token).unwrap().unwrap();
+            assert_eq!(spec.check(16, 48), Ok(()), "{token}");
+            let plan = FaultPlan::materialize(&spec, 1, &topo);
+            assert_eq!(plan.down_edges.len(), 48, "{token}");
+        }
+        // Without the repair each of them, and every other spelling of
+        // "all links" or "all nodes", is refused.
+        for token in [
+            "link:3+links:1",
+            "link:3+links:0.99",
+            "links:0.99",
+            "node:5+nodes:1",
+            "nodes:1",
+            "nodes:0.97",
+        ] {
+            let spec = FaultSpec::parse_token(token).unwrap().unwrap();
+            let err = spec.check(16, 48).unwrap_err();
+            assert!(err.contains("leaves nothing to simulate"), "{token}: {err}");
+        }
+        assert!(FaultSpec::nodes(0.9).check(16, 48).is_ok());
     }
 
     #[test]

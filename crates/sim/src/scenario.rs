@@ -399,9 +399,10 @@ impl<S: System> OnNetwork for Run<'_, S> {
     }
 }
 
-/// The fault plan's size and the surviving reachability it leaves (see
-/// [`Scenario::fault_reachability`]); `None` for a healthy scenario.
-struct Survey<'a>(&'a Scenario);
+/// The size of the fault plan the run at `seed` draws and the surviving
+/// reachability it leaves (see [`Scenario::fault_reachability`]); `None`
+/// for a healthy scenario.
+struct Survey<'a>(&'a Scenario, u64);
 
 impl OnNetwork for Survey<'_> {
     type Output = Option<(usize, f64)>;
@@ -412,7 +413,7 @@ impl OnNetwork for Survey<'_> {
         R: Router<T> + Sync,
         D: DestSampler<T> + Sync,
     {
-        let (spec, seed) = (self.0.faults.as_ref()?, self.0.seed);
+        let (spec, seed) = (self.0.faults.as_ref()?, self.1);
         let plan = FaultPlan::materialize(spec, seed, &topo);
         let frac = reachable_fraction(&topo, &router, &plan.down_edges, seed);
         Some((plan.down_edges.len(), frac))
@@ -860,11 +861,13 @@ impl Scenario {
         }
     }
 
-    /// Materializes this scenario's fault plan (under the scenario's own
-    /// seed) and estimates the surviving-topology reachability: the
-    /// fraction of sampled source–destination pairs the router still
-    /// connects with every failing edge treated as permanently dead —
-    /// the worst case over the timeline, since repairs only help.
+    /// Materializes the fault plan of the run at `seed` (the scenario's
+    /// own seed for [`Scenario::try_run`], [`Scenario::replication_seed`]
+    /// for a replication) and estimates the surviving-topology
+    /// reachability: the fraction of sampled source–destination pairs the
+    /// router still connects with every failing edge treated as
+    /// permanently dead — the worst case over the timeline, since repairs
+    /// only help.
     ///
     /// Returns `(dead_edges, reachable_fraction)`, or `None` for healthy
     /// scenarios (no `faults=` clause). Deterministic for a fixed
@@ -876,9 +879,9 @@ impl Scenario {
     /// Panics if the workload fails [`Scenario::validate`] — call it
     /// first.
     #[must_use]
-    pub fn fault_reachability(&self) -> Option<(usize, f64)> {
+    pub fn fault_reachability(&self, seed: u64) -> Option<(usize, f64)> {
         self.faults.as_ref()?;
-        self.on_network(Survey(self))
+        self.on_network(Survey(self, seed))
     }
 
     /// Exact per-edge arrival rates at the resolved λ, for the scenario's
@@ -2063,6 +2066,29 @@ mod tests {
         assert!(a.delivered_fraction < 1.0 && a.delivered_fraction > 0.0);
         assert_eq!(a.dropped, b.dropped);
         assert_eq!(a.avg_delay.to_bits(), b.avg_delay.to_bits());
+    }
+
+    #[test]
+    fn fault_specs_that_fail_everything_forever_are_refused() {
+        for faults in ["links:0.99", "nodes:1", "nodes:0.97", "link:3+links:0.99"] {
+            let spec = format!("mesh:4 lambda=0.1 faults={faults}");
+            let err = Scenario::parse(&spec).unwrap_err();
+            assert!(
+                err.to_string().contains("leaves nothing to simulate"),
+                "{spec}: {err}"
+            );
+        }
+        // Repaired, the same full draws are runs that finish.
+        for faults in [
+            "link:3+links:1+repair:10",
+            "link:3+links:0.99+repair:10",
+            "node:5+nodes:1+repair:10",
+        ] {
+            let spec = format!("mesh:4 lambda=0.1 faults={faults} horizon=100 warmup=10");
+            let sc = Scenario::parse(&spec).unwrap();
+            assert_eq!(sc.fault_reachability(sc.seed).map(|(d, _)| d), Some(48));
+            assert!(sc.try_run().unwrap().generated > 0, "{spec}");
+        }
     }
 
     #[test]

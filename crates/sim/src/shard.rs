@@ -54,7 +54,11 @@
 //! may therefore run epoch `j` to completion without hearing from its
 //! peers. Because the lookahead must be known in advance, shards > 1
 //! requires [`ServiceKind::Deterministic`] service times, which
-//! [`Scenario::validate`] enforces.
+//! [`Scenario::validate`] enforces. A window pops only the events before
+//! its end ([`LaneQueue::next_before`]): the first event past it stays
+//! queued with its sequence number, so the events of consecutive windows
+//! come in `(time, seq)` order, and a probe tick at the end decides
+//! nothing.
 //!
 //! Cross-shard transfers are *sent at service start*: when a cut edge
 //! begins serving a packet at `t`, its completion time `t + 1/rate` is
@@ -180,8 +184,8 @@ enum Ev {
     /// every shard runs the identical tick schedule, so per-shard
     /// recorders merge sample-by-sample after the join. The handler reads
     /// shard state, draws no randomness and mutates nothing, and its ticks
-    /// are subtracted from the event count, so probed runs stay
-    /// bit-identical to unprobed ones.
+    /// are not counted as events, so probed runs stay bit-identical to
+    /// unprobed ones.
     Probe,
 }
 
@@ -476,13 +480,12 @@ where
             let last = wi + 1 == windows.len();
             // A window runs the events strictly before its end; the last
             // one runs everything up to and including the horizon.
+            // Events past it stay queued as they are, so the next window
+            // pops them in `(time, seq)` order.
             let stop = if last { self.sc.horizon.next_up() } else { end };
-            while let Some((t, ev)) = self.queue.next() {
-                if t >= stop {
-                    self.defer(t, ev);
-                    break;
-                }
-                self.events += 1;
+            while let Some((t, ev)) = self.queue.next_before(stop) {
+                // Probe ticks ride the event list but are not engine work.
+                self.events += u64::from(!matches!(ev, Ev::Probe));
                 self.step(t, ev)
                     .map_err(|Stalled { at, dst }| Some(stall::<R>(at, dst)))?;
             }
@@ -492,21 +495,6 @@ where
             self.exchange(end, tx_row, rx_row)?;
         }
         Ok(self.finish())
-    }
-
-    /// Defers the first event popped past a window's end to the next
-    /// window. It re-enters the queue with a fresh sequence number, behind
-    /// any same-time peer — a deterministic tie-break every sharded
-    /// fingerprint depends on. A probe tick must not decide which event
-    /// that is (probes never perturb a run), so when the tick comes first
-    /// the event behind it is re-sequenced too, as in an unprobed run.
-    fn defer(&mut self, t: f64, ev: Ev) {
-        if ev == Ev::Probe {
-            if let Some((t2, ev2)) = self.queue.next() {
-                self.queue.schedule(t2, ev2);
-            }
-        }
-        self.queue.schedule(t, ev);
     }
 
     /// Handles one event at time `now`.
@@ -774,10 +762,7 @@ where
             nsys: self.obs.n_sys.value(),
             drops: self.obs.dropped.total() as f64,
             delivered: self.obs.completed as f64,
-            // Events excluding probe ticks: this event is already counted
-            // and `rec.ticks()` holds the prior ones, so the series matches
-            // what an unprobed shard counts at `now`.
-            events: (self.events - rec.ticks() - 1) as f64,
+            events: self.events as f64,
             cut: self.cut_handoffs as f64,
             ..ProbeSample::default()
         };
@@ -862,11 +847,6 @@ where
                 })
                 .collect()
         });
-        // Probe ticks rode the event list but are not engine work:
-        // subtracting keeps the event count bit-identical to probes-off.
-        if let Some(rec) = &self.recorder {
-            self.events -= rec.ticks();
-        }
         ShardOut {
             obs: self.obs,
             events: self.events,

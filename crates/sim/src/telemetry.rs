@@ -15,8 +15,9 @@
 //! tick counts, so the per-shard recorders of a sharded run stay in
 //! lockstep and merge deterministically.
 //!
-//! Probes read engine state but never mutate it — simulation results with
-//! probes on are bit-identical to probes off, at every shard count.
+//! Probes read engine state but never mutate it, and the engines do not
+//! count their ticks as events — simulation results with probes on are
+//! bit-identical to probes off, at every shard count.
 
 use meshbound_stats::{DecimatingSeries, Welford};
 use serde::{Deserialize, Serialize};
@@ -266,7 +267,6 @@ pub struct ProbeSample {
 pub struct Recorder {
     spec: ProbeSpec,
     base: f64,
-    ticks: u64,
     series: Vec<Series>,
 }
 
@@ -300,7 +300,6 @@ impl Recorder {
         Self {
             spec: *spec,
             base: spec.base_interval(horizon),
-            ticks: 0,
             series,
         }
     }
@@ -326,17 +325,8 @@ impl Recorder {
         stride as f64 * self.base
     }
 
-    /// Probe events consumed so far. Engines subtract this from their
-    /// event counters at result assembly so `events_processed` stays
-    /// bit-identical to a probes-off run.
-    #[must_use]
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
     /// Feeds one probe tick at sim time `now` into every series.
     pub fn record(&mut self, now: f64, sample: &ProbeSample) {
-        self.ticks += 1;
         for s in &mut self.series {
             s.data.record(now, (s.read)(sample));
         }
@@ -357,7 +347,6 @@ impl Recorder {
     pub fn merge(mut parts: Vec<Recorder>) -> Recorder {
         let mut acc = parts.remove(0);
         for part in parts {
-            acc.ticks += part.ticks;
             let mut shared = 0;
             for ps in part.series {
                 if ps.op == MergeOp::Keep {
@@ -597,9 +586,7 @@ mod tests {
                 );
             }
         }
-        let merged = Recorder::merge(parts);
-        assert_eq!(merged.ticks(), 60);
-        let report = merged.into_report();
+        let report = Recorder::merge(parts).into_report();
         // Shared series first, then 3 shards × (events, qmass, cut).
         assert_eq!(report.series.len(), 2 + 9);
         let nsys = &report.series[0];
@@ -611,5 +598,7 @@ mod tests {
         assert_eq!(report.series[2].name, "shard0:events");
         assert_eq!(report.series[5].name, "shard1:events");
         assert_eq!(report.series[9].name, "shard2:qmass");
+        // Every series keeps each of the 20 ticks once.
+        assert!(report.series.iter().all(|s| s.samples.len() == 20));
     }
 }

@@ -145,7 +145,7 @@ fn json_report_contract() {
     // The torus's open upper bound must be null (valid JSON), never `inf`.
     assert!(json.contains("\"upper\":null"));
     let pretty = report.to_json_pretty();
-    assert!(pretty.contains("\n  \"schema\": \"meshbound.sweep/v8\""));
+    assert!(pretty.contains("\n  \"schema\": \"meshbound.sweep/v9\""));
     // v4: the cell wall clock is split into setup and hot-loop time.
     for key in ["\"setup_s\":", "\"sim_s\":"] {
         assert!(json.contains(key), "missing {key} in {json}");
@@ -218,7 +218,7 @@ fn repro_sweep_cli_writes_checked_json() {
         String::from_utf8_lossy(&output.stderr),
     );
     let json = std::fs::read_to_string(&out).expect("JSON written");
-    assert!(json.contains("\"schema\": \"meshbound.sweep/v8\""));
+    assert!(json.contains("\"schema\": \"meshbound.sweep/v9\""));
     assert!(json.contains("\"all_within_bounds\": true"));
     let _ = std::fs::remove_file(&out);
     // A bad grammar and a bounds-violating check path must exit nonzero.

@@ -399,9 +399,9 @@ impl<S: System> OnNetwork for Run<'_, S> {
     }
 }
 
-/// The size of the fault plan the run at `seed` draws and the surviving
-/// reachability it leaves (see [`Scenario::fault_reachability`]); `None`
-/// for a healthy scenario.
+/// The size of the fault plan that the run at seed `.1` draws and the
+/// surviving reachability it leaves (see [`Scenario::fault_reachability`]);
+/// `None` for a healthy scenario.
 struct Survey<'a>(&'a Scenario, u64);
 
 impl OnNetwork for Survey<'_> {

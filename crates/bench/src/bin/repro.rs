@@ -51,7 +51,7 @@
 //! command keeps its own status, 2 for a usage error and 1 for a failed
 //! run.
 
-use meshbound::experiments::{extensions, fig1, fig2, table1, table2, table3, Scale};
+use meshbound::experiments::{extensions as ext, fig1, fig2, run, table1, table2, table3, Scale};
 use meshbound::queueing::load::{mesh_stability_threshold, optimal_stability_threshold};
 use meshbound::sim::spec::{self, Form};
 use meshbound::sweep::{run_cells, Jobs};
@@ -241,82 +241,73 @@ const ARTIFACTS: &[(&str, Render)] = &[
         vec![fig2::render(&even, &odd)]
     }),
     ("table1", |scale| {
-        vec![
-            "Table I — simulation vs M/D/1 estimate (λ = 4ρ/n)".into(),
-            table1::render(&table1::run(scale)),
-        ]
+        vec![table1::render(&run("table1", table1::cells(scale), scale))]
     }),
     ("table2", |scale| {
-        vec![
-            "Table II — r = E[R]/E[N]".into(),
-            table2::render(&table2::run(scale)),
-        ]
+        vec![table2::render(&run("table2", table2::cells(scale), scale))]
     }),
     ("table3", |scale| {
-        vec![
-            "Table III — r_s at ρ = 0.99".into(),
-            table3::render(&table3::run(scale)),
-        ]
+        vec![table3::render(&run("table3", table3::cells(scale), scale))]
     }),
     ("bounds", |scale| {
         let rhos = [0.2, 0.5, 0.8, 0.9, 0.95, 0.99];
+        let cells = |n| run("bounds", ext::bounds_cells(n, &rhos, scale), scale);
         [8, 9]
-            .map(|n| extensions::render_bounds_curve(n, &extensions::bounds_curve(n, &rhos, scale)))
+            .map(|n| ext::render_bounds_curve(n, &cells(n)))
             .into()
     }),
     ("stability", |scale| {
+        let stability = |n, lambdas: &[f64], optimal| {
+            let cells = ext::stability_cells(n, lambdas, optimal, scale);
+            ext::render_stability(n, &run("stability", cells, scale))
+        };
         let mut blocks: Vec<String> = [6, 7]
             .map(|n| {
                 let thr = mesh_stability_threshold(n);
-                let lambdas = [0.8 * thr, 0.95 * thr, 1.05 * thr, 1.2 * thr];
-                let rows = extensions::stability_sweep(n, &lambdas, false, scale);
-                extensions::render_stability(n, &rows)
+                stability(n, &[0.8 * thr, 0.95 * thr, 1.05 * thr, 1.2 * thr], false)
             })
             .into();
         // Optimal allocation: stable between 4/n and 6/(n+1).
-        let n = 6;
-        let mid = 0.5 * (mesh_stability_threshold(n) + optimal_stability_threshold(n));
-        let rows = extensions::stability_sweep(n, &[mid], true, scale);
-        blocks.push(extensions::render_stability(n, &rows));
+        let mid = 0.5 * (mesh_stability_threshold(6) + optimal_stability_threshold(6));
+        blocks.push(stability(6, &[mid], true));
         blocks
     }),
     ("capacity", |scale| {
-        let rows = extensions::capacity_comparison(8, &[0.1, 0.2, 0.3, 0.4], scale);
-        vec![extensions::render_capacity(8, &rows)]
+        let cells = ext::capacity_cells(8, &[0.1, 0.2, 0.3, 0.4], scale);
+        vec![ext::render_capacity(8, &run("capacity", cells, scale))]
     }),
     ("hypercube", |scale| {
-        let rows = extensions::hypercube_study(8, &[0.1, 0.25, 0.5, 0.75, 0.9], 0.9, scale);
-        vec![extensions::render_hypercube(8, &rows)]
+        let cells = ext::hypercube_cells(8, &[0.1, 0.25, 0.5, 0.75, 0.9], 0.9, scale);
+        vec![ext::render_hypercube(8, &run("hypercube", cells, scale))]
     }),
     ("butterfly", |scale| {
-        let rows = extensions::butterfly_study(&[2, 3, 4, 5, 6], 0.9, scale);
-        vec![extensions::render_butterfly(&rows)]
+        let cells = ext::butterfly_cells(&[2, 3, 4, 5, 6], 0.9, scale);
+        vec![ext::render_butterfly(&run("butterfly", cells, scale))]
     }),
     ("randomized", |scale| {
-        let rows = extensions::randomized_study(10, &[0.2, 0.5, 0.8, 0.9], scale);
-        vec![extensions::render_randomized(10, &rows)]
+        let cells = ext::randomized_cells(10, &[0.2, 0.5, 0.8, 0.9], scale);
+        vec![ext::render_randomized(10, &run("randomized", cells, scale))]
     }),
     ("torus", |scale| {
-        let rows = extensions::torus_study(8, &[0.1, 0.2, 0.3, 0.4], scale);
-        vec![extensions::render_torus(8, &rows)]
+        let cells = ext::torus_cells(8, &[0.1, 0.2, 0.3, 0.4], scale);
+        vec![ext::render_torus(8, &run("torus", cells, scale))]
     }),
     ("kd", |scale| {
         let shapes = [vec![4, 4], vec![3, 3, 3], vec![4, 4, 4], vec![3, 3, 3, 3]];
-        vec![extensions::render_kd(&extensions::kd_study(
-            &shapes, 0.1, scale,
-        ))]
+        let cells = ext::kd_cells(&shapes, 0.1, scale);
+        vec![ext::render_kd(&run("kd", cells, scale))]
     }),
     ("slotted", |scale| {
-        let rows = extensions::slotted_study(8, 0.7, &[0.25, 0.5, 1.0, 2.0], scale);
-        vec![extensions::render_slotted(8, 0.7, &rows)]
+        let cells = ext::slotted_cells(8, 0.7, &[0.25, 0.5, 1.0, 2.0], scale);
+        vec![ext::render_slotted(8, 0.7, &run("slotted", cells, scale))]
     }),
     ("nonuniform", |scale| {
-        let rows = extensions::nearby_study(8, &[0.25, 0.5, 0.75], 0.4, scale);
-        vec![extensions::render_nearby(8, 0.4, &rows)]
+        let cells = ext::nearby_cells(8, &[0.25, 0.5, 0.75], 0.4, scale);
+        vec![ext::render_nearby(8, 0.4, &run("nonuniform", cells, scale))]
     }),
     ("dominance", |scale| {
-        let rows = extensions::dominance_study(8, &[0.2, 0.5, 0.8, 0.9], scale);
-        vec![extensions::render_dominance(8, &rows)]
+        let cells = ext::dominance_cells(8, &[0.2, 0.5, 0.8, 0.9], scale);
+        vec![ext::render_dominance(8, &run("dominance", cells, scale))]
     }),
     ("report", |_| {
         [5, 10, 20]

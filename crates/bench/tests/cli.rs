@@ -76,7 +76,7 @@ fn faulted_reruns_are_bit_identical_on_both_engines() {
     // output, on one shard (`auto`) and on two shards alike.
     for engine in ["auto", "sharded:2"] {
         let spec = format!(
-            "mesh:16 traffic=transpose load=rho:0.5 faults=links:0.05 \
+            "mesh:16 traffic=transpose load=util:0.5 faults=links:0.05 \
              horizon=400 warmup=40 seed=11 engine={engine}"
         );
         let a = repro(&["scenario", &spec]);

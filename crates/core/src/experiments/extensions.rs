@@ -2,66 +2,59 @@
 //! allocation (§5.1), hypercube/butterfly gaps (§4.5), randomized greedy
 //! and the torus (§6), slotted time and non-uniform destinations (§5.2),
 //! and the Jackson-dominance check (§3.3).
+//!
+//! Each study has the tables' shape: `*_cells` builds its scenarios,
+//! [`super::run`] executes them once on the sweep executor, and `render_*`
+//! reads the executed cells — simulated columns from each cell's
+//! statistics, analytic columns from its bounds report. The closed forms
+//! no report carries (the Jackson and allocation delays, the hypercube
+//! gap constants and the stability thresholds) are computed where they
+//! print. A study that compares two variants at one operating point
+//! lists them as consecutive cells.
 
 use super::{Scale, TextTable};
-use crate::report::BoundsReport;
-use meshbound_queueing::bounds::{butterfly as bfb, hypercube as hcb};
+use crate::sweep::SweepCellReport;
+use meshbound_queueing::bounds::hypercube as hcb;
 use meshbound_queueing::capacity::{mesh_unit_budget, optimal_allocation, optimal_delay};
 use meshbound_queueing::jackson;
 use meshbound_queueing::little::mesh_total_arrival;
 use meshbound_queueing::load::{mesh_stability_threshold, optimal_stability_threshold, Load};
 use meshbound_routing::rates::mesh_thm6_rates;
-use meshbound_sim::{RouterSpec, Scenario, ServiceKind, TrafficSpec};
+use meshbound_sim::{PatternSpec, RouterSpec, Scenario, ServiceKind, TopologySpec, TrafficSpec};
 use meshbound_topology::Mesh2D;
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------
 // Bounds curve: simulation bracketed by analytic bounds across loads.
 // ---------------------------------------------------------------------
 
-/// One load point of the bounds-vs-simulation curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BoundsCurveRow {
-    /// Table-ρ.
-    pub rho: f64,
-    /// Simulated delay.
-    pub t_sim: f64,
-    /// Full analytic report at this load.
-    pub report: BoundsReport,
-}
-
-/// Simulated delay against every analytic bound for `n` across `rhos`.
+/// The bounds-curve cells: the `n × n` array at each Table-ρ in `rhos`.
 #[must_use]
-pub fn bounds_curve(n: usize, rhos: &[f64], scale: &Scale) -> Vec<BoundsCurveRow> {
-    rhos.par_iter()
+pub fn bounds_cells(n: usize, rhos: &[f64], scale: &Scale) -> Vec<Scenario> {
+    rhos.iter()
         .map(|&rho| {
-            let sc = Scenario::mesh(n)
+            Scenario::mesh(n)
                 .load(Load::TableRho(rho))
                 .horizon(scale.horizon(rho))
                 .warmup(scale.warmup(rho))
-                .seed(scale.seed ^ 0xC0DE ^ ((rho * 1e4) as u64));
-            BoundsCurveRow {
-                rho,
-                t_sim: sc.run().avg_delay,
-                report: BoundsReport::compute_for(&sc),
-            }
+                .seed(scale.seed ^ 0xC0DE ^ ((rho * 1e4) as u64))
         })
         .collect()
 }
 
-/// Renders the bounds curve.
+/// Renders the bounds curve: the simulated delay against every analytic
+/// bound.
 #[must_use]
-pub fn render_bounds_curve(n: usize, rows: &[BoundsCurveRow]) -> String {
+pub fn render_bounds_curve(n: usize, cells: &[SweepCellReport]) -> String {
     let mut t = TextTable::new(&["rho", "lower(best)", "T(sim)", "est(paper)", "upper", "gap"]);
-    for r in rows {
+    for c in cells {
+        let b = &c.bounds;
         t.row(vec![
-            format!("{:.2}", r.rho),
-            format!("{:.3}", r.report.lower_best),
-            format!("{:.3}", r.t_sim),
-            format!("{:.3}", r.report.est_paper),
-            format!("{:.3}", r.report.upper),
-            format!("{:.2}", r.report.gap()),
+            format!("{:.2}", b.table_rho),
+            format!("{:.3}", b.lower_best),
+            format!("{:.3}", c.delay_mean),
+            format!("{:.3}", b.est_paper),
+            format!("{:.3}", b.upper),
+            format!("{:.2}", b.gap()),
         ]);
     }
     format!("Bounds vs simulation, n = {n}\n{}", t.render())
@@ -71,86 +64,74 @@ pub fn render_bounds_curve(n: usize, rows: &[BoundsCurveRow]) -> String {
 // Stability sweep (§5.1 thresholds).
 // ---------------------------------------------------------------------
 
-/// One λ point of a stability sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StabilityRow {
-    /// Per-node arrival rate.
-    pub lambda: f64,
-    /// λ relative to the standard threshold.
-    pub lambda_over_threshold: f64,
-    /// Population at the horizon divided by the time average — ≈ 1 for
-    /// stable systems, ≫ 1 when the backlog grows linearly.
-    pub growth: f64,
-    /// Time-averaged population.
-    pub avg_n: f64,
-    /// Whether optimal §5.1 service rates were installed.
-    pub optimal_rates: bool,
+/// The Theorem 15 service rates of the `n × n` array at λ, for the
+/// standard network's cost `4n(n−1)`; `None` at or above `6/(n+1)`.
+fn theorem15_rates(n: usize, lambda: f64) -> Option<Vec<f64>> {
+    let rates = mesh_thm6_rates(&Mesh2D::square(n), lambda);
+    optimal_allocation(&rates, &vec![1.0; rates.len()], mesh_unit_budget(n))
 }
 
-/// Sweeps λ across the stability boundary, optionally with the Theorem 15
-/// allocation installed (budget = standard network cost `4n(n−1)`).
+/// The stability cells: the `n × n` array at each λ in `lambdas`, run
+/// from empty with no warmup and, with `optimal_rates`, the Theorem 15
+/// allocation installed.
 #[must_use]
-pub fn stability_sweep(
+pub fn stability_cells(
     n: usize,
     lambdas: &[f64],
     optimal_rates: bool,
     scale: &Scale,
-) -> Vec<StabilityRow> {
-    let threshold = mesh_stability_threshold(n);
+) -> Vec<Scenario> {
     lambdas
-        .par_iter()
+        .iter()
         .map(|&lambda| {
-            let rates = if optimal_rates {
-                let edge_rates = mesh_thm6_rates(&Mesh2D::square(n), lambda);
-                let costs = vec![1.0; edge_rates.len()];
-                optimal_allocation(&edge_rates, &costs, mesh_unit_budget(n))
-            } else {
-                None
-            };
-            let mut sc = Scenario::mesh(n)
+            let sc = Scenario::mesh(n)
                 .load(Load::Lambda(lambda))
                 .horizon(scale.horizon(0.9))
                 .warmup(0.0)
                 .seed(scale.seed ^ 0x57AB ^ ((lambda * 1e6) as u64));
-            if let Some(r) = rates {
-                sc = sc.service_rates(r);
-            }
-            let res = sc.run();
-            StabilityRow {
-                lambda,
-                lambda_over_threshold: lambda / threshold,
-                growth: if res.time_avg_n > 0.0 {
-                    res.final_n / res.time_avg_n
-                } else {
-                    0.0
-                },
-                avg_n: res.time_avg_n,
-                optimal_rates,
+            match optimal_rates.then(|| theorem15_rates(n, lambda)).flatten() {
+                Some(rates) => sc.service_rates(rates),
+                None => sc,
             }
         })
         .collect()
 }
 
+/// Population at the horizon over the time average: ≈ 1 for a stable
+/// cell, ≫ 1 when the backlog grows linearly.
+fn growth(c: &SweepCellReport) -> f64 {
+    if c.time_avg_n > 0.0 {
+        c.final_n / c.time_avg_n
+    } else {
+        0.0
+    }
+}
+
 /// Renders a stability sweep.
 #[must_use]
-pub fn render_stability(n: usize, rows: &[StabilityRow]) -> String {
+pub fn render_stability(n: usize, cells: &[SweepCellReport]) -> String {
     let mut t = TextTable::new(&["lambda", "λ/λ*", "avg N", "final/avg N", "verdict"]);
-    for r in rows {
+    for c in cells {
+        let lambda = c.bounds.lambda;
         t.row(vec![
-            format!("{:.4}", r.lambda),
-            format!("{:.3}", r.lambda_over_threshold),
-            format!("{:.1}", r.avg_n),
-            format!("{:.2}", r.growth),
-            if r.growth > 1.8 {
-                "UNSTABLE".into()
+            format!("{lambda:.4}"),
+            format!("{:.3}", lambda / mesh_stability_threshold(n)),
+            format!("{:.1}", c.time_avg_n),
+            format!("{:.2}", growth(c)),
+            if growth(c) > 1.8 {
+                "UNSTABLE"
             } else {
-                "stable".into()
-            },
+                "stable"
+            }
+            .into(),
         ]);
     }
     format!(
         "Stability sweep, n = {n} ({}; standard λ* = {:.4}, optimal-allocation λ* = {:.4})\n{}",
-        if rows.first().is_some_and(|r| r.optimal_rates) {
+        if cells
+            .first()
+            .is_some_and(|c| c.scenario.service_rates.is_some())
+        {
             "optimal rates"
         } else {
             "standard rates"
@@ -165,61 +146,52 @@ pub fn render_stability(n: usize, rows: &[StabilityRow]) -> String {
 // Capacity allocation (§5.1 / Theorem 15).
 // ---------------------------------------------------------------------
 
-/// One λ point comparing the standard and optimally configured arrays.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CapacityRow {
-    /// Per-node arrival rate.
-    pub lambda: f64,
-    /// Jackson delay, standard unit rates.
-    pub t_jackson_standard: f64,
-    /// Jackson delay, Theorem 15 rates (closed form).
-    pub t_jackson_optimal: f64,
-    /// Simulated delay with deterministic transmissions and Theorem 15
-    /// rates — the §5.1 claim is that the Jackson value upper-bounds this.
-    pub t_sim_optimal_det: f64,
-    /// Simulated delay with exponential transmissions and Theorem 15 rates
-    /// — should match the closed form.
-    pub t_sim_optimal_exp: f64,
-}
-
-/// Compares standard vs optimal capacity allocation at each λ.
+/// The capacity cells: per λ, the `n × n` array with the Theorem 15
+/// allocation installed, first with deterministic transmissions (the §5.1
+/// claim is that the Jackson value upper-bounds it), then with
+/// exponential ones (which should match the closed form).
+///
+/// # Panics
+///
+/// Panics if a λ reaches the optimal threshold `6/(n+1)`.
 #[must_use]
-pub fn capacity_comparison(n: usize, lambdas: &[f64], scale: &Scale) -> Vec<CapacityRow> {
+pub fn capacity_cells(n: usize, lambdas: &[f64], scale: &Scale) -> Vec<Scenario> {
     lambdas
-        .par_iter()
-        .map(|&lambda| {
-            let mesh = Mesh2D::square(n);
-            let rates = mesh_thm6_rates(&mesh, lambda);
-            let costs = vec![1.0; rates.len()];
-            let budget = mesh_unit_budget(n);
-            let gamma = mesh_total_arrival(n, lambda);
-            let phi = optimal_allocation(&rates, &costs, budget)
-                .expect("lambda above 6/(n+1) not allowed here");
-            let sim = |service: ServiceKind, seed: u64| {
+        .iter()
+        .flat_map(|&lambda| {
+            let phi = theorem15_rates(n, lambda).expect("lambda above 6/(n+1) not allowed here");
+            [
+                (ServiceKind::Deterministic, 0xD1),
+                (ServiceKind::Exponential, 0xD2),
+            ]
+            .map(|(service, salt)| {
                 Scenario::mesh(n)
                     .load(Load::Lambda(lambda))
                     .horizon(scale.horizon(0.9))
                     .warmup(scale.warmup(0.9))
-                    .seed(seed)
+                    .seed(scale.seed ^ salt)
                     .service(service)
                     .service_rates(phi.clone())
-                    .run()
-                    .avg_delay
-            };
-            CapacityRow {
-                lambda,
-                t_jackson_standard: jackson::mean_delay(&rates, &vec![1.0; rates.len()], gamma),
-                t_jackson_optimal: optimal_delay(&rates, &costs, budget, gamma),
-                t_sim_optimal_det: sim(ServiceKind::Deterministic, scale.seed ^ 0xD1),
-                t_sim_optimal_exp: sim(ServiceKind::Exponential, scale.seed ^ 0xD2),
-            }
+            })
         })
         .collect()
 }
 
+/// The Jackson delays of the `n × n` array at λ: with standard unit rates,
+/// and with the Theorem 15 allocation (closed form).
+fn jackson_delays(n: usize, lambda: f64) -> (f64, f64) {
+    let rates = mesh_thm6_rates(&Mesh2D::square(n), lambda);
+    let ones = vec![1.0; rates.len()];
+    let gamma = mesh_total_arrival(n, lambda);
+    (
+        jackson::mean_delay(&rates, &ones, gamma),
+        optimal_delay(&rates, &ones, mesh_unit_budget(n), gamma),
+    )
+}
+
 /// Renders the capacity comparison.
 #[must_use]
-pub fn render_capacity(n: usize, rows: &[CapacityRow]) -> String {
+pub fn render_capacity(n: usize, cells: &[SweepCellReport]) -> String {
     let mut t = TextTable::new(&[
         "lambda",
         "Jackson std",
@@ -227,13 +199,15 @@ pub fn render_capacity(n: usize, rows: &[CapacityRow]) -> String {
         "sim opt (det)",
         "sim opt (exp)",
     ]);
-    for r in rows {
+    for pair in cells.chunks(2) {
+        let lambda = pair[0].bounds.lambda;
+        let (standard, optimal) = jackson_delays(n, lambda);
         t.row(vec![
-            format!("{:.4}", r.lambda),
-            format!("{:.3}", r.t_jackson_standard),
-            format!("{:.3}", r.t_jackson_optimal),
-            format!("{:.3}", r.t_sim_optimal_det),
-            format!("{:.3}", r.t_sim_optimal_exp),
+            format!("{lambda:.4}"),
+            format!("{standard:.3}"),
+            format!("{optimal:.3}"),
+            format!("{:.3}", pair[0].delay_mean),
+            format!("{:.3}", pair[1].delay_mean),
         ]);
     }
     format!(
@@ -243,181 +217,116 @@ pub fn render_capacity(n: usize, rows: &[CapacityRow]) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Hypercube (§4.5).
+// Hypercube and butterfly (§4.5).
 // ---------------------------------------------------------------------
 
-/// One `(p, λ)` point of the hypercube bound study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct HypercubeRow {
-    /// Bit-flip probability of the destination distribution.
-    pub p: f64,
-    /// Edge utilization `λp`.
-    pub utilization: f64,
-    /// Simulated delay.
-    pub t_sim: f64,
-    /// Product-form upper bound.
-    pub t_upper: f64,
-    /// Theorem 12 lower bound.
-    pub t_lower12: f64,
-    /// High-load gap of the new bound, `2(dp+1−p)`.
-    pub new_gap: f64,
-    /// Previous gap, `2d`.
-    pub old_gap: f64,
-}
-
-/// Simulates the hypercube against its bounds for each `p` at fixed edge
-/// utilization.
+/// The hypercube cells: the `d`-cube with Bernoulli-`p` destinations for
+/// each `p` in `ps`, at a fixed edge utilization.
 #[must_use]
-pub fn hypercube_study(d: usize, ps: &[f64], utilization: f64, scale: &Scale) -> Vec<HypercubeRow> {
-    ps.par_iter()
+pub fn hypercube_cells(d: usize, ps: &[f64], utilization: f64, scale: &Scale) -> Vec<Scenario> {
+    ps.iter()
         .map(|&p| {
-            let sc = Scenario::hypercube(d)
+            Scenario::hypercube(d)
                 .traffic(TrafficSpec::bernoulli(p))
                 .load(Load::Utilization(utilization))
                 .horizon(scale.horizon(utilization))
                 .warmup(scale.warmup(utilization))
-                .seed(scale.seed ^ 0xC0BE ^ ((p * 1e4) as u64));
-            let lambda = sc.lambda();
-            HypercubeRow {
-                p,
-                utilization,
-                t_sim: sc.run().avg_delay,
-                t_upper: hcb::upper_bound_delay(d, lambda, p),
-                t_lower12: hcb::thm12_lower(d, lambda, p),
-                new_gap: hcb::new_gap(d, p),
-                old_gap: hcb::previous_gap(d),
-            }
+                .seed(scale.seed ^ 0xC0BE ^ ((p * 1e4) as u64))
         })
         .collect()
 }
 
-/// Renders the hypercube study.
+/// Renders the hypercube study: the bounds, and the high-load gap of the
+/// new bound, `2(dp+1−p)`, against the previous `2d`.
+///
+/// # Panics
+///
+/// Panics on a cell without Bernoulli destinations.
 #[must_use]
-pub fn render_hypercube(d: usize, rows: &[HypercubeRow]) -> String {
+pub fn render_hypercube(d: usize, cells: &[SweepCellReport]) -> String {
     let mut t = TextTable::new(&["p", "util", "lower12", "T(sim)", "upper", "2(dp+1−p)", "2d"]);
-    for r in rows {
+    for c in cells {
+        let PatternSpec::Bernoulli { p } = c.scenario.traffic.pattern else {
+            panic!("hypercube cells draw Bernoulli destinations")
+        };
         t.row(vec![
-            format!("{:.2}", r.p),
-            format!("{:.2}", r.utilization),
-            format!("{:.3}", r.t_lower12),
-            format!("{:.3}", r.t_sim),
-            format!("{:.3}", r.t_upper),
-            format!("{:.2}", r.new_gap),
-            format!("{:.2}", r.old_gap),
+            format!("{p:.2}"),
+            format!("{:.2}", c.bounds.utilization),
+            format!("{:.3}", c.bounds.lower_thm12),
+            format!("{:.3}", c.delay_mean),
+            format!("{:.3}", c.bounds.upper),
+            format!("{:.2}", hcb::new_gap(d, p)),
+            format!("{:.2}", hcb::previous_gap(d)),
         ]);
     }
     format!("Hypercube d = {d} (§4.5)\n{}", t.render())
 }
 
-// ---------------------------------------------------------------------
-// Butterfly (§4.5).
-// ---------------------------------------------------------------------
-
-/// One butterfly size point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ButterflyRow {
-    /// Levels `d`.
-    pub d: usize,
-    /// Input arrival rate λ (edge utilization λ/2).
-    pub lambda: f64,
-    /// Simulated delay.
-    pub t_sim: f64,
-    /// Product-form upper bound.
-    pub t_upper: f64,
-    /// Theorem 10 lower bound.
-    pub t_lower10: f64,
-}
-
-/// Simulates butterflies of several depths against their bounds.
+/// The butterfly cells: one per depth in `ds`, at a fixed edge
+/// utilization (input rate λ = 2·utilization).
 #[must_use]
-pub fn butterfly_study(ds: &[usize], utilization: f64, scale: &Scale) -> Vec<ButterflyRow> {
-    let lambda = 2.0 * utilization;
-    ds.par_iter()
+pub fn butterfly_cells(ds: &[usize], utilization: f64, scale: &Scale) -> Vec<Scenario> {
+    ds.iter()
         .map(|&d| {
-            let sc = Scenario::butterfly(d)
+            Scenario::butterfly(d)
                 .load(Load::Utilization(utilization))
                 .horizon(scale.horizon(utilization))
                 .warmup(scale.warmup(utilization))
-                .seed(scale.seed ^ 0xBF ^ (d as u64));
-            ButterflyRow {
-                d,
-                lambda,
-                t_sim: sc.run().avg_delay,
-                t_upper: bfb::upper_bound_delay(d, lambda),
-                t_lower10: bfb::thm10_lower(d, lambda),
-            }
+                .seed(scale.seed ^ 0xBF ^ (d as u64))
         })
         .collect()
 }
 
 /// Renders the butterfly study.
 #[must_use]
-pub fn render_butterfly(rows: &[ButterflyRow]) -> String {
+pub fn render_butterfly(cells: &[SweepCellReport]) -> String {
     let mut t = TextTable::new(&["d", "lambda", "lower10", "T(sim)", "upper"]);
-    for r in rows {
+    for c in cells {
+        let b = &c.bounds;
         t.row(vec![
-            r.d.to_string(),
-            format!("{:.3}", r.lambda),
-            format!("{:.3}", r.t_lower10),
-            format!("{:.3}", r.t_sim),
-            format!("{:.3}", r.t_upper),
+            b.n.to_string(),
+            format!("{:.3}", b.lambda),
+            format!("{:.3}", b.lower_thm10),
+            format!("{:.3}", c.delay_mean),
+            format!("{:.3}", b.upper),
         ]);
     }
     format!("Butterfly (§4.5)\n{}", t.render())
 }
 
 // ---------------------------------------------------------------------
-// Randomized greedy vs standard greedy (§6).
+// Randomized greedy and the torus (§6).
 // ---------------------------------------------------------------------
 
-/// One load point of the randomized-vs-standard comparison.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RandomizedRow {
-    /// Table-ρ.
-    pub rho: f64,
-    /// Standard greedy simulated delay.
-    pub t_greedy: f64,
-    /// Randomized greedy simulated delay.
-    pub t_randomized: f64,
-}
-
-/// Compares the two routers on the same grid of loads.
+/// The router-comparison cells: per Table-ρ, the `n × n` array under
+/// standard greedy, then under randomized greedy.
 #[must_use]
-pub fn randomized_study(n: usize, rhos: &[f64], scale: &Scale) -> Vec<RandomizedRow> {
-    rhos.par_iter()
-        .map(|&rho| {
-            let run = |router: RouterSpec, seed: u64| {
+pub fn randomized_cells(n: usize, rhos: &[f64], scale: &Scale) -> Vec<Scenario> {
+    rhos.iter()
+        .flat_map(|&rho| {
+            [(RouterSpec::Greedy, 0x61), (RouterSpec::Randomized, 0x62)].map(|(router, salt)| {
                 Scenario::mesh(n)
                     .load(Load::TableRho(rho))
                     .horizon(scale.horizon(rho))
                     .warmup(scale.warmup(rho))
-                    .seed(seed)
+                    .seed(scale.seed ^ salt ^ ((rho * 1e3) as u64))
                     .router(router)
-                    .run()
-                    .avg_delay
-            };
-            RandomizedRow {
-                rho,
-                t_greedy: run(RouterSpec::Greedy, scale.seed ^ 0x61 ^ ((rho * 1e3) as u64)),
-                t_randomized: run(
-                    RouterSpec::Randomized,
-                    scale.seed ^ 0x62 ^ ((rho * 1e3) as u64),
-                ),
-            }
+            })
         })
         .collect()
 }
 
-/// Renders the comparison.
+/// Renders the router comparison.
 #[must_use]
-pub fn render_randomized(n: usize, rows: &[RandomizedRow]) -> String {
+pub fn render_randomized(n: usize, cells: &[SweepCellReport]) -> String {
     let mut t = TextTable::new(&["rho", "greedy", "randomized", "ratio"]);
-    for r in rows {
+    for pair in cells.chunks(2) {
+        let (greedy, randomized) = (pair[0].delay_mean, pair[1].delay_mean);
         t.row(vec![
-            format!("{:.2}", r.rho),
-            format!("{:.3}", r.t_greedy),
-            format!("{:.3}", r.t_randomized),
-            format!("{:.3}", r.t_randomized / r.t_greedy),
+            format!("{:.2}", pair[0].bounds.table_rho),
+            format!("{greedy:.3}"),
+            format!("{randomized:.3}"),
+            format!("{:.3}", randomized / greedy),
         ]);
     }
     format!(
@@ -426,64 +335,37 @@ pub fn render_randomized(n: usize, rows: &[RandomizedRow]) -> String {
     )
 }
 
-// ---------------------------------------------------------------------
-// Torus vs array (§6).
-// ---------------------------------------------------------------------
-
-/// One load point of the torus-vs-array comparison.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TorusRow {
-    /// Per-node arrival rate.
-    pub lambda: f64,
-    /// Array simulated delay.
-    pub t_array: f64,
-    /// Torus simulated delay (same λ; the torus has more capacity).
-    pub t_torus: f64,
-    /// Torus mean distance (trivial lower bound).
-    pub torus_nbar: f64,
-    /// Theorem 10 lower bound for the torus (valid despite §6's open upper
-    /// bound: the copy argument needs neither layering nor Markov routing).
-    pub torus_lower10: f64,
-}
-
-/// Simulates the torus next to the array at the same arrival rates.
+/// The torus cells: per λ, the `n × n` array, then the `n × n` torus at
+/// the same λ (the torus has more capacity) and seed.
 #[must_use]
-pub fn torus_study(n: usize, lambdas: &[f64], scale: &Scale) -> Vec<TorusRow> {
+pub fn torus_cells(n: usize, lambdas: &[f64], scale: &Scale) -> Vec<Scenario> {
     lambdas
-        .par_iter()
-        .map(|&lambda| {
-            let torus = Scenario::torus(n)
-                .load(Load::Lambda(lambda))
-                .horizon(scale.horizon(0.8))
-                .warmup(scale.warmup(0.8))
-                .seed(scale.seed ^ 0x70 ^ ((lambda * 1e5) as u64));
-            let array = Scenario::mesh(n)
-                .load(Load::Lambda(lambda))
-                .horizon(scale.horizon(0.8))
-                .warmup(scale.warmup(0.8))
-                .seed(scale.seed ^ 0x70 ^ ((lambda * 1e5) as u64));
-            TorusRow {
-                lambda,
-                t_array: array.run().avg_delay,
-                t_torus: torus.run().avg_delay,
-                torus_nbar: torus.mean_distance(),
-                torus_lower10: meshbound_queueing::bounds::torus::best_lower_bound(n, lambda),
-            }
+        .iter()
+        .flat_map(|&lambda| {
+            [Scenario::mesh(n), Scenario::torus(n)].map(|sc| {
+                sc.load(Load::Lambda(lambda))
+                    .horizon(scale.horizon(0.8))
+                    .warmup(scale.warmup(0.8))
+                    .seed(scale.seed ^ 0x70 ^ ((lambda * 1e5) as u64))
+            })
         })
         .collect()
 }
 
-/// Renders the torus study.
+/// Renders the torus study with the torus's Theorem 10 lower bound
+/// (valid despite §6's open upper bound: the copy argument needs neither
+/// layering nor Markov routing) and mean distance.
 #[must_use]
-pub fn render_torus(n: usize, rows: &[TorusRow]) -> String {
+pub fn render_torus(n: usize, cells: &[SweepCellReport]) -> String {
     let mut t = TextTable::new(&["lambda", "T(array)", "torus lower", "T(torus)", "torus n̄"]);
-    for r in rows {
+    for pair in cells.chunks(2) {
+        let (array, torus) = (&pair[0], &pair[1]);
         t.row(vec![
-            format!("{:.4}", r.lambda),
-            format!("{:.3}", r.t_array),
-            format!("{:.3}", r.torus_lower10),
-            format!("{:.3}", r.t_torus),
-            format!("{:.3}", r.torus_nbar),
+            format!("{:.4}", torus.bounds.lambda),
+            format!("{:.3}", array.delay_mean),
+            format!("{:.3}", torus.bounds.lower_best),
+            format!("{:.3}", torus.delay_mean),
+            format!("{:.3}", torus.bounds.mean_distance),
         ]);
     }
     format!(
@@ -493,121 +375,77 @@ pub fn render_torus(n: usize, rows: &[TorusRow]) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Higher-dimensional meshes (§5.2).
+// Higher-dimensional meshes, slotted time and nearby destinations (§5.2).
 // ---------------------------------------------------------------------
 
-/// One higher-dimensional mesh data point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct KdRow {
-    /// Per-axis extents.
-    pub dims: Vec<usize>,
-    /// Per-node arrival rate.
-    pub lambda: f64,
-    /// Peak edge utilization (from exact enumerated rates).
-    pub peak_util: f64,
-    /// Simulated delay.
-    pub t_sim: f64,
-    /// Product-form upper bound from enumerated rates (greedy on a k-dim
-    /// mesh is layered axis-by-axis and Markovian, so Theorem 5 extends).
-    pub t_upper: f64,
-    /// Theorem 10 lower bound with `d = Σ(n_a − 1)`.
-    pub t_lower10: f64,
-}
-
-/// Simulates `k`-dimensional meshes against bounds computed from exact
-/// enumerated rates — the §5.2 extension ("one can explicitly determine the
-/// arrival rates at individual queues combinatorially"). The bounds are
-/// [`BoundsReport::compute_for`]'s, which reads those rates.
+/// The `k`-dimensional mesh cells, one per shape. Their bounds come from
+/// exact enumerated rates — §5.2's "one can explicitly determine the
+/// arrival rates at individual queues combinatorially" — and greedy on a
+/// `k`-dim mesh is layered axis by axis and Markovian, so Theorem 5
+/// extends.
 #[must_use]
-pub fn kd_study(shapes: &[Vec<usize>], lambda: f64, scale: &Scale) -> Vec<KdRow> {
+pub fn kd_cells(shapes: &[Vec<usize>], lambda: f64, scale: &Scale) -> Vec<Scenario> {
     shapes
-        .par_iter()
+        .iter()
         .map(|dims| {
-            let sc = Scenario::mesh_kd(dims)
+            Scenario::mesh_kd(dims)
                 .load(Load::Lambda(lambda))
                 .horizon(scale.horizon(0.8))
                 .warmup(scale.warmup(0.8))
-                .seed(scale.seed ^ 0x6B64);
-            let bounds = BoundsReport::compute_for(&sc);
-            KdRow {
-                dims: dims.clone(),
-                lambda,
-                peak_util: bounds.utilization,
-                t_sim: sc.run().avg_delay,
-                t_upper: bounds.upper,
-                t_lower10: bounds.lower_thm10,
-            }
+                .seed(scale.seed ^ 0x6B64)
         })
         .collect()
 }
 
 /// Renders the higher-dimensional mesh study.
+///
+/// # Panics
+///
+/// Panics on a cell that is not a `k`-dimensional mesh.
 #[must_use]
-pub fn render_kd(rows: &[KdRow]) -> String {
+pub fn render_kd(cells: &[SweepCellReport]) -> String {
     let mut t = TextTable::new(&["dims", "lambda", "peak util", "lower10", "T(sim)", "upper"]);
-    for r in rows {
-        let dims: Vec<String> = r.dims.iter().map(ToString::to_string).collect();
+    for c in cells {
+        let TopologySpec::MeshKd { dims } = &c.scenario.topology else {
+            panic!("kd cells are k-dimensional meshes")
+        };
+        let dims: Vec<String> = dims.iter().map(ToString::to_string).collect();
+        let b = &c.bounds;
         t.row(vec![
             dims.join("x"),
-            format!("{:.3}", r.lambda),
-            format!("{:.3}", r.peak_util),
-            format!("{:.3}", r.t_lower10),
-            format!("{:.3}", r.t_sim),
-            format!("{:.3}", r.t_upper),
+            format!("{:.3}", b.lambda),
+            format!("{:.3}", b.utilization),
+            format!("{:.3}", b.lower_thm10),
+            format!("{:.3}", c.delay_mean),
+            format!("{:.3}", b.upper),
         ]);
     }
     format!("Higher-dimensional meshes (§5.2)\n{}", t.render())
 }
 
-// ---------------------------------------------------------------------
-// Slotted time (§5.2).
-// ---------------------------------------------------------------------
-
-/// One slot-width point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SlottedRow {
-    /// Slot width τ (0 denotes continuous time).
-    pub tau: f64,
-    /// Simulated delay.
-    pub t_sim: f64,
-}
-
-/// Compares slotted arrivals at several widths against continuous time.
+/// The slotted-time cells: the `n × n` array at Table-ρ `rho` in
+/// continuous time, then slotted at each width in `taus`.
 #[must_use]
-pub fn slotted_study(n: usize, rho: f64, taus: &[f64], scale: &Scale) -> Vec<SlottedRow> {
-    let lambda = 4.0 * rho / n as f64;
-    let mut jobs: Vec<Option<f64>> = vec![None];
-    jobs.extend(taus.iter().map(|&t| Some(t)));
-    jobs.par_iter()
-        .map(|&tau| {
-            let mut sc = Scenario::mesh(n)
-                .load(Load::Lambda(lambda))
-                .horizon(scale.horizon(rho))
-                .warmup(scale.warmup(rho))
-                .seed(scale.seed ^ 0x5107);
-            if let Some(t) = tau {
-                sc = sc.slot(t);
-            }
-            SlottedRow {
-                tau: tau.unwrap_or(0.0),
-                t_sim: sc.run().avg_delay,
-            }
-        })
-        .collect()
+pub fn slotted_cells(n: usize, rho: f64, taus: &[f64], scale: &Scale) -> Vec<Scenario> {
+    let continuous = Scenario::mesh(n)
+        .load(Load::Lambda(4.0 * rho / n as f64))
+        .horizon(scale.horizon(rho))
+        .warmup(scale.warmup(rho))
+        .seed(scale.seed ^ 0x5107);
+    let slotted = taus.iter().map(|&tau| continuous.clone().slot(tau));
+    std::iter::once(continuous.clone()).chain(slotted).collect()
 }
 
 /// Renders the slotted study.
 #[must_use]
-pub fn render_slotted(n: usize, rho: f64, rows: &[SlottedRow]) -> String {
+pub fn render_slotted(n: usize, rho: f64, cells: &[SweepCellReport]) -> String {
     let mut t = TextTable::new(&["tau", "T(sim)"]);
-    for r in rows {
+    for c in cells {
         t.row(vec![
-            if r.tau == 0.0 {
-                "continuous".into()
-            } else {
-                format!("{:.2}", r.tau)
-            },
-            format!("{:.3}", r.t_sim),
+            c.scenario
+                .slot
+                .map_or_else(|| "continuous".into(), |tau| format!("{tau:.2}")),
+            format!("{:.3}", c.delay_mean),
         ]);
     }
     format!(
@@ -616,52 +454,40 @@ pub fn render_slotted(n: usize, rho: f64, rows: &[SlottedRow]) -> String {
     )
 }
 
-// ---------------------------------------------------------------------
-// Non-uniform (nearby) destinations (§5.2).
-// ---------------------------------------------------------------------
-
-/// One stop-probability point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct NearbyRow {
-    /// Per-node stop probability (1 recovers "stay very close").
-    pub stop: f64,
-    /// Simulated delay.
-    pub t_sim: f64,
-    /// Product-form upper bound computed from enumerated rates.
-    pub t_upper: f64,
-}
-
-/// Simulates the §5.2 nearby-destination walk and checks the Theorem 5
-/// upper bound still applies (the routing stays Markovian).
+/// The nearby-destination cells: the §5.2 walk on the `n × n` array at
+/// each stop probability (1 recovers "stay very close"). The routing stays
+/// Markovian, so the Theorem 5 upper bound still applies.
 #[must_use]
-pub fn nearby_study(n: usize, stops: &[f64], lambda: f64, scale: &Scale) -> Vec<NearbyRow> {
+pub fn nearby_cells(n: usize, stops: &[f64], lambda: f64, scale: &Scale) -> Vec<Scenario> {
     stops
-        .par_iter()
+        .iter()
         .map(|&stop| {
-            let sc = Scenario::mesh(n)
+            Scenario::mesh(n)
                 .traffic(TrafficSpec::nearby(stop))
                 .load(Load::Lambda(lambda))
                 .horizon(scale.horizon(0.8))
                 .warmup(scale.warmup(0.8))
-                .seed(scale.seed ^ 0x4EA ^ ((stop * 100.0) as u64));
-            NearbyRow {
-                stop,
-                t_sim: sc.run().avg_delay,
-                t_upper: BoundsReport::compute_for(&sc).upper,
-            }
+                .seed(scale.seed ^ 0x4EA ^ ((stop * 100.0) as u64))
         })
         .collect()
 }
 
 /// Renders the nearby-destination study.
+///
+/// # Panics
+///
+/// Panics on a cell without nearby destinations.
 #[must_use]
-pub fn render_nearby(n: usize, lambda: f64, rows: &[NearbyRow]) -> String {
+pub fn render_nearby(n: usize, lambda: f64, cells: &[SweepCellReport]) -> String {
     let mut t = TextTable::new(&["stop", "T(sim)", "upper"]);
-    for r in rows {
+    for c in cells {
+        let PatternSpec::Nearby { stop } = c.scenario.traffic.pattern else {
+            panic!("nearby cells draw nearby destinations")
+        };
         t.row(vec![
-            format!("{:.2}", r.stop),
-            format!("{:.3}", r.t_sim),
-            format!("{:.3}", r.t_upper),
+            format!("{stop:.2}"),
+            format!("{:.3}", c.delay_mean),
+            format!("{:.3}", c.bounds.upper),
         ]);
     }
     format!(
@@ -674,55 +500,40 @@ pub fn render_nearby(n: usize, lambda: f64, rows: &[NearbyRow]) -> String {
 // Jackson dominance (§3.3): deterministic FIFO ≤ Jackson = product form.
 // ---------------------------------------------------------------------
 
-/// One load point of the dominance check.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DominanceRow {
-    /// Table-ρ.
-    pub rho: f64,
-    /// Deterministic-service FIFO simulated delay (the standard model).
-    pub t_fifo_det: f64,
-    /// Exponential-service (Jackson) simulated delay.
-    pub t_jackson_sim: f64,
-    /// Product-form closed form (= Theorem 7 upper bound).
-    pub t_product_form: f64,
-}
-
-/// Verifies `T_FIFO ≤ T_Jackson ≈ product form` across loads.
+/// The dominance cells: per Table-ρ, the `n × n` array with deterministic
+/// service (the standard model), then with exponential service (the
+/// Jackson network).
 #[must_use]
-pub fn dominance_study(n: usize, rhos: &[f64], scale: &Scale) -> Vec<DominanceRow> {
-    rhos.par_iter()
-        .map(|&rho| {
-            let lambda = 4.0 * rho / n as f64;
-            let run = |service: ServiceKind, seed: u64| {
+pub fn dominance_cells(n: usize, rhos: &[f64], scale: &Scale) -> Vec<Scenario> {
+    rhos.iter()
+        .flat_map(|&rho| {
+            [
+                (ServiceKind::Deterministic, 0xF1F0),
+                (ServiceKind::Exponential, 0x1ACC),
+            ]
+            .map(|(service, salt)| {
                 Scenario::mesh(n)
                     .load(Load::TableRho(rho))
                     .horizon(scale.horizon(rho))
                     .warmup(scale.warmup(rho))
-                    .seed(seed)
+                    .seed(scale.seed ^ salt)
                     .service(service)
-                    .run()
-                    .avg_delay
-            };
-            DominanceRow {
-                rho,
-                t_fifo_det: run(ServiceKind::Deterministic, scale.seed ^ 0xF1F0),
-                t_jackson_sim: run(ServiceKind::Exponential, scale.seed ^ 0x1ACC),
-                t_product_form: meshbound_queueing::bounds::upper::upper_bound_delay(n, lambda),
-            }
+            })
         })
         .collect()
 }
 
-/// Renders the dominance study.
+/// Renders the dominance study: `T_FIFO ≤ T_Jackson ≈` the product form
+/// (the Theorem 7 upper bound).
 #[must_use]
-pub fn render_dominance(n: usize, rows: &[DominanceRow]) -> String {
+pub fn render_dominance(n: usize, cells: &[SweepCellReport]) -> String {
     let mut t = TextTable::new(&["rho", "T FIFO(det)", "T Jackson(sim)", "product form"]);
-    for r in rows {
+    for pair in cells.chunks(2) {
         t.row(vec![
-            format!("{:.2}", r.rho),
-            format!("{:.3}", r.t_fifo_det),
-            format!("{:.3}", r.t_jackson_sim),
-            format!("{:.3}", r.t_product_form),
+            format!("{:.2}", pair[0].bounds.table_rho),
+            format!("{:.3}", pair[0].delay_mean),
+            format!("{:.3}", pair[1].delay_mean),
+            format!("{:.3}", pair[0].bounds.upper),
         ]);
     }
     format!("Jackson dominance (§3.3), n = {n}\n{}", t.render())
@@ -732,27 +543,26 @@ pub fn render_dominance(n: usize, rows: &[DominanceRow]) -> String {
 mod tests {
     use super::*;
 
-    fn quick() -> Scale {
-        Scale::quick()
+    /// Executes `cells` at quick scale.
+    fn run(cells: Vec<Scenario>) -> Vec<SweepCellReport> {
+        super::super::run("test", cells, &Scale::quick())
     }
 
     #[test]
     fn bounds_bracket_simulation() {
-        let rows = bounds_curve(5, &[0.3, 0.7], &quick());
-        for r in &rows {
+        for c in &run(bounds_cells(5, &[0.3, 0.7], &Scale::quick())) {
+            let (t_sim, b) = (c.delay_mean, &c.bounds);
             assert!(
-                r.report.lower_best <= r.t_sim * 1.1,
-                "ρ={}: lower {} vs sim {}",
-                r.rho,
-                r.report.lower_best,
-                r.t_sim
+                b.lower_best <= t_sim * 1.1,
+                "ρ={}: lower {} vs sim {t_sim}",
+                b.table_rho,
+                b.lower_best
             );
             assert!(
-                r.t_sim <= r.report.upper * 1.1,
-                "ρ={}: sim {} vs upper {}",
-                r.rho,
-                r.t_sim,
-                r.report.upper
+                t_sim <= b.upper * 1.1,
+                "ρ={}: sim {t_sim} vs upper {}",
+                b.table_rho,
+                b.upper
             );
         }
     }
@@ -761,12 +571,21 @@ mod tests {
     fn stability_flips_at_threshold() {
         let n = 6;
         let thr = mesh_stability_threshold(n);
-        let rows = stability_sweep(n, &[0.7 * thr, 1.3 * thr], false, &quick());
-        assert!(rows[0].growth < 1.8, "below threshold grew: {:?}", rows[0]);
+        let cells = run(stability_cells(
+            n,
+            &[0.7 * thr, 1.3 * thr],
+            false,
+            &Scale::quick(),
+        ));
         assert!(
-            rows[1].growth > 1.8,
-            "above threshold stable: {:?}",
-            rows[1]
+            growth(&cells[0]) < 1.8,
+            "below threshold grew: {}",
+            cells[0].spec
+        );
+        assert!(
+            growth(&cells[1]) > 1.8,
+            "above threshold stable: {}",
+            cells[1].spec
         );
     }
 
@@ -780,104 +599,107 @@ mod tests {
         let lambda = 0.76;
         assert!(lambda > 1.1 * mesh_stability_threshold(n));
         assert!(lambda < 0.9 * optimal_stability_threshold(n));
-        let std_rows = stability_sweep(n, &[lambda], false, &quick());
-        let opt_rows = stability_sweep(n, &[lambda], true, &quick());
+        let std = &run(stability_cells(n, &[lambda], false, &Scale::quick()))[0];
+        let opt = &run(stability_cells(n, &[lambda], true, &Scale::quick()))[0];
+        assert!(opt.scenario.service_rates.is_some());
         assert!(
-            std_rows[0].growth > 1.8,
-            "standard should destabilize: {:?}",
-            std_rows[0]
+            growth(std) > 1.8,
+            "standard should destabilize: {}",
+            growth(std)
         );
         assert!(
-            opt_rows[0].growth < 1.8,
-            "optimal should stabilize: {:?}",
-            opt_rows[0]
+            growth(opt) < 1.8,
+            "optimal should stabilize: {}",
+            growth(opt)
         );
     }
 
     #[test]
     fn capacity_simulation_respects_jackson_upper_bound() {
         let n = 5;
-        let rows = capacity_comparison(n, &[0.3], &quick());
-        let r = &rows[0];
-        assert!(r.t_jackson_optimal < r.t_jackson_standard);
+        let cells = run(capacity_cells(n, &[0.3], &Scale::quick()));
+        let (standard, optimal) = jackson_delays(n, 0.3);
+        let (det, exp) = (cells[0].delay_mean, cells[1].delay_mean);
+        assert!(optimal < standard);
         // Deterministic-service sim is upper-bounded by the Jackson value
         // (allow simulation noise).
-        assert!(
-            r.t_sim_optimal_det <= r.t_jackson_optimal * 1.1,
-            "det sim {} vs jackson {}",
-            r.t_sim_optimal_det,
-            r.t_jackson_optimal
-        );
+        assert!(det <= optimal * 1.1, "det sim {det} vs jackson {optimal}");
         // Exponential-service sim matches the closed form.
         assert!(
-            (r.t_sim_optimal_exp - r.t_jackson_optimal).abs() / r.t_jackson_optimal < 0.15,
-            "exp sim {} vs closed {}",
-            r.t_sim_optimal_exp,
-            r.t_jackson_optimal
+            (exp - optimal).abs() / optimal < 0.15,
+            "exp sim {exp} vs closed {optimal}"
         );
     }
 
     #[test]
     fn hypercube_sim_within_bounds() {
-        let rows = hypercube_study(5, &[0.5], 0.6, &quick());
-        let r = &rows[0];
-        assert!(r.t_lower12 <= r.t_sim * 1.1, "{r:?}");
-        assert!(r.t_sim <= r.t_upper * 1.1, "{r:?}");
-        assert!(r.new_gap < r.old_gap);
+        let c = &run(hypercube_cells(5, &[0.5], 0.6, &Scale::quick()))[0];
+        let (t_sim, b) = (c.delay_mean, &c.bounds);
+        assert!(b.lower_thm12 <= t_sim * 1.1, "{t_sim} vs {b:?}");
+        assert!(t_sim <= b.upper * 1.1, "{t_sim} vs {b:?}");
+        assert!(hcb::new_gap(5, 0.5) < hcb::previous_gap(5));
     }
 
     #[test]
     fn butterfly_sim_within_bounds() {
-        let rows = butterfly_study(&[3], 0.6, &quick());
-        let r = &rows[0];
-        assert!(r.t_lower10 <= r.t_sim * 1.1, "{r:?}");
-        assert!(r.t_sim <= r.t_upper * 1.1, "{r:?}");
-        assert!(r.t_sim >= r.d as f64 * 0.95);
+        let c = &run(butterfly_cells(&[3], 0.6, &Scale::quick()))[0];
+        let (t_sim, b) = (c.delay_mean, &c.bounds);
+        assert!(b.lower_thm10 <= t_sim * 1.1, "{t_sim} vs {b:?}");
+        assert!(t_sim <= b.upper * 1.1, "{t_sim} vs {b:?}");
+        assert!(t_sim >= 3.0 * 0.95);
     }
 
     #[test]
     fn randomized_not_better_than_greedy() {
         // §6: randomized greedy performs slightly worse in simulation.
-        let rows = randomized_study(6, &[0.8], &quick());
+        let cells = run(randomized_cells(6, &[0.8], &Scale::quick()));
+        let (greedy, randomized) = (cells[0].delay_mean, cells[1].delay_mean);
+        assert_eq!(cells[1].router, "randomized");
         assert!(
-            rows[0].t_randomized > rows[0].t_greedy * 0.97,
-            "{:?}",
-            rows[0]
+            randomized > greedy * 0.97,
+            "greedy {greedy}, randomized {randomized}"
         );
     }
 
     #[test]
     fn torus_beats_array_at_same_lambda() {
         // Wraparound halves distances and doubles the cut capacity.
-        let rows = torus_study(6, &[0.3], &quick());
-        assert!(rows[0].t_torus < rows[0].t_array, "{:?}", rows[0]);
+        let cells = run(torus_cells(6, &[0.3], &Scale::quick()));
+        let (array, torus) = (cells[0].delay_mean, cells[1].delay_mean);
+        assert!(torus < array, "torus {torus}, array {array}");
     }
 
     #[test]
     fn kd_mesh_sim_within_bounds() {
-        let rows = kd_study(&[vec![3, 3, 3], vec![4, 4]], 0.15, &quick());
-        for r in &rows {
-            assert!(r.peak_util < 1.0, "{r:?}");
-            assert!(r.t_lower10 <= r.t_sim * 1.1, "{r:?}");
-            assert!(r.t_sim <= r.t_upper * 1.1, "{r:?}");
+        let shapes = [vec![3, 3, 3], vec![4, 4]];
+        for c in &run(kd_cells(&shapes, 0.15, &Scale::quick())) {
+            let (t_sim, b) = (c.delay_mean, &c.bounds);
+            assert!(b.utilization < 1.0, "{}: {b:?}", c.label);
+            assert!(
+                b.lower_thm10 <= t_sim * 1.1,
+                "{}: {t_sim} vs {b:?}",
+                c.label
+            );
+            assert!(t_sim <= b.upper * 1.1, "{}: {t_sim} vs {b:?}", c.label);
         }
     }
 
     #[test]
     fn torus_lower_bound_below_sim() {
-        let rows = torus_study(6, &[0.3], &quick());
+        let torus = &run(torus_cells(6, &[0.3], &Scale::quick()))[1];
         assert!(
-            rows[0].torus_lower10 <= rows[0].t_torus * 1.05,
-            "{:?}",
-            rows[0]
+            torus.bounds.lower_best <= torus.delay_mean * 1.05,
+            "lower {} vs sim {}",
+            torus.bounds.lower_best,
+            torus.delay_mean
         );
     }
 
     #[test]
     fn slotted_within_tau_of_continuous() {
-        let rows = slotted_study(5, 0.5, &[1.0], &quick());
-        let cont = rows[0].t_sim;
-        let slotted = rows[1].t_sim;
+        let cells = run(slotted_cells(5, 0.5, &[1.0], &Scale::quick()));
+        let (cont, slotted) = (cells[0].delay_mean, cells[1].delay_mean);
+        assert_eq!(cells[1].scenario.slot, Some(1.0));
         assert!(
             (slotted - cont).abs() <= 1.0 + 0.5,
             "cont {cont}, slotted {slotted}"
@@ -886,18 +708,27 @@ mod tests {
 
     #[test]
     fn nearby_destinations_upper_bound_holds() {
-        let rows = nearby_study(5, &[0.5], 0.3, &quick());
-        assert!(rows[0].t_sim <= rows[0].t_upper * 1.1, "{:?}", rows[0]);
+        let c = &run(nearby_cells(5, &[0.5], 0.3, &Scale::quick()))[0];
+        assert!(
+            c.delay_mean <= c.bounds.upper * 1.1,
+            "sim {} vs upper {}",
+            c.delay_mean,
+            c.bounds.upper
+        );
     }
 
     #[test]
     fn jackson_dominates_fifo() {
-        let rows = dominance_study(5, &[0.7], &quick());
-        let r = &rows[0];
-        assert!(r.t_fifo_det <= r.t_jackson_sim * 1.05, "{r:?}");
+        let cells = run(dominance_cells(5, &[0.7], &Scale::quick()));
+        let (fifo, jackson, product) = (
+            cells[0].delay_mean,
+            cells[1].delay_mean,
+            cells[0].bounds.upper,
+        );
+        assert!(fifo <= jackson * 1.05, "FIFO {fifo}, Jackson {jackson}");
         assert!(
-            (r.t_jackson_sim - r.t_product_form).abs() / r.t_product_form < 0.15,
-            "{r:?}"
+            (jackson - product).abs() / product < 0.15,
+            "Jackson {jackson}, product form {product}"
         );
     }
 }

@@ -9,9 +9,14 @@
 //! | [`fig2`] | Figure 2 — saturated edges, even vs odd `n` |
 //! | [`extensions`] | §4.5/§5/§6 studies: bounds curves, stability, capacity allocation, hypercube/butterfly gaps, randomized greedy, torus, slotted time, non-uniform destinations |
 //!
-//! Every harness accepts a [`Scale`] so that tests and `repro --quick` can
-//! run reduced but structurally identical versions ([`Scale::quick`]) while
-//! plain `repro` runs publication-scale sweeps ([`Scale::full`]).
+//! Every artifact with simulated columns is a cell list on the sweep
+//! executor: a `cells` function builds its scenarios at a [`Scale`],
+//! [`run`] executes them once, and a `render` function reads the executed
+//! [`SweepCellReport`]s — simulated columns from each cell's statistics
+//! (means over its replications, with their interval), analytic columns
+//! from the cell's bounds report. Tests and `repro --quick` run reduced
+//! but structurally identical versions ([`Scale::quick`]); plain `repro`
+//! runs publication-scale sweeps ([`Scale::full`]).
 
 pub mod extensions;
 pub mod fig1;
@@ -20,8 +25,17 @@ pub mod table1;
 pub mod table2;
 pub mod table3;
 
-use meshbound_sim::HorizonPolicy;
+use crate::sweep::{run_cells, Jobs, SweepCellReport};
+use meshbound_sim::{HorizonPolicy, Scenario};
 use serde::{Deserialize, Serialize};
+
+/// Executes an artifact's `cells` once on the sweep executor — cells in
+/// parallel, [`Scale::reps`] replications each — and returns their
+/// reports in cell order.
+#[must_use]
+pub fn run(name: &str, cells: Vec<Scenario>, scale: &Scale) -> Vec<SweepCellReport> {
+    run_cells(name, cells, scale.reps, Jobs::Parallel).cells
+}
 
 /// Sizing knobs for a simulation sweep.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]

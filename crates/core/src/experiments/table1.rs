@@ -6,12 +6,16 @@
 //! formula, the textbook M/D/1 estimate, the Theorem 7 upper bound and the
 //! best lower bound — together with the paper's printed simulation and
 //! estimate values for side-by-side comparison.
+//!
+//! The paper's printed T(Sim.) averages only packets whose destination
+//! differs from their source, so the simulated column excludes
+//! self-packets too. Its Est. column counts them, and so do our estimate
+//! and bound columns.
 
 use super::{Scale, TextTable};
-use crate::sweep::{run_cells, Jobs, SweepCellReport};
+use crate::sweep::SweepCellReport;
 use meshbound_queueing::load::Load;
 use meshbound_sim::Scenario;
-use serde::{Deserialize, Serialize};
 
 /// The paper's printed Table I: `(n, ρ, T(Sim.), T(Est.))`.
 pub const PRINTED: &[(usize, f64, f64, f64)] = &[
@@ -41,99 +45,29 @@ pub const PRINTED: &[(usize, f64, f64, f64)] = &[
     (20, 0.99, 77.283, 141.127),
 ];
 
-/// One reproduced cell of Table I.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Table1Row {
-    /// Array side.
-    pub n: usize,
-    /// Table-ρ load.
-    pub rho: f64,
-    /// Our simulated mean delay.
-    pub t_sim: f64,
-    /// 95% half-width across replications (0 for a single replication).
-    pub t_sim_hw: f64,
-    /// Paper's printed estimate formula.
-    pub t_est_paper: f64,
-    /// Textbook M/D/1 estimate.
-    pub t_est_md1: f64,
-    /// Theorem 7 upper bound.
-    pub t_upper: f64,
-    /// Best lower bound.
-    pub t_lower: f64,
-    /// Paper's printed simulation value.
-    pub printed_sim: f64,
-    /// Paper's printed estimate value.
-    pub printed_est: f64,
-}
-
 /// The Table I scenario grid at `scale`: one cell per printed row, with
-/// the table's historical per-cell seeds and load-adaptive horizons.
+/// the table's historical per-cell seeds and load-adaptive horizons, and
+/// self-packets left out of the simulated mean as in the printed T(Sim.).
 #[must_use]
 pub fn cells(scale: &Scale) -> Vec<Scenario> {
     PRINTED
         .iter()
-        .map(|&(n, rho, _, _)| cell_scenario(scale, n, rho))
-        .collect()
-}
-
-fn cell_scenario(scale: &Scale, n: usize, rho: f64) -> Scenario {
-    Scenario::mesh(n)
-        .load(Load::TableRho(rho))
-        .horizon(scale.horizon(rho))
-        .warmup(scale.warmup(rho))
-        .seed(scale.seed ^ ((n as u64) << 32) ^ ((rho * 1000.0) as u64))
-}
-
-/// Runs the full Table I grid at the given scale through the sweep engine
-/// (cells in parallel).
-#[must_use]
-pub fn run(scale: &Scale) -> Vec<Table1Row> {
-    let report = run_cells("table1", cells(scale), scale.reps, Jobs::Parallel);
-    report
-        .cells
-        .iter()
-        .zip(PRINTED)
-        .map(|(cell, &(n, rho, printed_sim, printed_est))| {
-            row_from_cell(cell, n, rho, printed_sim, printed_est)
+        .map(|&(n, rho, _, _)| {
+            Scenario::mesh(n)
+                .load(Load::TableRho(rho))
+                .horizon(scale.horizon(rho))
+                .warmup(scale.warmup(rho))
+                .seed(scale.seed ^ ((n as u64) << 32) ^ ((rho * 1000.0) as u64))
+                .include_self_packets(false)
         })
         .collect()
 }
 
-fn row_from_cell(
-    cell: &SweepCellReport,
-    n: usize,
-    rho: f64,
-    printed_sim: f64,
-    printed_est: f64,
-) -> Table1Row {
-    Table1Row {
-        n,
-        rho,
-        t_sim: cell.delay_mean,
-        t_sim_hw: cell.delay_half_width,
-        t_est_paper: cell.bounds.est_paper,
-        t_est_md1: cell.bounds.est_md1,
-        t_upper: cell.bounds.upper,
-        t_lower: cell.bounds.lower_best,
-        printed_sim,
-        printed_est,
-    }
-}
-
-#[cfg(test)]
-fn run_cell(scale: &Scale, n: usize, rho: f64, printed_sim: f64, printed_est: f64) -> Table1Row {
-    let report = run_cells(
-        "table1-cell",
-        vec![cell_scenario(scale, n, rho)],
-        scale.reps,
-        Jobs::Sequential,
-    );
-    row_from_cell(&report.cells[0], n, rho, printed_sim, printed_est)
-}
-
-/// Renders rows in the paper's layout plus our extra columns.
+/// Renders the executed [`cells`] under the table's title, in the paper's
+/// layout plus our extra columns: the simulated ones from each cell's
+/// statistics, the analytic ones from its bounds report.
 #[must_use]
-pub fn render(rows: &[Table1Row]) -> String {
+pub fn render(cells: &[SweepCellReport]) -> String {
     let mut t = TextTable::new(&[
         "n",
         "rho",
@@ -146,27 +80,45 @@ pub fn render(rows: &[Table1Row]) -> String {
         "paper Sim",
         "paper Est",
     ]);
-    for r in rows {
+    for (cell, &(n, rho, printed_sim, printed_est)) in cells.iter().zip(PRINTED) {
+        let b = &cell.bounds;
         t.row(vec![
-            r.n.to_string(),
-            format!("{:.2}", r.rho),
-            format!("{:.3}", r.t_sim),
-            format!("{:.3}", r.t_sim_hw),
-            format!("{:.3}", r.t_est_paper),
-            format!("{:.3}", r.t_est_md1),
-            format!("{:.3}", r.t_upper),
-            format!("{:.3}", r.t_lower),
-            format!("{:.3}", r.printed_sim),
-            format!("{:.3}", r.printed_est),
+            n.to_string(),
+            format!("{rho:.2}"),
+            format!("{:.3}", cell.delay_mean),
+            cell.half_width_text(),
+            format!("{:.3}", b.est_paper),
+            format!("{:.3}", b.est_md1),
+            format!("{:.3}", b.upper),
+            format!("{:.3}", b.lower_best),
+            format!("{printed_sim:.3}"),
+            format!("{printed_est:.3}"),
         ]);
     }
-    t.render()
+    format!(
+        "Table I — simulation vs M/D/1 estimate (λ = 4ρ/n)\n{}",
+        t.render()
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{run_cells, Jobs};
     use meshbound_queueing::bounds::estimate::estimate_paper;
+    use meshbound_stats::ci::t_quantile;
+
+    /// The executed cell of the printed row `(n, ρ)` at `scale`.
+    fn run_cell(scale: &Scale, n: usize, rho: f64) -> SweepCellReport {
+        let i = PRINTED
+            .iter()
+            .position(|&(pn, prho, _, _)| (pn, prho) == (n, rho))
+            .unwrap();
+        let cell = cells(scale).swap_remove(i);
+        run_cells("table1-cell", vec![cell], scale.reps, Jobs::Sequential)
+            .cells
+            .remove(0)
+    }
 
     #[test]
     fn estimate_columns_match_printed_table() {
@@ -183,19 +135,17 @@ mod tests {
 
     #[test]
     fn quick_cell_shapes_match_paper() {
-        // One light cell and one moderate cell; shape checks only.
-        let scale = Scale::quick();
-        let light = run_cell(&scale, 5, 0.2, 3.545, 3.256);
+        // One light cell; shape checks only.
+        let light = run_cell(&Scale::quick(), 5, 0.2);
+        let (t_sim, printed_sim) = (light.delay_mean, 3.545);
         // Simulation close to the printed value (±10%) at light load.
         assert!(
-            (light.t_sim - light.printed_sim).abs() / light.printed_sim < 0.1,
-            "sim {} vs printed {}",
-            light.t_sim,
-            light.printed_sim
+            (t_sim - printed_sim).abs() / printed_sim < 0.1,
+            "sim {t_sim} vs printed {printed_sim}"
         );
         // Bounds bracket the simulation.
-        assert!(light.t_lower <= light.t_sim + 0.2);
-        assert!(light.t_sim <= light.t_upper + 0.2);
+        assert!(light.bounds.lower_best <= t_sim + 0.2);
+        assert!(t_sim <= light.bounds.upper + 0.2);
     }
 
     #[test]
@@ -203,38 +153,59 @@ mod tests {
         // The paper's estimate omits the residual-service term and
         // undershoots; the textbook estimate ignores smoothing and
         // overshoots. The truth sits between (§4.2 discussion).
-        let scale = Scale::quick();
-        let cell = run_cell(&scale, 10, 0.5, 7.748, 7.641);
+        let cell = run_cell(&Scale::quick(), 10, 0.5);
+        let (t_sim, b) = (cell.delay_mean, &cell.bounds);
         assert!(
-            cell.t_est_paper < cell.t_sim + 0.3,
-            "paper est {} should sit below sim {}",
-            cell.t_est_paper,
-            cell.t_sim
+            b.est_paper < t_sim + 0.3,
+            "paper est {} should sit below sim {t_sim}",
+            b.est_paper
         );
         assert!(
-            cell.t_sim < cell.t_est_md1 + 0.3,
-            "sim {} should sit below textbook est {}",
-            cell.t_sim,
-            cell.t_est_md1
+            t_sim < b.est_md1 + 0.3,
+            "sim {t_sim} should sit below textbook est {}",
+            b.est_md1
         );
     }
 
     #[test]
+    fn simulated_column_agrees_with_the_printed_one_at_n5() {
+        // The paper's T(Sim.) leaves self-packets out; so do the cells.
+        // Eight replications of the n = 5 cells at ρ ≤ 0.8 must sit within
+        // a two-sided 99.9% Student-t band (7 dof) of the printed value.
+        // Counted in, self-packets pull each mean 10 to 30 standard errors
+        // below the print.
+        let reps = 8;
+        let grid: Vec<Scenario> = cells(&Scale::quick()).into_iter().take(3).collect();
+        let report = run_cells("table1-fidelity", grid, reps, Jobs::Parallel);
+        // The 95% half-width is t(0.975, 7) standard errors.
+        let t95 = t_quantile(0.5 + 0.95 / 2.0, reps as u64 - 1);
+        for (cell, &(n, rho, printed_sim, _)) in report.cells.iter().zip(PRINTED) {
+            assert_eq!((n, cell.reps), (5, reps));
+            let t = (cell.delay_mean - printed_sim) / (cell.delay_half_width / t95);
+            assert!(
+                t.abs() <= 5.41,
+                "n={n}, ρ={rho}: T(Sim) {:.3} ± {:.3} against the printed {printed_sim}, t = {t:.2}",
+                cell.delay_mean,
+                cell.delay_half_width
+            );
+        }
+    }
+
+    #[test]
     fn render_includes_all_rows() {
-        let rows = vec![Table1Row {
-            n: 5,
-            rho: 0.2,
-            t_sim: 3.5,
-            t_sim_hw: 0.01,
-            t_est_paper: 3.26,
-            t_est_md1: 3.4,
-            t_upper: 3.8,
-            t_lower: 3.2,
-            printed_sim: 3.545,
-            printed_est: 3.256,
-        }];
-        let s = render(&rows);
-        assert!(s.contains("3.500"));
+        let scale = Scale {
+            horizon_base: 200.0,
+            horizon_cap: 400.0,
+            reps: 1,
+            seed: 1,
+        };
+        let cell = run_cell(&scale, 5, 0.2);
+        let s = render(std::slice::from_ref(&cell));
+        assert!(s.contains(&format!("{:.3}", cell.delay_mean)));
         assert!(s.contains("paper Sim"));
+        // One replication has no interval.
+        assert!(s.contains(" n/a "), "{s}");
+        assert!(s.starts_with("Table I —"), "{s}");
+        assert_eq!(s.lines().count(), 4);
     }
 }

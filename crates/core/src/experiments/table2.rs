@@ -7,11 +7,9 @@
 //! Theorem 12 constant `d̄` is pessimistic.
 
 use super::{Scale, TextTable};
-use crate::sweep::{run_cells, Jobs};
+use crate::sweep::SweepCellReport;
 use meshbound_queueing::load::Load;
-use meshbound_queueing::remaining::light_load_r;
 use meshbound_sim::Scenario;
-use serde::{Deserialize, Serialize};
 
 /// The paper's printed Table II: `(n, ρ, r)`. The `n̄` column of the paper
 /// (3.333, 6.667, 10, 13.333) is `n̄₂ = 2n/3`.
@@ -38,23 +36,6 @@ pub const PRINTED: &[(usize, f64, f64)] = &[
     (20, 0.99, 9.029),
 ];
 
-/// One reproduced cell of Table II.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Table2Row {
-    /// Array side.
-    pub n: usize,
-    /// Table-ρ load.
-    pub rho: f64,
-    /// `n̄₂ = 2n/3` (the paper's second column).
-    pub nbar2: f64,
-    /// Simulated `r = E[R]/E[N]`.
-    pub r_sim: f64,
-    /// Light-load closed form `(E[D²]+E[D])/(2E[D])`.
-    pub r_light: f64,
-    /// Paper's printed `r`.
-    pub printed_r: f64,
-}
-
 /// The Table II scenario grid at `scale` (historical per-cell seeds).
 #[must_use]
 pub fn cells(scale: &Scale) -> Vec<Scenario> {
@@ -70,28 +51,10 @@ pub fn cells(scale: &Scale) -> Vec<Scenario> {
         .collect()
 }
 
-/// Runs the Table II grid through the sweep engine (cells in parallel).
+/// Renders the executed [`cells`] under the table's title: `r` from each
+/// cell's statistics, its light-load value from the cell's bounds report.
 #[must_use]
-pub fn run(scale: &Scale) -> Vec<Table2Row> {
-    let report = run_cells("table2", cells(scale), scale.reps, Jobs::Parallel);
-    report
-        .cells
-        .iter()
-        .zip(PRINTED)
-        .map(|(cell, &(n, rho, printed))| Table2Row {
-            n,
-            rho,
-            nbar2: 2.0 * n as f64 / 3.0,
-            r_sim: cell.r_ratio,
-            r_light: light_load_r(n),
-            printed_r: printed,
-        })
-        .collect()
-}
-
-/// Renders the reproduced Table II.
-#[must_use]
-pub fn render(rows: &[Table2Row]) -> String {
+pub fn render(cells: &[SweepCellReport]) -> String {
     let mut t = TextTable::new(&[
         "n",
         "n̄₂",
@@ -101,23 +64,25 @@ pub fn render(rows: &[Table2Row]) -> String {
         "paper r",
         "r/n̄₂",
     ]);
-    for r in rows {
+    for (cell, &(n, rho, printed)) in cells.iter().zip(PRINTED) {
+        let nbar2 = 2.0 * n as f64 / 3.0;
         t.row(vec![
-            r.n.to_string(),
-            format!("{:.3}", r.nbar2),
-            format!("{:.2}", r.rho),
-            format!("{:.3}", r.r_sim),
-            format!("{:.3}", r.r_light),
-            format!("{:.3}", r.printed_r),
-            format!("{:.3}", r.r_sim / r.nbar2),
+            n.to_string(),
+            format!("{nbar2:.3}"),
+            format!("{rho:.2}"),
+            format!("{:.3}", cell.r_ratio),
+            format!("{:.3}", cell.bounds.light_load_r),
+            format!("{printed:.3}"),
+            format!("{:.3}", cell.r_ratio / nbar2),
         ]);
     }
-    t.render()
+    format!("Table II — r = E[R]/E[N]\n{}", t.render())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use meshbound_queueing::remaining::light_load_r;
 
     #[test]
     fn light_load_closed_form_matches_printed_low_rho() {

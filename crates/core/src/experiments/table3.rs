@@ -8,12 +8,11 @@
 //! dependence on ρ is minimal.
 
 use super::{Scale, TextTable};
-use crate::sweep::{run_cells, Jobs};
+use crate::sweep::SweepCellReport;
 use meshbound_queueing::load::Load;
-use meshbound_queueing::remaining::{light_load_rs, sbar_closed};
+use meshbound_queueing::remaining::light_load_rs;
 use meshbound_sim::Scenario;
 use meshbound_topology::Mesh2D;
-use serde::{Deserialize, Serialize};
 
 /// The paper's printed Table III at ρ = 0.99: `(n, r_s)`.
 pub const PRINTED: &[(usize, f64)] = &[
@@ -23,21 +22,6 @@ pub const PRINTED: &[(usize, f64)] = &[
     (20, 1.230),
     (25, 2.209),
 ];
-
-/// One reproduced row of Table III.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Table3Row {
-    /// Array side.
-    pub n: usize,
-    /// Simulated `r_s`.
-    pub rs_sim: f64,
-    /// Light-load closed form for `r_s`.
-    pub rs_light: f64,
-    /// The bound constant `s̄` (Definition 13).
-    pub sbar: f64,
-    /// Paper's printed value.
-    pub printed_rs: f64,
-}
 
 /// The Table III scenario grid at `scale` (ρ = 0.99, saturated-services
 /// tracking on, historical per-cell seeds).
@@ -57,43 +41,28 @@ pub fn cells(scale: &Scale) -> Vec<Scenario> {
         .collect()
 }
 
-/// Runs Table III through the sweep engine (rows in parallel).
+/// Renders the executed [`cells`] under the table's title: `r_s` from
+/// each cell's statistics, `s̄` from the cell's bounds report and the
+/// light-load value in closed form.
 #[must_use]
-pub fn run(scale: &Scale) -> Vec<Table3Row> {
-    let report = run_cells("table3", cells(scale), scale.reps, Jobs::Parallel);
-    report
-        .cells
-        .iter()
-        .zip(PRINTED)
-        .map(|(cell, &(n, printed))| Table3Row {
-            n,
-            rs_sim: cell.rs_ratio,
-            rs_light: light_load_rs(&Mesh2D::square(n)),
-            sbar: sbar_closed(n),
-            printed_rs: printed,
-        })
-        .collect()
-}
-
-/// Renders the reproduced Table III.
-#[must_use]
-pub fn render(rows: &[Table3Row]) -> String {
+pub fn render(cells: &[SweepCellReport]) -> String {
     let mut t = TextTable::new(&["n", "r_s(Sim)", "r_s(light-load)", "s̄", "paper r_s"]);
-    for r in rows {
+    for (cell, &(n, printed)) in cells.iter().zip(PRINTED) {
         t.row(vec![
-            r.n.to_string(),
-            format!("{:.3}", r.rs_sim),
-            format!("{:.3}", r.rs_light),
-            format!("{:.3}", r.sbar),
-            format!("{:.3}", r.printed_rs),
+            n.to_string(),
+            format!("{:.3}", cell.rs_ratio),
+            format!("{:.3}", light_load_rs(&Mesh2D::square(n))),
+            format!("{:.3}", cell.bounds.sbar),
+            format!("{printed:.3}"),
         ]);
     }
-    t.render()
+    format!("Table III — r_s at ρ = 0.99\n{}", t.render())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use meshbound_queueing::remaining::sbar_closed;
 
     #[test]
     fn printed_parity_pattern() {

@@ -47,8 +47,9 @@ use std::time::Instant;
 /// object (the `probes=nsys` series is the one `N(t)` sampler); v9 moved
 /// `degradation` out of each cell's bounds report into the cell, as the
 /// survey of the fault plans its replications ran, with
-/// `delivered_fraction`/`dropped` kept once, on the cell.
-pub const SCHEMA: &str = "meshbound.sweep/v9";
+/// `delivered_fraction`/`dropped` kept once, on the cell; v10 added the
+/// per-cell `final_n`, the mean number in system at the horizon.
+pub const SCHEMA: &str = "meshbound.sweep/v10";
 
 /// Tolerance for judging a simulated mean delay against analytic bounds.
 ///
@@ -144,6 +145,10 @@ pub struct SweepCellReport {
     pub delay_half_width: f64,
     /// Mean time-averaged number-in-system across replications.
     pub time_avg_n: f64,
+    /// Mean number in system at the horizon across replications; against
+    /// [`time_avg_n`](Self::time_avg_n) it tells a growing backlog from a
+    /// stable one.
+    pub final_n: f64,
     /// Mean remaining-work ratio `r = E[R]/E[N]` across replications.
     pub r_ratio: f64,
     /// Mean saturated ratio `r_s = E[R_s]/E[N]` across replications.
@@ -202,6 +207,19 @@ pub struct SweepCellReport {
     pub telemetry: Option<TelemetryReport>,
 }
 
+impl SweepCellReport {
+    /// The delay interval's half-width as a text column prints it: `n/a`
+    /// for one replication, which has no interval (the JSON keeps `0`).
+    #[must_use]
+    pub fn half_width_text(&self) -> String {
+        if self.reps < 2 {
+            "n/a".into()
+        } else {
+            format!("{:.3}", self.delay_half_width)
+        }
+    }
+}
+
 impl Serialize for SweepCellReport {
     fn serialize(&self, w: &mut serde::json::Writer) {
         w.begin_object();
@@ -215,6 +233,7 @@ impl Serialize for SweepCellReport {
         w.field("delay_mean", &self.delay_mean);
         w.field("delay_half_width", &self.delay_half_width);
         w.field("time_avg_n", &self.time_avg_n);
+        w.field("final_n", &self.final_n);
         w.field("r_ratio", &self.r_ratio);
         w.field("rs_ratio", &self.rs_ratio);
         w.field("throughput", &self.throughput);
@@ -313,7 +332,7 @@ impl SweepReport {
             t.row(vec![
                 cell.spec.clone(),
                 format!("{:.3}", cell.delay_mean),
-                format!("{:.3}", cell.delay_half_width),
+                cell.half_width_text(),
                 format!("{:.3}", cell.bounds.lower_best),
                 if cell.bounds.upper.is_finite() {
                     format!("{:.3}", cell.bounds.upper)
@@ -427,17 +446,19 @@ fn run_cell(sc: &Scenario, reps: usize, check: BoundsCheck) -> SweepCellReport {
     } else {
         0.0
     };
-    let mut throughput = 0.0;
+    let (mut throughput, mut final_n) = (0.0, 0.0);
     let (mut generated, mut completed, mut events_processed) = (0u64, 0u64, 0u64);
     let mut dropped = DropCounts::default();
     for run in &rep.runs {
         throughput += run.completed as f64 / run.measure_time;
+        final_n += run.final_n;
         generated += run.generated;
         completed += run.completed;
         events_processed += run.events_processed;
         dropped.merge(&run.dropped);
     }
     throughput /= rep.runs.len() as f64;
+    final_n /= rep.runs.len() as f64;
     let delivered_fraction = if generated > 0 {
         completed as f64 / generated as f64
     } else {
@@ -466,6 +487,7 @@ fn run_cell(sc: &Scenario, reps: usize, check: BoundsCheck) -> SweepCellReport {
         delay_mean,
         delay_half_width,
         time_avg_n: rep.n.mean(),
+        final_n,
         r_ratio: rep.r_ratio.mean(),
         rs_ratio: rep.rs_ratio.mean(),
         throughput,
@@ -675,7 +697,7 @@ mod tests {
         // An unprobed report carries no telemetry key at all.
         let plain_json = plain.to_json();
         assert!(!plain_json.contains("telemetry"));
-        assert!(plain_json.starts_with("{\"schema\":\"meshbound.sweep/v9\""));
+        assert!(plain_json.starts_with("{\"schema\":\"meshbound.sweep/v10\""));
         assert!(plain.cells[0].telemetry.is_none());
         // The probed twin shares the cell seed and every simulated number
         // bit for bit; only the telemetry section differs.
@@ -700,6 +722,20 @@ mod tests {
         assert!(cut.samples.iter().all(|&(_, v)| v == 0.0));
         assert!(telemetry.series.iter().all(|s| !s.samples.is_empty()));
         assert!(probed.to_json().contains("\"telemetry\":{\"schema\":"));
+    }
+
+    #[test]
+    fn one_replication_prints_no_interval() {
+        let mut report = run_sweep(&tiny_at("rho:0.2"), Jobs::Sequential).unwrap();
+        let cell = &report.cells[0];
+        assert_eq!((cell.reps, cell.delay_half_width), (1, 0.0));
+        assert_eq!(cell.half_width_text(), "n/a");
+        assert!(report.to_text().contains(" n/a "), "{}", report.to_text());
+        // The JSON keeps the documented zero.
+        assert!(report.to_json().contains("\"delay_half_width\":0"));
+        report.cells[0].reps = 2;
+        report.cells[0].delay_half_width = 0.25;
+        assert_eq!(report.cells[0].half_width_text(), "0.250");
     }
 
     #[test]

@@ -268,6 +268,11 @@ impl FaultSpec {
 
     /// Validates the spec against a topology's shape.
     ///
+    /// Explicit node ids that together touch every edge are
+    /// [`FaultSpec::check_on`]'s to refuse, since the shape alone does not
+    /// say which edges a node takes down. Node *rates* whose draw touches
+    /// every edge on some seeds are not refused.
+    ///
     /// # Errors
     ///
     /// A message naming the violated constraint: rates outside `[0, 1]`,
@@ -310,15 +315,46 @@ impl FaultSpec {
             ] {
                 let distinct = ids.iter().collect::<std::collections::BTreeSet<_>>().len();
                 if distinct + rate_draw(rate, total) >= total {
-                    return Err(format!(
-                        "failing every {what} forever leaves nothing to simulate — fail \
-                         fewer {what}s or add a `repair:` delay"
-                    ));
+                    return Err(fails_every(what));
                 }
             }
         }
         Ok(())
     }
+
+    /// Refuses a schedule without repair whose explicit node ids, with its
+    /// explicit links and its rounded link draw, fail every edge of `topo`
+    /// forever. The edges the ids kill are counted through
+    /// [`FaultPlan::materialize`], the one incidence rule.
+    ///
+    /// # Errors
+    ///
+    /// The message [`FaultSpec::check`] gives for failing every link.
+    pub fn check_on<T: Topology>(&self, topo: &T) -> Result<(), String> {
+        if self.repair.is_some() || self.nodes.is_empty() {
+            return Ok(());
+        }
+        // Explicit ids draw nothing, so every seed kills the same edges.
+        let explicit = FaultSpec {
+            links: self.links.clone(),
+            nodes: self.nodes.clone(),
+            ..FaultSpec::default()
+        };
+        let num_edges = topo.num_edges();
+        let killed = FaultPlan::materialize(&explicit, 0, topo).down_edges.len();
+        if killed + rate_draw(self.link_rate, num_edges) >= num_edges {
+            return Err(fails_every("link"));
+        }
+        Ok(())
+    }
+}
+
+/// The refusal of a schedule that fails every link or node forever.
+fn fails_every(what: &str) -> String {
+    format!(
+        "failing every {what} forever leaves nothing to simulate — fail fewer {what}s or \
+         add a `repair:` delay"
+    )
 }
 
 /// How many of `total` links or nodes a `rate` draw fails.

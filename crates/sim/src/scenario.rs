@@ -420,6 +420,22 @@ impl OnNetwork for Survey<'_> {
     }
 }
 
+/// [`FaultSpec::check_on`] on the scenario's concrete topology.
+struct FaultCover<'a>(&'a FaultSpec);
+
+impl OnNetwork for FaultCover<'_> {
+    type Output = Result<(), String>;
+
+    fn on<T, R, D>(self, topo: T, _: R, _: D, _: Option<Vec<NodeId>>) -> Self::Output
+    where
+        T: PatternTopology + Sync,
+        R: Router<T> + Sync,
+        D: DestSampler<T> + Sync,
+    {
+        self.0.check_on(&topo)
+    }
+}
+
 /// Why a scenario specification was rejected.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioError {
@@ -533,10 +549,11 @@ pub struct Scenario {
     /// Transmission-time distribution (deterministic = standard model,
     /// exponential = Jackson model).
     pub service: ServiceKind,
-    /// Count source-=-destination packets (delay 0) in the average. The
-    /// paper's model allows them, and the default counts them. For how the
-    /// paper's printed Table I simulation column treats them, see
-    /// ROADMAP.md, direction 2.
+    /// Count source-=-destination packets (delay 0) in the delay average.
+    /// The paper's model allows them, and the default counts them, as do
+    /// the bounds and estimates, which average over every destination.
+    /// The paper's printed Table I simulation column averages only packets
+    /// that leave their source, so Table I's cells set this to `false`.
     pub include_self_packets: bool,
     /// Track the remaining-saturated-services integral (Table III).
     /// Honored on square meshes, where Figure 2 defines the saturated
@@ -729,7 +746,8 @@ impl Scenario {
         self
     }
 
-    /// Enables or disables counting zero-distance packets.
+    /// Enables or disables counting zero-distance packets in the delay
+    /// average (see the field for when to leave them out).
     #[must_use]
     pub fn include_self_packets(mut self, yes: bool) -> Self {
         self.include_self_packets = yes;
@@ -1152,6 +1170,12 @@ impl Scenario {
         if let Some(faults) = &self.faults {
             if let Err(e) = faults.check(self.topology.num_nodes(), self.topology.num_edges()) {
                 return bad(e);
+            }
+            // Only explicit node ids need the concrete topology's incidence.
+            if !faults.nodes.is_empty() {
+                if let Err(e) = self.on_network(FaultCover(faults)) {
+                    return bad(e);
+                }
             }
         }
         if let Some(probes) = &self.probes {
@@ -2070,8 +2094,16 @@ mod tests {
 
     #[test]
     fn fault_specs_that_fail_everything_forever_are_refused() {
-        for faults in ["links:0.99", "nodes:1", "nodes:0.97", "link:3+links:0.99"] {
-            let spec = format!("mesh:4 lambda=0.1 faults={faults}");
+        for spec in [
+            "mesh:4 faults=links:0.99",
+            "mesh:4 faults=nodes:1",
+            "mesh:4 faults=nodes:0.97",
+            "mesh:4 faults=link:3+links:0.99",
+            // Explicit node ids that together touch every edge.
+            "mesh:2 faults=node:0+node:3",
+            "mesh:3 faults=node:1+node:3+node:5+node:7",
+        ] {
+            let spec = format!("{spec} lambda=0.1");
             let err = Scenario::parse(&spec).unwrap_err();
             assert!(
                 err.to_string().contains("leaves nothing to simulate"),
@@ -2087,6 +2119,22 @@ mod tests {
             let spec = format!("mesh:4 lambda=0.1 faults={faults} horizon=100 warmup=10");
             let sc = Scenario::parse(&spec).unwrap();
             assert_eq!(sc.fault_reachability(sc.seed).map(|(d, _)| d), Some(48));
+            assert!(sc.try_run().unwrap().generated > 0, "{spec}");
+        }
+        // Node ids that spare an edge run, and so do repaired ones that
+        // spare none.
+        for (spec, dead) in [
+            ("mesh:3 faults=node:1+node:3+node:5", 18),
+            ("mesh:2 faults=node:0+node:3+repair:10", 8),
+            ("mesh:3 faults=node:1+node:3+node:5+node:7+repair:10", 24),
+        ] {
+            let spec = format!("{spec} lambda=0.1 horizon=100 warmup=10");
+            let sc = Scenario::parse(&spec).unwrap();
+            assert_eq!(
+                sc.fault_reachability(sc.seed).map(|(d, _)| d),
+                Some(dead),
+                "{spec}"
+            );
             assert!(sc.try_run().unwrap().generated > 0, "{spec}");
         }
     }

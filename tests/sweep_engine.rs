@@ -2,7 +2,7 @@
 //! expansion, bit-determinism under parallelism, bit-identity of the
 //! re-expressed paper tables, and the JSON report contract.
 
-use meshbound::experiments::{table1, table2, table3, Scale};
+use meshbound::experiments::{self, table1, table2, table3, Scale};
 use meshbound::sweep::{run_cells, run_sweep, Jobs, SCHEMA};
 use meshbound::{Scenario, SweepError, SweepSpec};
 
@@ -71,39 +71,37 @@ fn parallel_sweep_is_bit_identical_to_sequential() {
 
 #[test]
 fn sweep_engine_reproduces_table_cells_bit_identically() {
-    // The tables now ride the sweep engine; their cells must match the
-    // direct Scenario path (the pre-sweep implementation) bit for bit.
+    // The tables ride the sweep engine; their cells must match the direct
+    // Scenario path (the pre-sweep implementation) bit for bit.
     let scale = tiny_scale();
-    let t1 = table1::run(&scale);
-    for (row, sc) in t1.iter().zip(table1::cells(&scale)) {
+    let t1 = experiments::run("table1", table1::cells(&scale), &scale);
+    for (cell, sc) in t1.iter().zip(table1::cells(&scale)) {
         let direct = sc.run_replicated(scale.reps);
         assert_eq!(
-            row.t_sim.to_bits(),
+            cell.delay_mean.to_bits(),
             direct.delay.mean().to_bits(),
-            "table1 n={} rho={}",
-            row.n,
-            row.rho
+            "table1 {}",
+            cell.spec
         );
     }
-    let t2 = table2::run(&scale);
-    for (row, sc) in t2.iter().zip(table2::cells(&scale)) {
+    let t2 = experiments::run("table2", table2::cells(&scale), &scale);
+    for (cell, sc) in t2.iter().zip(table2::cells(&scale)) {
         let direct = sc.run_replicated(scale.reps);
         assert_eq!(
-            row.r_sim.to_bits(),
+            cell.r_ratio.to_bits(),
             direct.r_ratio.mean().to_bits(),
-            "table2 n={} rho={}",
-            row.n,
-            row.rho
+            "table2 {}",
+            cell.spec
         );
     }
-    let t3 = table3::run(&scale);
-    for (row, sc) in t3.iter().zip(table3::cells(&scale)) {
+    let t3 = experiments::run("table3", table3::cells(&scale), &scale);
+    for (cell, sc) in t3.iter().zip(table3::cells(&scale)) {
         let direct = sc.run_replicated(scale.reps);
         assert_eq!(
-            row.rs_sim.to_bits(),
+            cell.rs_ratio.to_bits(),
             direct.rs_ratio.mean().to_bits(),
-            "table3 n={}",
-            row.n
+            "table3 {}",
+            cell.spec
         );
     }
 }
@@ -145,7 +143,7 @@ fn json_report_contract() {
     // The torus's open upper bound must be null (valid JSON), never `inf`.
     assert!(json.contains("\"upper\":null"));
     let pretty = report.to_json_pretty();
-    assert!(pretty.contains("\n  \"schema\": \"meshbound.sweep/v9\""));
+    assert!(pretty.contains("\n  \"schema\": \"meshbound.sweep/v10\""));
     // v4: the cell wall clock is split into setup and hot-loop time.
     for key in ["\"setup_s\":", "\"sim_s\":"] {
         assert!(json.contains(key), "missing {key} in {json}");
@@ -218,7 +216,7 @@ fn repro_sweep_cli_writes_checked_json() {
         String::from_utf8_lossy(&output.stderr),
     );
     let json = std::fs::read_to_string(&out).expect("JSON written");
-    assert!(json.contains("\"schema\": \"meshbound.sweep/v9\""));
+    assert!(json.contains("\"schema\": \"meshbound.sweep/v10\""));
     assert!(json.contains("\"all_within_bounds\": true"));
     let _ = std::fs::remove_file(&out);
     // A bad grammar and a bounds-violating check path must exit nonzero.

@@ -241,17 +241,17 @@ const ARTIFACTS: &[(&str, Render)] = &[
         vec![fig2::render(&even, &odd)]
     }),
     ("table1", |scale| {
-        vec![table1::render(&run("table1", table1::cells(scale), scale))]
+        vec![table1::render(&run(table1::cells(scale), scale))]
     }),
     ("table2", |scale| {
-        vec![table2::render(&run("table2", table2::cells(scale), scale))]
+        vec![table2::render(&run(table2::cells(scale), scale))]
     }),
     ("table3", |scale| {
-        vec![table3::render(&run("table3", table3::cells(scale), scale))]
+        vec![table3::render(&run(table3::cells(scale), scale))]
     }),
     ("bounds", |scale| {
         let rhos = [0.2, 0.5, 0.8, 0.9, 0.95, 0.99];
-        let cells = |n| run("bounds", ext::bounds_cells(n, &rhos, scale), scale);
+        let cells = |n| run(ext::bounds_cells(n, &rhos, scale), scale);
         [8, 9]
             .map(|n| ext::render_bounds_curve(n, &cells(n)))
             .into()
@@ -259,7 +259,7 @@ const ARTIFACTS: &[(&str, Render)] = &[
     ("stability", |scale| {
         let stability = |n, lambdas: &[f64], optimal| {
             let cells = ext::stability_cells(n, lambdas, optimal, scale);
-            ext::render_stability(n, &run("stability", cells, scale))
+            ext::render_stability(n, &run(cells, scale))
         };
         let mut blocks: Vec<String> = [6, 7]
             .map(|n| {
@@ -274,40 +274,40 @@ const ARTIFACTS: &[(&str, Render)] = &[
     }),
     ("capacity", |scale| {
         let cells = ext::capacity_cells(8, &[0.1, 0.2, 0.3, 0.4], scale);
-        vec![ext::render_capacity(8, &run("capacity", cells, scale))]
+        vec![ext::render_capacity(8, &run(cells, scale))]
     }),
     ("hypercube", |scale| {
         let cells = ext::hypercube_cells(8, &[0.1, 0.25, 0.5, 0.75, 0.9], 0.9, scale);
-        vec![ext::render_hypercube(8, &run("hypercube", cells, scale))]
+        vec![ext::render_hypercube(8, &run(cells, scale))]
     }),
     ("butterfly", |scale| {
         let cells = ext::butterfly_cells(&[2, 3, 4, 5, 6], 0.9, scale);
-        vec![ext::render_butterfly(&run("butterfly", cells, scale))]
+        vec![ext::render_butterfly(&run(cells, scale))]
     }),
     ("randomized", |scale| {
         let cells = ext::randomized_cells(10, &[0.2, 0.5, 0.8, 0.9], scale);
-        vec![ext::render_randomized(10, &run("randomized", cells, scale))]
+        vec![ext::render_randomized(10, &run(cells, scale))]
     }),
     ("torus", |scale| {
         let cells = ext::torus_cells(8, &[0.1, 0.2, 0.3, 0.4], scale);
-        vec![ext::render_torus(8, &run("torus", cells, scale))]
+        vec![ext::render_torus(8, &run(cells, scale))]
     }),
     ("kd", |scale| {
         let shapes = [vec![4, 4], vec![3, 3, 3], vec![4, 4, 4], vec![3, 3, 3, 3]];
         let cells = ext::kd_cells(&shapes, 0.1, scale);
-        vec![ext::render_kd(&run("kd", cells, scale))]
+        vec![ext::render_kd(&run(cells, scale))]
     }),
     ("slotted", |scale| {
         let cells = ext::slotted_cells(8, 0.7, &[0.25, 0.5, 1.0, 2.0], scale);
-        vec![ext::render_slotted(8, 0.7, &run("slotted", cells, scale))]
+        vec![ext::render_slotted(8, 0.7, &run(cells, scale))]
     }),
     ("nonuniform", |scale| {
         let cells = ext::nearby_cells(8, &[0.25, 0.5, 0.75], 0.4, scale);
-        vec![ext::render_nearby(8, 0.4, &run("nonuniform", cells, scale))]
+        vec![ext::render_nearby(8, 0.4, &run(cells, scale))]
     }),
     ("dominance", |scale| {
         let cells = ext::dominance_cells(8, &[0.2, 0.5, 0.8, 0.9], scale);
-        vec![ext::render_dominance(8, &run("dominance", cells, scale))]
+        vec![ext::render_dominance(8, &run(cells, scale))]
     }),
     ("report", |_| {
         [5, 10, 20]

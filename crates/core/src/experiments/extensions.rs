@@ -545,7 +545,7 @@ mod tests {
 
     /// Executes `cells` at quick scale.
     fn run(cells: Vec<Scenario>) -> Vec<SweepCellReport> {
-        super::super::run("test", cells, &Scale::quick())
+        super::super::run(cells, &Scale::quick())
     }
 
     #[test]

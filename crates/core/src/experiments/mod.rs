@@ -33,8 +33,8 @@ use serde::{Deserialize, Serialize};
 /// parallel, [`Scale::reps`] replications each — and returns their
 /// reports in cell order.
 #[must_use]
-pub fn run(name: &str, cells: Vec<Scenario>, scale: &Scale) -> Vec<SweepCellReport> {
-    run_cells(name, cells, scale.reps, Jobs::Parallel).cells
+pub fn run(cells: Vec<Scenario>, scale: &Scale) -> Vec<SweepCellReport> {
+    run_cells("artifact", cells, scale.reps, Jobs::Parallel).cells
 }
 
 /// Sizing knobs for a simulation sweep.

@@ -605,6 +605,8 @@ mod tests {
         assert!(json.contains("\"link_down\":0"));
         // v9: the degradation section sits on the cell, null when healthy.
         assert!(json.contains("\"link_down\":0},\"degradation\":null"));
+        // v10: every cell carries the mean number in system at the horizon.
+        assert!(json.contains("\"final_n\":"));
         // The torus's open upper bound serializes as null, not Infinity.
         assert!(json.contains("\"upper\":null"));
         assert!(!json.contains("inf"));

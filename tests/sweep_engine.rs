@@ -74,7 +74,7 @@ fn sweep_engine_reproduces_table_cells_bit_identically() {
     // The tables ride the sweep engine; their cells must match the direct
     // Scenario path (the pre-sweep implementation) bit for bit.
     let scale = tiny_scale();
-    let t1 = experiments::run("table1", table1::cells(&scale), &scale);
+    let t1 = experiments::run(table1::cells(&scale), &scale);
     for (cell, sc) in t1.iter().zip(table1::cells(&scale)) {
         let direct = sc.run_replicated(scale.reps);
         assert_eq!(
@@ -83,8 +83,15 @@ fn sweep_engine_reproduces_table_cells_bit_identically() {
             "table1 {}",
             cell.spec
         );
+        let final_n = direct.runs.iter().map(|r| r.final_n).sum::<f64>() / scale.reps as f64;
+        assert_eq!(
+            cell.final_n.to_bits(),
+            final_n.to_bits(),
+            "table1 {}",
+            cell.spec
+        );
     }
-    let t2 = experiments::run("table2", table2::cells(&scale), &scale);
+    let t2 = experiments::run(table2::cells(&scale), &scale);
     for (cell, sc) in t2.iter().zip(table2::cells(&scale)) {
         let direct = sc.run_replicated(scale.reps);
         assert_eq!(
@@ -94,7 +101,7 @@ fn sweep_engine_reproduces_table_cells_bit_identically() {
             cell.spec
         );
     }
-    let t3 = experiments::run("table3", table3::cells(&scale), &scale);
+    let t3 = experiments::run(table3::cells(&scale), &scale);
     for (cell, sc) in t3.iter().zip(table3::cells(&scale)) {
         let direct = sc.run_replicated(scale.reps);
         assert_eq!(
